@@ -119,50 +119,27 @@ def _merge_and_stop(delta: np.ndarray, beta: np.ndarray, n: int) -> tuple[int, f
     return m, tau, deaths_before
 
 
-def coupled_fixation(
-    n: int, lam: float, alpha: float, rng: np.random.Generator
-) -> FixationResult:
-    """Fixation statistics via the death/birth coupling (standard start).
+def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
+    """Fixation statistics via the death/birth coupling.
 
     Generates the death and birth streams independently, merges them in
     time order, and stops when the replayed red count first hits zero.
     The joint law of (white_survivors, conversions) equals that of the
-    count-chain engine with the standard initial condition on K_{n+1}.
-    fixation_time is measured on the birth/death clock, whose scale differs
-    from the count chain's continuous time; its mean over log n tends to 1
-    at lambda = 1.
+    count-chain engine with the same initial condition.  In kortchemski
+    mode the initial blue chases at rate 1 like every later blue and
+    nothing converts, so the births are the defective process at alpha = 1
+    with its flags ignored.  fixation_time is measured on the birth/death
+    clock, whose scale differs from the count chain's continuous time; its
+    mean over log n tends to 1 at lambda = 1.
     """
-    _check_alpha(alpha)
-    deaths = simulate_death_times(n, lam, rng)
-    births = simulate_birth_times(alpha, n + 1, rng)
+    n = params.n
+    kortchemski = params.init_mode is InitMode.KORTCHEMSKI
+    deaths = simulate_death_times(n, params.lam, rng)
+    births = simulate_birth_times(1.0 if kortchemski else params.alpha, n + 1, rng)
     m, tau, deaths_before = _merge_and_stop(deaths.times, births.times, n)
     w = n - deaths_before
-    conversions = int(births.defective_flags[:m].sum())
-    return FixationResult(w, (n + 1) - w, conversions, tau, deaths_before + m)
-
-
-def kortchemski_coupled_fixation(
-    n: int, lam: float, rng: np.random.Generator
-) -> FixationResult:
-    """Coupling for the one-red-one-blue start: a pure Yule birth process.
-
-    The initial blue chases at rate 1 like everyone else and there is no
-    conversion, so birth spacing i has law Exp(i + 1) and no jump is
-    defective.
-    """
-    deaths = simulate_death_times(n, lam, rng)
-    idx = np.arange(n + 1, dtype=np.float64)
-    beta = np.cumsum(-np.log1p(-rng.random(n + 1)) / (idx + 1.0))
-    m, tau, deaths_before = _merge_and_stop(deaths.times, beta, n)
-    w = n - deaths_before
-    return FixationResult(w, (n + 2) - w, 0, tau, deaths_before + m)
-
-
-def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
-    """Coupling engine dispatch on the initial-condition mode."""
-    if params.init_mode is InitMode.KORTCHEMSKI:
-        return kortchemski_coupled_fixation(params.n, params.lam, rng)
-    return coupled_fixation(params.n, params.lam, params.alpha, rng)
+    conversions = 0 if kortchemski else int(births.defective_flags[:m].sum())
+    return FixationResult(w, params.total_vertices - w, conversions, tau, deaths_before + m)
 
 
 def sample_terminal_exp(rng: np.random.Generator) -> TerminalSample:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .params import NoTransitionError, Params
+from .params import Params
 
 _BUFFER_CHUNK = 1 << 16  # even, so paired draws never straddle a refill
 
@@ -77,59 +77,17 @@ def initial_state(params: Params) -> PopulationState:
     return PopulationState(r0, b0, params.n)
 
 
-def jump_probabilities(state: PopulationState, params: Params) -> tuple[float, float, float]:
-    """(p_grow, p_chase, p_convert) for the next jump; the r factor cancels."""
-    r, b, w = state
-    if r < 1:
-        raise NoTransitionError("process already fixated (no red vertices)")
-    a = params.conversion_rate
-    denom = params.lam * w + b + a
-    if denom <= 0.0:
-        raise NoTransitionError("total jump rate is zero in this state")
-    return params.lam * w / denom, b / denom, a / denom
-
-
-def total_rate(state: PopulationState, params: Params) -> float:
-    """Aggregate jump rate r * (lambda*w + b + alpha)."""
-    r, b, w = state
-    if r < 1:
-        raise NoTransitionError("process already fixated (no red vertices)")
-    return r * (params.lam * w + b + params.conversion_rate)
-
-
-def step(
-    state: PopulationState, params: Params, rng: np.random.Generator
-) -> tuple[PopulationState, EventKind, float]:
-    """Advance one jump.
-
-    Consumes exactly two uniforms in fixed order (event pick, then holding
-    time), so the result is a pure function of the generator state.  The
-    holding time is Exp(total_rate) of the state being left.
-    """
-    r, b, w = state
-    if r < 1:
-        raise NoTransitionError("process already fixated (no red vertices)")
-    a = params.conversion_rate
-    denom = params.lam * w + b + a
-    if denom <= 0.0:
-        raise NoTransitionError("total jump rate is zero in this state")
-    u_event = rng.random()
-    u_hold = rng.random()
-    holding = -math.log1p(-u_hold) / (r * denom)
-    p_grow = params.lam * w / denom
-    if u_event < p_grow:
-        return PopulationState(r + 1, b, w - 1), EventKind.GROW, holding
-    if u_event < p_grow + b / denom:
-        return PopulationState(r - 1, b + 1, w), EventKind.CHASE, holding
-    return PopulationState(r - 1, b + 1, w), EventKind.CONVERT, holding
-
-
-def run_to_fixation(params: Params, rng: np.random.Generator) -> FixationResult:
+def run_to_fixation(
+    params: Params, rng: np.random.Generator, _records: list | None = None
+) -> FixationResult:
     """Simulate until no red vertices remain.
 
-    Consumes the same uniform stream as repeated :func:`step` calls (two
-    uniforms per jump), drawn in chunks for speed, so a given seed produces
-    identical results along either path.
+    Each jump consumes exactly two uniforms in fixed order (event pick, then
+    holding time), drawn from the generator in blocks for speed, so the
+    result is a pure function of the generator state.  The holding time is
+    Exp(r * (lambda*w + b + alpha)) of the state being left.  When
+    ``_records`` is a list, every jump is appended to it as a
+    :class:`JumpRecord`.
     """
     lam = params.lam
     a = params.conversion_rate
@@ -139,6 +97,7 @@ def run_to_fixation(params: Params, rng: np.random.Generator) -> FixationResult:
     conversions = 0
     jumps = 0
     log1p = math.log1p
+    grow, chase, convert = EventKind.GROW, EventKind.CHASE, EventKind.CONVERT
     buf = rng.random(min(4 * total, _BUFFER_CHUNK))
     j = 0
     size = buf.size
@@ -156,62 +115,65 @@ def run_to_fixation(params: Params, rng: np.random.Generator) -> FixationResult:
         if u_event < p_grow:
             r += 1
             w -= 1
+            event = grow
         else:
-            if u_event >= p_grow + b / denom:
+            if u_event < p_grow + b / denom:
+                event = chase
+            else:
+                event = convert
                 conversions += 1
             r -= 1
             b += 1
         jumps += 1
+        if _records is not None:
+            _records.append(JumpRecord(fixation_time, PopulationState(r, b, w), event))
     assert jumps <= 2 * total  # each vertex reds at most once and blues at most once
     return FixationResult(w, total - w, conversions, float(fixation_time), jumps)
 
 
 def record_trajectory(params: Params, rng: np.random.Generator) -> Trajectory:
     """Like :func:`run_to_fixation` but retaining every jump record."""
-    start = initial_state(params)
-    state = start
-    t = 0.0
-    records = []
-    while state.r > 0:
-        state, event, holding = step(state, params, rng)
-        t += holding
-        records.append(JumpRecord(t, state, event))
-    return Trajectory(initial=start, records=tuple(records))
+    records: list[JumpRecord] = []
+    run_to_fixation(params, rng, records)
+    return Trajectory(initial=initial_state(params), records=tuple(records))
 
 
-def max_jump_count(params: Params) -> int:
-    """Hard bound: every vertex turns red at most once and blue at most once."""
-    return 2 * params.total_vertices
+def check_trajectory(
+    rows: Trajectory | Iterable[tuple[float, PopulationState, EventKind]], params: Params
+) -> None:
+    """Raise AssertionError unless a trajectory satisfies every invariant.
 
-
-def check_trajectory(trajectory: Trajectory, params: Params) -> None:
-    """Raise AssertionError unless every trajectory invariant holds."""
+    ``rows`` is a :class:`Trajectory` or its jumps as (time, state, event)
+    rows, as :func:`chasescape.harness.read_trajectory_csv` returns them;
+    either way the path starts at the initial state ``params`` implies.
+    Every legal transition conserves the vertex count and advances the
+    layer index r + 2b by exactly one, so it also bounds the jump count
+    by 2 * (vertex count).
+    """
+    prev = initial_state(params)
+    if isinstance(rows, Trajectory):
+        if rows.initial != prev:
+            raise AssertionError("trajectory does not start at the initial condition")
+        rows = rows.records
     total = params.total_vertices
-    if trajectory.initial != initial_state(params):
-        raise AssertionError("trajectory does not start at the initial condition")
-    if not trajectory.records:
-        raise AssertionError("trajectory has no jumps")
-    prev_state = trajectory.initial
     prev_time = 0.0
-    for rec in trajectory.records:
-        if rec.time <= prev_time:
-            raise AssertionError("jump times are not strictly increasing")
-        r, b, w = rec.state
-        if min(r, b, w) < 0 or r + b + w != total:
-            raise AssertionError("vertex counts are not conserved")
-        grow = (r, b, w) == (prev_state.r + 1, prev_state.b, prev_state.w - 1)
-        shrink = (r, b, w) == (prev_state.r - 1, prev_state.b + 1, prev_state.w)
-        if rec.event is EventKind.GROW:
-            ok = grow
+    jumps = 0
+    for t, state, event in rows:
+        jumps += 1
+        if not t > prev_time:
+            raise AssertionError(f"jump {jumps}: times are not strictly increasing")
+        if min(state) < 0 or sum(state) != total:
+            raise AssertionError(f"jump {jumps} breaks conservation: {state}")
+        if event is EventKind.GROW:
+            ok = state == (prev.r + 1, prev.b, prev.w - 1)
         else:
-            ok = shrink
+            ok = state == (prev.r - 1, prev.b + 1, prev.w)
         if not ok:
-            raise AssertionError(f"illegal transition {prev_state} -> {rec.state} ({rec.event})")
-        # the layer index r + 2b advances by exactly one per jump
-        if (r + 2 * b) - (prev_state.r + 2 * prev_state.b) != 1:
-            raise AssertionError("layer index did not advance by one")
-        prev_state, prev_time = rec.state, rec.time
-    if prev_state.r != 0:
+            raise AssertionError(f"jump {jumps}: illegal transition {prev} -> {state} ({event})")
+        if event is EventKind.CONVERT and params.conversion_rate == 0.0:
+            raise AssertionError(f"jump {jumps}: conversion while conversion is off")
+        prev, prev_time = state, t
+    if jumps == 0:
+        raise AssertionError("trajectory has no jumps")
+    if prev.r != 0:
         raise AssertionError("trajectory does not end at fixation")
-    if len(trajectory.records) > max_jump_count(params):
-        raise AssertionError("jump count exceeds the 2 * (vertex count) bound")

@@ -31,6 +31,13 @@ _CONFIG_KEYS = {
     "parallelism", "estimator", "graph_file",
 }
 
+# allowed values of the enum-valued settings, for flags and config alike
+_CHOICES = {
+    "init": [m.value for m in InitMode],
+    "engine": [e.value for e in Engine],
+    "estimator": [e.value for e in Estimator],
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=1.0, help="conversion rate")
         p.add_argument(
             "--init",
-            choices=[m.value for m in InitMode],
+            choices=_CHOICES["init"],
             default=InitMode.STANDARD.value,
             help="initial condition mode",
         )
@@ -59,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="Monte Carlo estimate with CI as JSON")
     add_model_flags(est)
-    est.add_argument("--engine", choices=[e.value for e in Engine], default=Engine.CHAIN.value)
+    est.add_argument("--engine", choices=_CHOICES["engine"], default=Engine.CHAIN.value)
     est.add_argument(
-        "--estimator", choices=[e.value for e in Estimator], default=Estimator.EXPECTED_W.value
+        "--estimator", choices=_CHOICES["estimator"], default=Estimator.EXPECTED_W.value
     )
     est.add_argument("--trials", type=int, default=1000)
     est.add_argument("--seed", type=int, default=0)
@@ -127,6 +134,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     mapping = {"lambda": "lam"}
     for key, value in overrides.items():
+        choices = _CHOICES.get(key)
+        if choices is not None and value not in choices:
+            raise ParameterError(f"config {key}: invalid choice {value!r} (choose from {choices})")
         setattr(args, mapping.get(key, key), value)
 
 

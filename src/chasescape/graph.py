@@ -233,7 +233,7 @@ class GraphState:
         return n_red, n_rw, n_rb
 
 
-def graph_step(
+def graph_jump(
     state: GraphState, graph: Graph, params: Params, rng: np.random.Generator
 ) -> tuple[GraphState, EventKind, float]:
     """One Gillespie event; mutates ``state`` in place and returns it.
@@ -281,7 +281,7 @@ def run_graph_to_fixation(
     conversions = 0
     jumps = 0
     while len(state.red) > 0:
-        _, event, holding = graph_step(state, graph, params, rng)
+        _, event, holding = graph_jump(state, graph, params, rng)
         fixation_time += holding
         if event is EventKind.CONVERT:
             conversions += 1

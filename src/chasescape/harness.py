@@ -11,18 +11,27 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import TextIO
+from functools import partial
+from typing import Callable, TextIO
 
 import numpy as np
 from scipy.special import ndtri
 
 from .analytics import stats_wilson_ci
 from .birth_death import run_coupling
-from .chain import EventKind, PopulationState, Trajectory, run_to_fixation
-from .graph import Graph, complete_graph, load_edge_list, run_graph_to_fixation
+from .chain import (
+    EventKind,
+    FixationResult,
+    JumpRecord,
+    PopulationState,
+    Trajectory,
+    run_to_fixation,
+)
+from .graph import complete_graph, load_edge_list, run_graph_to_fixation
 from .params import ParameterError, Params
 from .rng import make_rng, stream_seed
 
@@ -62,6 +71,8 @@ class ExperimentConfig:
             raise ParameterError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         if self.estimator in _LOG_N_ESTIMATORS and self.params.n < 2:
             raise ParameterError("log-n estimators need n >= 2 (log 1 = 0)")
+        if self.graph_file is not None and not isinstance(self.graph_file, str):
+            raise ParameterError(f"graph_file must be a path string, got {self.graph_file!r}")
         if self.graph_file is not None and self.engine is not Engine.GRAPH:
             raise ParameterError("graph_file only applies to the graph engine")
 
@@ -115,10 +126,21 @@ def params_as_dict(params: Params) -> dict:
     }
 
 
-def _resolve_graph(config: ExperimentConfig) -> Graph:
-    if config.graph_file is not None:
-        return load_edge_list(config.graph_file)
-    return complete_graph(config.params.total_vertices)
+Kernel = Callable[[np.random.Generator], FixationResult]
+
+
+def _graph_kernel(params: Params, graph_file: str | None) -> Kernel:
+    graph = load_edge_list(graph_file) if graph_file else complete_graph(params.total_vertices)
+    return partial(run_graph_to_fixation, graph, params)
+
+
+# engine -> factory of its per-trial kernel; the factory does the set-up a
+# block of trials shares (the graph engine builds its graph once)
+ENGINE_KERNELS: dict[Engine, Callable[[Params, str | None], Kernel]] = {
+    Engine.CHAIN: lambda params, _graph_file: partial(run_to_fixation, params),
+    Engine.GRAPH: _graph_kernel,
+    Engine.COUPLING: lambda params, _graph_file: partial(run_coupling, params),
+}
 
 
 def _run_block(
@@ -134,16 +156,9 @@ def _run_block(
     w = np.empty(count, dtype=np.int64)
     c = np.empty(count, dtype=np.int64)
     tau = np.empty(count, dtype=np.float64)
-    if engine is Engine.GRAPH:
-        graph = load_edge_list(graph_file) if graph_file else complete_graph(params.total_vertices)
+    kernel = ENGINE_KERNELS[engine](params, graph_file)
     for k in range(count):
-        rng = make_rng(stream_seed(seed, start + k))
-        if engine is Engine.CHAIN:
-            res = run_to_fixation(params, rng)
-        elif engine is Engine.COUPLING:
-            res = run_coupling(params, rng)
-        else:
-            res = run_graph_to_fixation(graph, params, rng)
+        res = kernel(make_rng(stream_seed(seed, start + k)))
         w[k] = res.white_survivors
         c[k] = res.conversions
         tau[k] = res.fixation_time
@@ -151,7 +166,11 @@ def _run_block(
 
 
 def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All trials of an experiment, assembled in trial order."""
+    """All trials of an experiment, assembled in trial order.
+
+    The trials split into ``parallelism`` blocks whatever the machine; the
+    pool runs them on at most one worker process per CPU.
+    """
     trials = config.trials
     if config.parallelism == 1 or trials < 2 * config.parallelism:
         return _run_block(config.engine, config.params, config.graph_file, config.seed, 0, trials)
@@ -159,7 +178,8 @@ def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.nda
     w = np.empty(trials, dtype=np.int64)
     c = np.empty(trials, dtype=np.int64)
     tau = np.empty(trials, dtype=np.float64)
-    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+    workers = min(config.parallelism, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             (
                 int(lo),
@@ -244,8 +264,11 @@ def write_trajectory_csv(trajectory: Trajectory, stream: TextIO) -> None:
         stream.write(f"{i},{rec.time!r},{r},{b},{w},{rec.event.value}\n")
 
 
-def read_trajectory_csv(stream: TextIO) -> list[tuple[int, float, PopulationState, EventKind]]:
-    """Parse rows back into (jump_index, time, state, event) tuples."""
+def read_trajectory_csv(stream: TextIO) -> list[JumpRecord]:
+    """Parse rows back into jump records, checking the jump_index column.
+
+    :func:`chasescape.chain.check_trajectory` checks the records themselves.
+    """
     header = stream.readline().rstrip("\n")
     if header != TRAJECTORY_HEADER:
         raise ParameterError(f"unexpected trajectory header: {header!r}")
@@ -258,40 +281,11 @@ def read_trajectory_csv(stream: TextIO) -> list[tuple[int, float, PopulationStat
         if len(fields) != 6:
             raise ParameterError(f"malformed trajectory row: {raw!r}")
         idx, t, r, b, w, event = fields
+        if int(idx) != len(rows) + 1:
+            raise ParameterError(f"jump_index {idx} out of order (expected {len(rows) + 1})")
         rows.append(
-            (
-                int(idx),
-                float(t),
-                PopulationState(int(r), int(b), int(w)),
-                EventKind(event),
-            )
+            JumpRecord(float(t), PopulationState(int(r), int(b), int(w)), EventKind(event))
         )
     if not rows:
         raise ParameterError("trajectory CSV has no data rows")
     return rows
-
-
-def check_trajectory_rows(
-    rows: list[tuple[int, float, PopulationState, EventKind]], params: Params
-) -> None:
-    """Raise AssertionError unless re-parsed rows satisfy every invariant."""
-    total = params.total_vertices
-    r0, b0 = params.initial_red_blue
-    prev = PopulationState(r0, b0, params.n)
-    prev_time = 0.0
-    for expect_idx, (idx, t, state, event) in enumerate(rows, start=1):
-        if idx != expect_idx:
-            raise AssertionError(f"jump_index {idx} out of order (expected {expect_idx})")
-        if t <= prev_time:
-            raise AssertionError("times are not strictly increasing")
-        if state.r + state.b + state.w != total or min(state) < 0:
-            raise AssertionError(f"row {idx} breaks conservation: {state}")
-        if event is EventKind.GROW:
-            ok = state == PopulationState(prev.r + 1, prev.b, prev.w - 1)
-        else:
-            ok = state == PopulationState(prev.r - 1, prev.b + 1, prev.w)
-        if not ok:
-            raise AssertionError(f"row {idx}: illegal transition {prev} -> {state} ({event})")
-        prev, prev_time = state, t
-    if prev.r != 0:
-        raise AssertionError("final row is not a fixation state")

@@ -12,8 +12,6 @@ output of a SplitMix64 sequence seeded with ``s``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -38,13 +36,3 @@ def stream_seed(master_seed: int, index: int) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """Philox (counter-based) generator keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
-
-
-def exponential(rng: np.random.Generator, rate: float) -> float:
-    """One Exp(rate) draw by inverse CDF on a single uniform."""
-    return -math.log1p(-rng.random()) / rate
-
-
-def exponential_from_uniform(u: float, rate: float) -> float:
-    """Map a uniform in [0, 1) to an Exp(rate) value; u = 0 gives 0."""
-    return -math.log1p(-u) / rate

@@ -28,19 +28,17 @@ from .analytics import (
     stats_ks_two_sample,
 )
 from .birth_death import (
-    run_coupling,
     sample_limit_sum,
     sample_terminal_gamma_direct,
     sample_terminal_gamma_process,
 )
-from .chain import check_trajectory, record_trajectory, run_to_fixation
-from .graph import complete_graph, run_graph_to_fixation
+from .chain import check_trajectory, record_trajectory
 from .harness import (
+    ENGINE_KERNELS,
     Engine,
     Estimator,
     ExperimentConfig,
     canonical_json,
-    check_trajectory_rows,
     read_trajectory_csv,
     run_experiment,
     run_trials,
@@ -316,7 +314,7 @@ def check_trajectory_export() -> tuple[bool, dict]:
     trajectory = record_trajectory(params, make_rng(stream_seed(seed, 0)))
     write_trajectory_csv(trajectory, buf)
     buf.seek(0)
-    check_trajectory_rows(read_trajectory_csv(buf), params)
+    check_trajectory(read_trajectory_csv(buf), params)
     variance = float(np.var(w_samples))
     details = {
         "seeds": 100,
@@ -331,13 +329,10 @@ def check_trajectory_export() -> tuple[bool, dict]:
 def check_determinism() -> tuple[bool, dict]:
     params = Params(n=30, lam=1.0, alpha=1.5)
     seed = stream_seed(1012, 0)
-    graph = complete_graph(params.total_vertices)
-    runs = {
-        "chain": [run_to_fixation(params, make_rng(seed)) for _ in range(2)],
-        "graph": [run_graph_to_fixation(graph, params, make_rng(seed)) for _ in range(2)],
-        "coupling": [run_coupling(params, make_rng(seed)) for _ in range(2)],
-    }
-    engines_ok = {name: pair[0] == pair[1] for name, pair in runs.items()}
+    engines_ok = {}
+    for engine, make_kernel in ENGINE_KERNELS.items():
+        kernel = make_kernel(params, None)
+        engines_ok[engine.value] = kernel(make_rng(seed)) == kernel(make_rng(seed))
 
     base = dict(
         params=params, trials=2000, seed=1012, estimator=Estimator.EXPECTED_W, engine=Engine.CHAIN

@@ -11,11 +11,10 @@ from chasescape import (
     Params,
     ResourceLimitError,
     TerminalKind,
-    coupled_fixation,
     exact_distribution_W,
     gamma_cdf,
-    kortchemski_coupled_fixation,
     make_rng,
+    run_coupling,
     sample_limit_sum,
     sample_terminal_exp,
     sample_terminal_gamma_direct,
@@ -142,7 +141,7 @@ class TestCoupling:
         target = alpha / (lam * n + alpha)
         trials = 40000
         hits = sum(
-            coupled_fixation(n, lam, alpha, make_rng(stream_seed(33, i))).white_survivors == n
+            run_coupling(Params(n, lam, alpha), make_rng(stream_seed(33, i))).white_survivors == n
             for i in range(trials)
         )
         se = math.sqrt(target * (1 - target) / trials)
@@ -156,7 +155,7 @@ class TestCoupling:
         counts = np.zeros(n + 1, dtype=np.int64)
         conversions = np.empty(trials, dtype=np.int64)
         for i in range(trials):
-            res = coupled_fixation(n, lam, alpha, make_rng(stream_seed(34, i)))
+            res = run_coupling(Params(n, lam, alpha), make_rng(stream_seed(34, i)))
             counts[res.white_survivors] += 1
             conversions[i] = res.conversions
         chi = chi_square_gof(counts, exact.probabilities)
@@ -165,24 +164,33 @@ class TestCoupling:
 
     def test_result_sanity(self):
         for i in range(200):
-            res = coupled_fixation(25, 1.0, 2.0, make_rng(stream_seed(35, i)))
+            res = run_coupling(Params(25, 1.0, 2.0), make_rng(stream_seed(35, i)))
             assert 0 <= res.white_survivors <= 25
             assert res.white_survivors + res.blue_total == 26
             assert res.conversions <= res.jump_count
             assert res.fixation_time > 0
 
     def test_determinism(self):
-        a = coupled_fixation(30, 1.0, 1.0, make_rng(8))
-        b = coupled_fixation(30, 1.0, 1.0, make_rng(8))
-        assert a == b
+        p = Params(30, 1.0, 1.0)
+        assert run_coupling(p, make_rng(8)) == run_coupling(p, make_rng(8))
+
+    def test_standard_start_draws_3n_plus_2_uniforms(self):
+        # n deaths, then n + 1 birth spacings, then n + 1 defective flags
+        n = 30
+        for seed in range(5):
+            stream = make_rng(seed).random(3 * n + 3)
+            rng = make_rng(seed)
+            run_coupling(Params(n, 1.0, 1.5), rng)
+            assert rng.random() == stream[3 * n + 2]
 
     def test_kortchemski_coupling_matches_oracle(self):
         n = 20
         trials = 40000
         exact = exact_distribution_W(n, 1.0, 0.0, InitMode.KORTCHEMSKI)
+        params = Params(n, 1.0, 0.0, InitMode.KORTCHEMSKI)
         counts = np.zeros(n + 1, dtype=np.int64)
         for i in range(trials):
-            res = kortchemski_coupled_fixation(n, 1.0, make_rng(stream_seed(36, i)))
+            res = run_coupling(params, make_rng(stream_seed(36, i)))
             assert res.conversions == 0
             counts[res.white_survivors] += 1
         chi = chi_square_gof(counts, exact.probabilities)

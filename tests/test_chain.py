@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 from chasescape import (
     EventKind,
     InitMode,
-    NoTransitionError,
     ParameterError,
     Params,
     PopulationState,
+    Trajectory,
     exact_distribution_W,
     initial_state,
-    jump_probabilities,
     make_rng,
     record_trajectory,
     run_to_fixation,
-    step,
     stream_seed,
-    total_rate,
 )
-from chasescape.chain import check_trajectory, max_jump_count
+from chasescape.chain import JumpRecord, check_trajectory
 
 
 class TestParams:
@@ -69,97 +66,23 @@ class TestInitialState:
         assert initial_state(Params(1, 1.0, 1.0)) == (1, 0, 1)
 
 
-class TestJumpProbabilities:
-    def test_standard_initial_state(self):
-        p = Params(100, 1.0, 4.0)
-        probs = jump_probabilities(PopulationState(1, 0, 100), p)
-        assert probs == pytest.approx((100 / 104, 0.0, 4 / 104), abs=1e-15)
-
-    def test_no_white_forces_red_decrease(self):
-        p = Params(5, 1.0, 1.0)
-        probs = jump_probabilities(PopulationState(2, 3, 0), p)
-        assert probs == pytest.approx((0.0, 3 / 4, 1 / 4), abs=1e-15)
-
-    def test_hand_substitution(self):
-        p = Params(17, 2.0, 0.5)
-        probs = jump_probabilities(PopulationState(5, 2, 10), p)
-        assert probs == pytest.approx((20 / 22.5, 2 / 22.5, 0.5 / 22.5), abs=1e-15)
-
-    def test_fixated_state_raises(self):
-        with pytest.raises(NoTransitionError):
-            jump_probabilities(PopulationState(0, 3, 2), Params(5, 1.0, 1.0))
-
-    def test_zero_rate_state_raises(self):
-        p = Params(5, 1.0, 0.0, InitMode.KORTCHEMSKI)
-        with pytest.raises(NoTransitionError):
-            jump_probabilities(PopulationState(7, 0, 0), p)
-
-    def test_sums_to_one_over_random_states(self):
-        rng = np.random.default_rng(7)
-        p = Params(1000, 0.7, 2.3)
-        for _ in range(10**4):
-            r = int(rng.integers(1, 500))
-            b = int(rng.integers(0, 500))
-            w = int(rng.integers(0, 500))
-            probs = jump_probabilities(PopulationState(r, b, w), p)
-            assert abs(sum(probs) - 1.0) < 1e-12
-
-
-class TestTotalRate:
-    def test_values(self):
-        assert total_rate(PopulationState(1, 0, 100), Params(200, 1.0, 4.0)) == 104.0
-        assert total_rate(PopulationState(2, 3, 0), Params(5, 1.0, 1.0)) == 8.0
-        assert total_rate(PopulationState(1, 0, 1), Params(1, 1.0, 1.0)) == 2.0
-
-    def test_fixated_raises(self):
-        with pytest.raises(NoTransitionError):
-            total_rate(PopulationState(0, 1, 1), Params(1, 1.0, 1.0))
-
-
-class TestStep:
-    def test_no_white_leaves_only_red_decrease(self):
-        p = Params(5, 1.0, 1.0)
-        for seed in range(20):
-            state, event, _ = step(PopulationState(2, 3, 0), p, make_rng(seed))
-            assert state == (1, 4, 0)
-            assert event in (EventKind.CHASE, EventKind.CONVERT)
-
-    def test_instant_conversion_fixates(self):
-        p = Params(50, 1.0, 1.0)
-        # hunt for a seed whose first event is a conversion
-        for seed in range(500):
-            state, event, _ = step(initial_state(p), p, make_rng(seed))
-            if event is EventKind.CONVERT:
-                assert state == (0, 1, 50)
-                break
-        else:
-            pytest.fail("no conversion first jump in 500 seeds (prob 1/51 each)")
-
-    def test_seed_determinism(self):
-        p = Params(20, 1.3, 0.7)
-        a = step(PopulationState(4, 2, 10), p, make_rng(42))
-        b = step(PopulationState(4, 2, 10), p, make_rng(42))
-        assert a == b
-
-    def test_holding_time_positive(self):
-        p = Params(20, 1.3, 0.7)
-        _, _, holding = step(PopulationState(4, 2, 10), p, make_rng(1))
-        assert holding > 0.0
-
-
 @given(
-    r=st.integers(1, 300),
-    b=st.integers(0, 300),
-    w=st.integers(0, 300),
+    n=st.integers(1, 60),
+    lam=st.floats(0.1, 5.0),
+    alpha=st.floats(0.1, 5.0),
+    mode=st.sampled_from(list(InitMode)),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=200, deadline=None)
-def test_step_advances_layer_by_one(r, b, w, seed):
-    p = Params(1000, 1.0, 0.5)
-    state = PopulationState(r, b, w)
-    new, _, _ = step(state, p, make_rng(seed))
-    assert (new.r + 2 * new.b) - (r + 2 * b) == 1
-    assert new.r + new.b + new.w == r + b + w
+def test_recorded_trajectories_pass_the_checker(n, lam, alpha, mode, seed):
+    p = Params(n, lam, alpha, mode)
+    trajectory = record_trajectory(p, make_rng(seed))
+    check_trajectory(trajectory, p)
+    # what the checker's legal-transition test implies: the layer index
+    # r + 2b advances by one per jump, and at most 2 * (vertex count) jumps
+    layers = [s.r + 2 * s.b for s in trajectory.states()]
+    assert layers == list(range(layers[0], layers[0] + len(layers)))
+    assert len(trajectory.records) <= 2 * p.total_vertices
 
 
 class TestRunToFixation:
@@ -183,7 +106,7 @@ class TestRunToFixation:
             assert res.white_survivors + res.blue_total == p.total_vertices
             assert 0 <= res.conversions <= res.blue_total
             assert res.fixation_time > 0.0
-            assert res.jump_count <= max_jump_count(p)
+            assert res.jump_count <= 2 * p.total_vertices
 
     def test_bit_exact_determinism(self):
         p = Params(40, 1.0, 2.0)
@@ -191,13 +114,27 @@ class TestRunToFixation:
         b = run_to_fixation(p, make_rng(99))
         assert a == b
 
-    def test_matches_stepwise_stream(self):
-        # block-drawn uniforms must consume the exact stream of step()
-        p = Params(30, 1.2, 0.9)
-        for seed in (0, 5, 123):
-            fast = run_to_fixation(p, make_rng(seed))
-            slow = record_trajectory(p, make_rng(seed)).fixation_result()
-            assert fast == slow
+    def test_recorded_and_unrecorded_runs_agree(self):
+        # n = 20000 outruns the first block of uniforms and refills it
+        for mode in InitMode:
+            for n, seeds in ((30, (0, 5, 123)), (20000, (7,))):
+                p = Params(n, 1.2, 0.9, mode)
+                for seed in seeds:
+                    plain = run_to_fixation(p, make_rng(seed))
+                    recorded = record_trajectory(p, make_rng(seed)).fixation_result()
+                    assert plain == recorded
+
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_first_jump_uses_the_embedded_law_and_total_rate(self, mode):
+        # jump 1 reads uniforms 0 (event) and 1 (holding time) of the stream
+        p = Params(100, 1.0, 4.0, mode)
+        r, b, w = initial_state(p)
+        rate = p.lam * w + b + p.conversion_rate
+        for seed in range(200):
+            u_event, u_hold = make_rng(seed).random(2)
+            first = record_trajectory(p, make_rng(seed)).records[0]
+            assert first.time == -math.log1p(-u_hold) / (r * rate)
+            assert (first.event is EventKind.GROW) == (u_event < p.lam * w / rate)
 
     def test_instant_conversion_probability(self):
         # P(W = n) = alpha / (lambda n + alpha); frequency vs exact
@@ -265,3 +202,71 @@ class TestTrajectory:
         check_trajectory(traj, p)
         assert traj.initial == (1, 1, 20)
         assert all(rec.event is not EventKind.CONVERT for rec in traj.records)
+
+    def test_checker_accepts_plain_rows(self):
+        p = Params(25, 1.0, 2.0)
+        traj = record_trajectory(p, make_rng(3))
+        check_trajectory([tuple(rec) for rec in traj.records], p)
+
+
+def _tamper(records, index, **changes):
+    out = list(records)
+    out[index] = out[index]._replace(**changes)
+    return out
+
+
+class TestCheckerRejects:
+    P = Params(10, 1.0, 1.0)
+
+    def _records(self):
+        # seed 2 gives a run with several jumps
+        records = list(record_trajectory(self.P, make_rng(2)).records)
+        assert len(records) >= 3
+        return records
+
+    def test_wrong_initial_state(self):
+        traj = record_trajectory(self.P, make_rng(2))
+        bad = Trajectory(initial=PopulationState(1, 1, 9), records=traj.records)
+        with pytest.raises(AssertionError, match="initial"):
+            check_trajectory(bad, self.P)
+
+    def test_no_jumps(self):
+        with pytest.raises(AssertionError, match="no jumps"):
+            check_trajectory([], self.P)
+
+    @pytest.mark.parametrize("time", [0.0, -1.0, math.nan])
+    def test_times_not_increasing(self, time):
+        with pytest.raises(AssertionError, match="increasing"):
+            check_trajectory(_tamper(self._records(), 1, time=time), self.P)
+
+    def test_counts_not_conserved(self):
+        records = self._records()
+        r, b, w = records[0].state
+        with pytest.raises(AssertionError, match="conservation"):
+            check_trajectory(_tamper(records, 0, state=PopulationState(r + 1, b, w)), self.P)
+
+    def test_negative_count(self):
+        with pytest.raises(AssertionError, match="conservation"):
+            check_trajectory([JumpRecord(1.0, PopulationState(12, -1, 0), EventKind.GROW)], self.P)
+
+    def test_event_contradicts_transition(self):
+        records = self._records()
+        flipped = EventKind.CHASE if records[0].event is EventKind.GROW else EventKind.GROW
+        with pytest.raises(AssertionError, match="illegal transition"):
+            check_trajectory(_tamper(records, 0, event=flipped), self.P)
+
+    def test_conversion_in_kortchemski_mode(self):
+        p = Params(10, 1.0, 0.0, InitMode.KORTCHEMSKI)
+        records = list(record_trajectory(p, make_rng(1)).records)
+        k = next(i for i, rec in enumerate(records) if rec.event is EventKind.CHASE)
+        with pytest.raises(AssertionError, match="conversion"):
+            check_trajectory(_tamper(records, k, event=EventKind.CONVERT), p)
+
+    def test_skipped_jump(self):
+        records = self._records()
+        with pytest.raises(AssertionError, match="illegal transition"):
+            check_trajectory(records[:1] + records[2:], self.P)
+
+    def test_not_ending_at_fixation(self):
+        with pytest.raises(AssertionError, match="fixation"):
+            check_trajectory(self._records()[:-1], self.P)

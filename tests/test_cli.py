@@ -5,7 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from chasescape.cli import main
-from chasescape.harness import check_trajectory_rows, read_trajectory_csv
+from chasescape.chain import check_trajectory
+from chasescape.harness import read_trajectory_csv
 from chasescape.params import Params
 
 
@@ -23,7 +24,7 @@ class TestSimulate:
         )
         assert code == 0
         rows = read_trajectory_csv(io.StringIO(out))
-        check_trajectory_rows(rows, Params(20, 1.0, 2.0))
+        check_trajectory(rows, Params(20, 1.0, 2.0))
 
     def test_byte_identical_repeats(self):
         args = ("simulate", "--n", "30", "--alpha", "4", "--seed", "17")
@@ -34,7 +35,7 @@ class TestSimulate:
         code, out, _ = run_cli("simulate", "--n", "5", "--seed", "1", "--output", str(path))
         assert code == 0 and out == ""
         rows = read_trajectory_csv(io.StringIO(path.read_text()))
-        assert rows[-1][2].r == 0
+        assert rows[-1].state.r == 0
 
     def test_json_format(self):
         code, out, _ = run_cli("simulate", "--n", "5", "--seed", "1", "--format", "json")
@@ -95,6 +96,25 @@ class TestEstimate:
         config.write_text(json.dumps({"bogus": 1}))
         code, _, err = run_cli("estimate", "--config", str(config))
         assert code == 2 and "bogus" in err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"init": "bogus"},
+            {"engine": "nope"},
+            {"estimator": "x"},
+            {"engine": None},
+            {"n": "abc"},
+            {"engine": "graph", "graph_file": 5},
+            {"engine": "graph", "graph_file": ["edges.txt"]},
+        ],
+    )
+    def test_config_bad_values_exit_2(self, tmp_path, override):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(override))
+        code, out, err = run_cli("estimate", "--trials", "10", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_graph_file_flag(self, tmp_path):
         edges = tmp_path / "sq.txt"

@@ -14,7 +14,7 @@ from chasescape import (
     VertexColor,
     complete_graph,
     exact_distribution_W,
-    graph_step,
+    graph_jump,
     make_rng,
     parse_edge_list,
     run_graph_to_fixation,
@@ -148,7 +148,7 @@ class TestRates:
         p = Params(2, 1.0, 0.0, InitMode.KORTCHEMSKI)  # conversion off
         for seed in range(10):
             state = _colored_state(g, red=(0,), blue=(1, 2))
-            _, event, _ = graph_step(state, g, p, make_rng(seed))
+            _, event, _ = graph_jump(state, g, p, make_rng(seed))
             assert event is EventKind.CHASE
 
     def test_isolated_red_component_must_convert(self):
@@ -156,21 +156,21 @@ class TestRates:
         p = Params(1, 1.0, 2.0)
         for seed in range(10):
             state = _colored_state(g, red=(0, 1))
-            _, event, _ = graph_step(state, g, p, make_rng(seed))
+            _, event, _ = graph_jump(state, g, p, make_rng(seed))
             assert event is EventKind.CONVERT
 
     def test_no_red_raises(self):
         g = complete_graph(3)
         state = _colored_state(g, blue=(0,))
         with pytest.raises(NoTransitionError):
-            graph_step(state, g, Params(2, 1.0, 1.0), make_rng(0))
+            graph_jump(state, g, Params(2, 1.0, 1.0), make_rng(0))
 
     def test_zero_total_rate_raises(self):
         g = parse_edge_list(["0 1"])
         p = Params(1, 1.0, 0.0, InitMode.KORTCHEMSKI)
         state = _colored_state(g, red=(0, 1))  # no white, no blue, no conversion
         with pytest.raises(NoTransitionError):
-            graph_step(state, g, p, make_rng(0))
+            graph_jump(state, g, p, make_rng(0))
 
 
 class TestBookkeeping:
@@ -181,7 +181,7 @@ class TestBookkeeping:
             rng = make_rng(stream_seed(21, trial))
             state = GraphState.initial(g, p.init_mode)
             while len(state.red) > 0:
-                graph_step(state, g, p, rng)
+                graph_jump(state, g, p, rng)
                 assert state.recount(g) == (len(state.red), len(state.rw), len(state.rb))
 
     def test_blue_is_terminal(self):
@@ -191,7 +191,7 @@ class TestBookkeeping:
         state = GraphState.initial(g, p.init_mode)
         ever_blue = set()
         while len(state.red) > 0:
-            graph_step(state, g, p, rng)
+            graph_jump(state, g, p, rng)
             now_blue = {v for v, c in enumerate(state.colors) if c == VertexColor.BLUE}
             assert ever_blue <= now_blue
             ever_blue = now_blue

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from chasescape import (
     run_experiment,
     stream_seed,
 )
+from chasescape import harness
+from chasescape.chain import check_trajectory
 from chasescape.harness import (
     canonical_json,
-    check_trajectory_rows,
     read_trajectory_csv,
     run_trials,
     write_trajectory_csv,
@@ -137,6 +139,52 @@ class TestParallelism:
         assert np.array_equal(t1, t2)
 
 
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replace the process pool by one that runs each block inline and
+    records how it was opened; no worker process is spawned."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.blocks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.blocks += 1
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
+class TestWorkerPool:
+    def test_workers_clamped_to_cpu_count(self, inline_pools, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        base = dict(params=Params(2, 1.0, 1.0), trials=8192)
+        pooled = run_trials(_config(parallelism=4096, **base))
+        assert [pool.max_workers for pool in inline_pools] == [2]
+        # blocks still follow parallelism, so the merged trials are unchanged
+        assert inline_pools[0].blocks == 4096
+        serial = run_trials(_config(parallelism=1, **base))
+        for a, b in zip(pooled, serial):
+            assert np.array_equal(a, b)
+
+    def test_unknown_cpu_count_means_one_worker(self, inline_pools, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        run_trials(_config(trials=40, parallelism=4))
+        assert [pool.max_workers for pool in inline_pools] == [1]
+
+
 class TestEngineSummaries:
     @pytest.mark.parametrize("engine", [Engine.CHAIN, Engine.GRAPH, Engine.COUPLING])
     def test_every_engine_runs_both_modes(self, engine):
@@ -187,9 +235,8 @@ class TestTrajectoryCsv:
         write_trajectory_csv(trajectory, buf)
         buf.seek(0)
         rows = read_trajectory_csv(buf)
-        check_trajectory_rows(rows, params)
-        assert len(rows) == len(trajectory.records)
-        assert rows[-1][2].r == 0
+        check_trajectory(rows, params)
+        assert rows == list(trajectory.records)
 
     def test_same_seed_byte_identical(self):
         params = Params(15, 1.0, 1.0)
@@ -214,4 +261,14 @@ class TestTrajectoryCsv:
         lines[1] = ",".join(fields)
         rows = read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))
         with pytest.raises(AssertionError):
-            check_trajectory_rows(rows, params)
+            check_trajectory(rows, params)
+
+    @pytest.mark.parametrize("index", ["0", "3", "x"])
+    def test_reader_rejects_bad_jump_index(self, index):
+        params = Params(10, 1.0, 1.0)
+        buf = io.StringIO()
+        write_trajectory_csv(record_trajectory(params, make_rng(2)), buf)
+        lines = buf.getvalue().splitlines()
+        lines[2] = ",".join([index] + lines[2].split(",")[1:])
+        with pytest.raises(ValueError):
+            read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))
