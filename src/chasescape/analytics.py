@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, ndtri
 
 from .params import InitMode, ParameterError, QuadratureError
@@ -90,6 +89,9 @@ def _integrate_halfline(f: Callable[[float], float], abs_tol: float = QUADRATURE
     The substitution gives a finite interval; the Gauss-Kronrod rule never
     evaluates the endpoints, so integrable singularities at x = 0 are fine.
     """
+    # scipy.integrate is most of the package's import time and only these
+    # cross-checks use it
+    from scipy.integrate import quad
 
     def transformed(u: float) -> float:
         x = u / (1.0 - u)

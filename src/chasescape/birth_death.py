@@ -76,15 +76,36 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError(f"alpha must be a positive finite real, got {alpha!r}")
 
 
+# cap on the uniforms one coupling trial draws (3n + 2 of them, 32 MiB of
+# doubles), so a huge n is refused before any allocation
+MAX_COUPLING_UNIFORMS = 1 << 22
+
+
+def _death_clock(u: np.ndarray, lam: float) -> np.ndarray:
+    """Death times along the last axis of ``u``; spacing i is Exp(lam * (n - i))."""
+    rates = lam * np.arange(u.shape[-1], 0, -1, dtype=np.float64)
+    return np.cumsum(-np.log1p(-u) / rates, axis=-1)
+
+
+def _birth_clock(u: np.ndarray, alpha: float) -> np.ndarray:
+    """Birth times along the last axis of ``u``; spacing i is Exp(i + alpha)."""
+    idx = np.arange(u.shape[-1], dtype=np.float64)
+    return np.cumsum(-np.log1p(-u) / (idx + alpha), axis=-1)
+
+
+def _defective_flags(u: np.ndarray, alpha: float) -> np.ndarray:
+    """Whether birth i came from the progenitor: probability alpha / (i + alpha)."""
+    idx = np.arange(u.shape[-1], dtype=np.float64)
+    return u < alpha / (idx + alpha)
+
+
 def simulate_death_times(n: int, lam: float, rng: np.random.Generator) -> DeathTimes:
     """Death times of n individuals dying independently at rate lam."""
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     if not (isinstance(lam, (int, float)) and math.isfinite(lam)) or lam <= 0:
         raise ParameterError(f"lambda must be a positive finite real, got {lam!r}")
-    rates = lam * np.arange(n, 0, -1, dtype=np.float64)
-    spacings = -np.log1p(-rng.random(n)) / rates
-    return DeathTimes(lam=float(lam), times=np.cumsum(spacings))
+    return DeathTimes(lam=float(lam), times=_death_clock(rng.random(n), lam))
 
 
 def simulate_birth_times(alpha: float, k: int, rng: np.random.Generator) -> BirthTimes:
@@ -96,27 +117,54 @@ def simulate_birth_times(alpha: float, k: int, rng: np.random.Generator) -> Birt
     _check_alpha(alpha)
     if not isinstance(k, int) or k < 1:
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
-    idx = np.arange(k, dtype=np.float64)
-    spacings = -np.log1p(-rng.random(k)) / (idx + alpha)
-    flags = rng.random(k) < alpha / (idx + alpha)
-    return BirthTimes(alpha=float(alpha), times=np.cumsum(spacings), defective_flags=flags)
+    times = _birth_clock(rng.random(k), alpha)
+    flags = _defective_flags(rng.random(k), alpha)
+    return BirthTimes(alpha=float(alpha), times=times, defective_flags=flags)
 
 
-def _merge_and_stop(delta: np.ndarray, beta: np.ndarray, n: int) -> tuple[int, float, int]:
-    """Stop index, stop time, and deaths before the stop time.
+def coupling_uniforms(params: Params) -> int:
+    """Uniforms one coupling trial draws: n deaths, n + 1 births, n + 1 flags.
 
-    The red count hits zero at the first birth index m with
-    beta[m-1] <= delta[m-1]; if the deaths stay ahead through all n of them
-    the (n+1)-th birth finishes the process.  A floating-point tie between
-    a birth and a death is broken in favor of the birth, declaring
+    Raises ResourceLimitError when they exceed MAX_COUPLING_UNIFORMS.
+    """
+    count = 3 * params.n + 2
+    if count > MAX_COUPLING_UNIFORMS:
+        raise ResourceLimitError(
+            f"a coupling trial at n = {params.n} needs {count} uniforms, "
+            f"over the cap of {MAX_COUPLING_UNIFORMS}"
+        )
+    return count
+
+
+def coupling_block(
+    params: Params, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (W, C, tau, jump count) of coupling trials.
+
+    Row r of ``uniforms`` holds one trial's 3n + 2 uniforms in draw order:
+    n for the death spacings, n + 1 for the birth spacings, n + 1 for the
+    defective flags.  The red count hits zero at the first birth index m
+    with beta[m-1] <= delta[m-1]; if the deaths stay ahead through all n
+    of them the (n+1)-th birth finishes the process.  A floating-point tie
+    between a birth and a death is broken in favor of the birth, declaring
     extinction; ties have probability zero in exact arithmetic so any fixed
     rule leaves the law unchanged.
     """
-    ahead = beta[:n] <= delta
-    m = int(np.argmax(ahead)) + 1 if ahead.any() else n + 1
-    tau = float(beta[m - 1])
-    deaths_before = int(np.searchsorted(delta, tau, side="left"))
-    return m, tau, deaths_before
+    n = params.n
+    kortchemski = params.init_mode is InitMode.KORTCHEMSKI
+    alpha = 1.0 if kortchemski else params.alpha
+    delta = _death_clock(uniforms[:, :n], params.lam)
+    beta = _birth_clock(uniforms[:, n : 2 * n + 1], alpha)
+    ahead = beta[:, :n] <= delta
+    m = np.where(ahead.any(axis=1), ahead.argmax(axis=1) + 1, n + 1)
+    tau = beta[np.arange(beta.shape[0]), m - 1]
+    deaths_before = np.count_nonzero(delta < tau[:, None], axis=1)
+    if kortchemski:
+        conversions = np.zeros_like(m)
+    else:
+        flags = _defective_flags(uniforms[:, 2 * n + 1 :], alpha)
+        conversions = np.count_nonzero(flags & (np.arange(n + 1) < m[:, None]), axis=1)
+    return n - deaths_before, conversions, tau, deaths_before + m
 
 
 def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
@@ -130,16 +178,16 @@ def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
     nothing converts, so the births are the defective process at alpha = 1
     with its flags ignored.  fixation_time is measured on the birth/death
     clock, whose scale differs from the count chain's continuous time; its
-    mean over log n tends to 1 at lambda = 1.
+    mean over log n tends to 1 at lambda = 1.  This is the one-row case of
+    :func:`coupling_block`.
     """
-    n = params.n
-    kortchemski = params.init_mode is InitMode.KORTCHEMSKI
-    deaths = simulate_death_times(n, params.lam, rng)
-    births = simulate_birth_times(1.0 if kortchemski else params.alpha, n + 1, rng)
-    m, tau, deaths_before = _merge_and_stop(deaths.times, births.times, n)
-    w = n - deaths_before
-    conversions = 0 if kortchemski else int(births.defective_flags[:m].sum())
-    return FixationResult(w, params.total_vertices - w, conversions, tau, deaths_before + m)
+    uniforms = np.empty((1, coupling_uniforms(params)))
+    rng.random(out=uniforms[0])
+    w, c, tau, jumps = coupling_block(params, uniforms)
+    white = int(w[0])
+    return FixationResult(
+        white, params.total_vertices - white, int(c[0]), float(tau[0]), int(jumps[0])
+    )
 
 
 def sample_terminal_exp(rng: np.random.Generator) -> TerminalSample:

@@ -1,8 +1,9 @@
 """Command-line driver: simulate, estimate, exact, verify.
 
 Exit codes: 0 on success, 1 when verification reports a failure, 2 on usage
-or parameter errors.  Values supplied through ``--config`` take precedence
-over the corresponding command-line flags.
+or parameter errors and on requests over a resource cap.  Values supplied
+through ``--config`` take precedence over the corresponding command-line
+flags.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .harness import (
     run_experiment,
     write_trajectory_csv,
 )
-from .params import InitMode, ParameterError, Params
+from .params import InitMode, ParameterError, Params, ResourceLimitError
 from .rng import make_rng, stream_seed
 
 _CONFIG_KEYS = {
@@ -190,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParameterError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, ResourceLimitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .analytics import stats_wilson_ci
-from .birth_death import run_coupling
+from .birth_death import coupling_block, coupling_uniforms
 from .chain import (
     EventKind,
     FixationResult,
@@ -32,8 +32,8 @@ from .chain import (
     run_to_fixation,
 )
 from .graph import complete_graph, load_edge_list, run_graph_to_fixation
-from .params import ParameterError, Params
-from .rng import make_rng, stream_seed
+from .params import ParameterError, Params, is_integer
+from .rng import trial_rngs
 
 
 class Engine(Enum):
@@ -49,6 +49,9 @@ class Estimator(Enum):
     TAU_OVER_LOG_N = "tau_over_log_n"
     W_HISTOGRAM = "w_histogram"
 
+# two-sided 95% normal quantile
+_Z975 = float(ndtri(0.975))
+
 _LOG_N_ESTIMATORS = (Estimator.CONVERSION_OVER_LOG_N, Estimator.TAU_OVER_LOG_N)
 
 
@@ -63,11 +66,11 @@ class ExperimentConfig:
     graph_file: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not is_integer(self.trials) or self.trials < 1:
             raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.parallelism, int) or self.parallelism < 1:
+        if not is_integer(self.parallelism) or self.parallelism < 1:
             raise ParameterError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         if self.estimator in _LOG_N_ESTIMATORS and self.params.n < 2:
             raise ParameterError("log-n estimators need n >= 2 (log 1 = 0)")
@@ -126,43 +129,76 @@ def params_as_dict(params: Params) -> dict:
     }
 
 
-Kernel = Callable[[np.random.Generator], FixationResult]
+Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+BlockKernel = Callable[[Params, str | None, int, int, int], Block]
+
+# uniforms per chunk of a coupling block: ~100 trials at n = 50, and one
+# trial per chunk from n = 5461 up
+_COUPLING_CHUNK_UNIFORMS = 1 << 14
 
 
-def _graph_kernel(params: Params, graph_file: str | None) -> Kernel:
-    graph = load_edge_list(graph_file) if graph_file else complete_graph(params.total_vertices)
-    return partial(run_graph_to_fixation, graph, params)
-
-
-# engine -> factory of its per-trial kernel; the factory does the set-up a
-# block of trials shares (the graph engine builds its graph once)
-ENGINE_KERNELS: dict[Engine, Callable[[Params, str | None], Kernel]] = {
-    Engine.CHAIN: lambda params, _graph_file: partial(run_to_fixation, params),
-    Engine.GRAPH: _graph_kernel,
-    Engine.COUPLING: lambda params, _graph_file: partial(run_coupling, params),
-}
-
-
-def _run_block(
-    engine: Engine,
-    params: Params,
-    graph_file: str | None,
-    seed: int,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trials [start, stop) as (W, C, tau) arrays; pure in (seed, indices)."""
+def _per_trial_block(
+    kernel: Callable[[np.random.Generator], FixationResult], seed: int, start: int, stop: int
+) -> Block:
     count = stop - start
     w = np.empty(count, dtype=np.int64)
     c = np.empty(count, dtype=np.int64)
     tau = np.empty(count, dtype=np.float64)
-    kernel = ENGINE_KERNELS[engine](params, graph_file)
-    for k in range(count):
-        res = kernel(make_rng(stream_seed(seed, start + k)))
+    for k, rng in enumerate(trial_rngs(seed, start, stop)):
+        res = kernel(rng)
         w[k] = res.white_survivors
         c[k] = res.conversions
         tau[k] = res.fixation_time
     return w, c, tau
+
+
+def _chain_block(params: Params, _graph_file: str | None, seed: int, start: int, stop: int) -> Block:
+    return _per_trial_block(partial(run_to_fixation, params), seed, start, stop)
+
+
+def _graph_block(params: Params, graph_file: str | None, seed: int, start: int, stop: int) -> Block:
+    if graph_file is None:
+        graph = complete_graph(params.total_vertices)
+    else:
+        graph = load_edge_list(graph_file)
+        if graph.vertex_count != params.total_vertices:
+            raise ParameterError(
+                f"{graph_file} has {graph.vertex_count} vertices but n = {params.n} "
+                f"({params.init_mode.value} start) needs {params.total_vertices}"
+            )
+    return _per_trial_block(partial(run_graph_to_fixation, graph, params), seed, start, stop)
+
+
+def _coupling_block(
+    params: Params, _graph_file: str | None, seed: int, start: int, stop: int
+) -> Block:
+    """Trials drawn into (rows x (3n+2)) chunks of uniforms, one row per
+    trial from its own stream, and run through one vectorised kernel."""
+    width = coupling_uniforms(params)
+    rows = max(1, _COUPLING_CHUNK_UNIFORMS // width)
+    count = stop - start
+    w = np.empty(count, dtype=np.int64)
+    c = np.empty(count, dtype=np.int64)
+    tau = np.empty(count, dtype=np.float64)
+    uniforms = np.empty((min(rows, count), width))
+    rngs = trial_rngs(seed, start, stop)
+    for lo in range(0, count, rows):
+        chunk = uniforms[: min(rows, count - lo)]
+        for row, rng in zip(chunk, rngs):
+            rng.random(out=row)
+        hi = lo + chunk.shape[0]
+        w[lo:hi], c[lo:hi], tau[lo:hi], _ = coupling_block(params, chunk)
+    return w, c, tau
+
+
+# engine -> kernel computing trials [start, stop) as (W, C, tau) arrays,
+# pure in (seed, indices): trial i always draws from its own stream
+# stream_seed(seed, i), however the trials are split into blocks
+ENGINE_KERNELS: dict[Engine, BlockKernel] = {
+    Engine.CHAIN: _chain_block,
+    Engine.GRAPH: _graph_block,
+    Engine.COUPLING: _coupling_block,
+}
 
 
 def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,8 +208,9 @@ def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.nda
     pool runs them on at most one worker process per CPU.
     """
     trials = config.trials
+    block = ENGINE_KERNELS[config.engine]
     if config.parallelism == 1 or trials < 2 * config.parallelism:
-        return _run_block(config.engine, config.params, config.graph_file, config.seed, 0, trials)
+        return block(config.params, config.graph_file, config.seed, 0, trials)
     bounds = np.linspace(0, trials, config.parallelism + 1).astype(int)
     w = np.empty(trials, dtype=np.int64)
     c = np.empty(trials, dtype=np.int64)
@@ -185,8 +222,7 @@ def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.nda
                 int(lo),
                 int(hi),
                 pool.submit(
-                    _run_block,
-                    config.engine,
+                    block,
                     config.params,
                     config.graph_file,
                     config.seed,
@@ -211,8 +247,7 @@ def _mean_summary(values: np.ndarray) -> tuple[float, float, tuple[float, float]
         se = float(np.std(values, ddof=1) / math.sqrt(values.size))
     else:
         se = 0.0
-    z = float(ndtri(0.975))
-    return estimate, se, (estimate - z * se, estimate + z * se)
+    return estimate, se, (estimate - _Z975 * se, estimate + _Z975 * se)
 
 
 def summarize(

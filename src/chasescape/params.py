@@ -11,6 +11,15 @@ from dataclasses import dataclass
 MAX_N = 10**8
 
 
+def is_integer(x) -> bool:
+    """An int that is not a bool (bool subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 class ParameterError(ValueError):
     """Invalid model or experiment parameters."""
 
@@ -59,15 +68,15 @@ class Params:
     init_mode: InitMode = InitMode.STANDARD
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
+        if not is_integer(self.n):
             raise ParameterError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.n > MAX_N:
             raise ParameterError(f"n must be <= {MAX_N}, got {self.n}")
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam)) or self.lam <= 0:
+        if not (_is_real(self.lam) and math.isfinite(self.lam)) or self.lam <= 0:
             raise ParameterError(f"lambda must be a positive finite real, got {self.lam!r}")
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)) or self.alpha < 0:
+        if not (_is_real(self.alpha) and math.isfinite(self.alpha)) or self.alpha < 0:
             raise ParameterError(f"alpha must be a non-negative finite real, got {self.alpha!r}")
         if not isinstance(self.init_mode, InitMode):
             raise ParameterError(f"init_mode must be an InitMode, got {self.init_mode!r}")

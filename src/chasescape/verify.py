@@ -28,6 +28,7 @@ from .analytics import (
     stats_ks_two_sample,
 )
 from .birth_death import (
+    run_coupling,
     sample_limit_sum,
     sample_terminal_gamma_direct,
     sample_terminal_gamma_process,
@@ -328,11 +329,20 @@ def check_trajectory_export() -> tuple[bool, dict]:
 
 def check_determinism() -> tuple[bool, dict]:
     params = Params(n=30, lam=1.0, alpha=1.5)
-    seed = stream_seed(1012, 0)
     engines_ok = {}
-    for engine, make_kernel in ENGINE_KERNELS.items():
-        kernel = make_kernel(params, None)
-        engines_ok[engine.value] = kernel(make_rng(seed)) == kernel(make_rng(seed))
+    for engine, block in ENGINE_KERNELS.items():
+        first, second = block(params, None, 1012, 0, 20), block(params, None, 1012, 0, 20)
+        engines_ok[engine.value] = all(map(np.array_equal, first, second))
+
+    # the batched coupling block against one make_rng + run_coupling per
+    # trial, over more trials than one chunk holds at n = 30
+    start, stop = 7, 407
+    batched = ENGINE_KERNELS[Engine.COUPLING](params, None, 1012, start, stop)
+    per_trial = [run_coupling(params, make_rng(stream_seed(1012, i))) for i in range(start, stop)]
+    batched_ok = all(
+        np.array_equal(column, [getattr(res, field) for res in per_trial])
+        for column, field in zip(batched, ("white_survivors", "conversions", "fixation_time"))
+    )
 
     base = dict(
         params=params, trials=2000, seed=1012, estimator=Estimator.EXPECTED_W, engine=Engine.CHAIN
@@ -342,9 +352,10 @@ def check_determinism() -> tuple[bool, dict]:
     merge_ok = serial == parallel
     details = {
         "engine_repeat_identical": engines_ok,
+        "coupling_block_matches_per_trial": batched_ok,
         "parallelism_1_vs_8_identical": merge_ok,
     }
-    return all(engines_ok.values()) and merge_ok, details
+    return all(engines_ok.values()) and batched_ok and merge_ok, details
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,8 @@ def test_criterion_11_trajectory_export():
 def test_criterion_12_determinism():
     result = _run(12)
     assert result.details["parallelism_1_vs_8_identical"]
+    assert all(result.details["engine_repeat_identical"].values())
+    assert result.details["coupling_block_matches_per_trial"]
 
 
 @pytest.mark.parametrize("cid", sorted(_BY_ID))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from chasescape import (
     stats_ks_two_sample,
     stream_seed,
 )
+from chasescape import harness
 from chasescape.analytics import chi_square_gof
+from chasescape.params import MAX_N
 
 
 def _mean_within_3se(values, target):
@@ -174,6 +177,31 @@ class TestCoupling:
         p = Params(30, 1.0, 1.0)
         assert run_coupling(p, make_rng(8)) == run_coupling(p, make_rng(8))
 
+    @pytest.mark.parametrize("mode", list(InitMode))
+    @pytest.mark.parametrize(
+        "n, lam, alpha", [(1, 1.0, 2.0), (2, 0.5, 1.0), (7, 2.0, 0.3), (60, 1.0, 4.0)]
+    )
+    def test_matches_event_by_event_replay(self, n, lam, alpha, mode):
+        # reference: walk the merged death/birth streams one event at a time
+        params = Params(n, lam, alpha, mode)
+        kortchemski = mode is InitMode.KORTCHEMSKI
+        for seed in range(150):
+            rng = make_rng(stream_seed(39, seed))
+            delta = simulate_death_times(n, lam, rng).times
+            births = simulate_birth_times(1.0 if kortchemski else alpha, n + 1, rng)
+            red, deaths, m = 1, 0, 0
+            while red > 0:
+                if deaths < n and delta[deaths] < births.times[m]:
+                    red, deaths = red + 1, deaths + 1
+                else:  # a tie goes to the birth
+                    red, m = red - 1, m + 1
+            conversions = 0 if kortchemski else int(births.defective_flags[:m].sum())
+            res = run_coupling(params, make_rng(stream_seed(39, seed)))
+            assert res.white_survivors == n - deaths
+            assert res.conversions == conversions
+            assert res.fixation_time == births.times[m - 1]
+            assert res.jump_count == deaths + m
+
     def test_standard_start_draws_3n_plus_2_uniforms(self):
         # n deaths, then n + 1 birth spacings, then n + 1 defective flags
         n = 30
@@ -182,6 +210,20 @@ class TestCoupling:
             rng = make_rng(seed)
             run_coupling(Params(n, 1.0, 1.5), rng)
             assert rng.random() == stream[3 * n + 2]
+
+    def test_n_at_max_n_is_refused_before_allocating(self):
+        # 3 * MAX_N + 2 doubles would be 2.4 GB
+        params = Params(MAX_N, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                run_coupling(params, make_rng(0))
+            with pytest.raises(ResourceLimitError):
+                harness.ENGINE_KERNELS[harness.Engine.COUPLING](params, None, 0, 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_kortchemski_coupling_matches_oracle(self):
         n = 20

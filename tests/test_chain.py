@@ -35,6 +35,13 @@ class TestParams:
         with pytest.raises(ParameterError):
             Params(n=10, lam=math.inf, alpha=1.0)
 
+    @pytest.mark.parametrize("field", ["n", "lam", "alpha"])
+    def test_rejects_booleans(self, field):
+        # bool subclasses int, so True would otherwise pass as 1
+        kwargs = {"n": 10, "lam": 1.0, "alpha": 1.0, field: True}
+        with pytest.raises(ParameterError):
+            Params(**kwargs)
+
     def test_rejects_standard_alpha_zero(self):
         # no blue seed and no conversion: the process would never fixate
         with pytest.raises(ParameterError):

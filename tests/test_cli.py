@@ -107,6 +107,13 @@ class TestEstimate:
             {"n": "abc"},
             {"engine": "graph", "graph_file": 5},
             {"engine": "graph", "graph_file": ["edges.txt"]},
+            {"trials": True, "alpha": True},
+            {"trials": True},
+            {"seed": True},
+            {"parallelism": True},
+            {"lambda": True},
+            {"alpha": False},
+            {"n": True},
         ],
     )
     def test_config_bad_values_exit_2(self, tmp_path, override):
@@ -125,6 +132,24 @@ class TestEstimate:
         )
         assert code == 0
         assert json.loads(out)["estimate"] <= 3.0
+
+    def test_graph_file_vertex_count_must_match_n(self, tmp_path):
+        # the histogram length and log n follow n, so a 4-vertex graph
+        # cannot stand for K_101
+        edges = tmp_path / "sq.txt"
+        edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+        code, out, err = run_cli(
+            "estimate", "--n", "100", "--engine", "graph", "--graph-file", str(edges),
+            "--estimator", "w_histogram", "--trials", "5",
+        )
+        assert code == 2 and out == ""
+        assert "4 vertices" in err and "Traceback" not in err
+
+    def test_coupling_resource_cap_exits_2(self):
+        code, out, err = run_cli(
+            "estimate", "--n", "100000000", "--engine", "coupling", "--trials", "1"
+        )
+        assert code == 2 and out == "" and "cap" in err
 
     def test_parameter_errors_exit_2(self):
         code, _, err = run_cli("estimate", "--n", "0")

@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from chasescape import (
     exact_distribution_W,
     make_rng,
     record_trajectory,
+    run_coupling,
     run_experiment,
     stream_seed,
 )
@@ -28,7 +33,7 @@ from chasescape.harness import (
     run_trials,
     write_trajectory_csv,
 )
-from chasescape.rng import splitmix64
+from chasescape.rng import splitmix64, stream_seeds, trial_rngs
 
 
 class TestStreamSeeding:
@@ -45,6 +50,29 @@ class TestStreamSeeding:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             stream_seed(0, -1)
+        with pytest.raises(ValueError):
+            stream_seeds(0, -1, 3)
+
+    @pytest.mark.parametrize("master", [0, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, 17, 2**40, 2**64 - 3])
+    def test_stream_seeds_match_stream_seed(self, master, start):
+        seeds = stream_seeds(master, start, start + 5)
+        assert seeds.dtype == np.uint64
+        assert [int(s) for s in seeds] == [stream_seed(master, i) for i in range(start, start + 5)]
+
+    @pytest.mark.parametrize("master", [0, 2**64 - 1])
+    def test_trial_rngs_match_make_rng(self, master):
+        # draw sizes 1, 3 and 6 end off Philox's 4-value buffer boundary, so
+        # a re-keyed generator must also drop the previous trial's leftovers
+        start, stop = 5, 30
+        for i, rng in zip(range(start, stop), trial_rngs(master, start, stop), strict=True):
+            ref = make_rng(stream_seed(master, i))
+            for size in (1, 3, 6):
+                assert rng.random(size).tolist() == ref.random(size).tolist()
+            assert rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() == ref.integers(
+                0, 2**32, 3, dtype=np.uint32
+            ).tolist()
+            assert rng.standard_gamma(0.5) == ref.standard_gamma(0.5)
 
 
 class TestConfigValidation:
@@ -185,6 +213,24 @@ class TestWorkerPool:
         assert [pool.max_workers for pool in inline_pools] == [1]
 
 
+class TestCouplingBlock:
+    @pytest.mark.parametrize("mode", list(InitMode))
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_block_matches_per_trial_kernel(self, n, mode):
+        # a non-zero start and one trial more than a chunk holds
+        params = Params(n, 1.0, 2.0, mode)
+        rows = max(1, harness._COUPLING_CHUNK_UNIFORMS // (3 * n + 2))
+        start, stop = 11, 11 + rows + 1
+        w, c, tau = harness.ENGINE_KERNELS[Engine.COUPLING](params, None, 2**64 - 1, start, stop)
+        for k, i in enumerate(range(start, stop)):
+            res = run_coupling(params, make_rng(stream_seed(2**64 - 1, i)))
+            assert (w[k], c[k], tau[k]) == (res.white_survivors, res.conversions, res.fixation_time)
+
+    def test_empty_block(self):
+        w, c, tau = harness.ENGINE_KERNELS[Engine.COUPLING](Params(5, 1.0, 1.0), None, 0, 3, 3)
+        assert w.size == c.size == tau.size == 0
+
+
 class TestEngineSummaries:
     @pytest.mark.parametrize("engine", [Engine.CHAIN, Engine.GRAPH, Engine.COUPLING])
     def test_every_engine_runs_both_modes(self, engine):
@@ -208,6 +254,28 @@ class TestEngineSummaries:
         )
         # 4 vertices, vertex 0 starts red, so W <= 3 always
         assert summary.estimate <= 3.0
+
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_edge_list_vertex_count_must_match(self, tmp_path, inline_pools, parallelism):
+        path = tmp_path / "square.txt"
+        path.write_text("0 1\n1 2\n2 3\n3 0\n")
+        config = _config(
+            params=Params(100, 1.0, 1.0), engine=Engine.GRAPH, graph_file=str(path),
+            trials=10, parallelism=parallelism,
+        )
+        with pytest.raises(ParameterError, match="4 vertices"):
+            run_trials(config)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # only the quadrature cross-checks need it, and it is most of the import time
+    code = "import sys, chasescape; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestJsonContract:
