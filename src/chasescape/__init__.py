@@ -8,8 +8,6 @@ cross-checks, and a reproducible Monte Carlo harness.
 
 from .analytics import (
     ExactDistribution,
-    LimitRegime,
-    classify_regime,
     conversion_growth_limit,
     exact_distribution_W,
     expected_excess_closed,
@@ -25,13 +23,8 @@ from .analytics import (
     stats_wilson_ci,
 )
 from .birth_death import (
-    BirthTimes,
-    DeathTimes,
-    TerminalKind,
-    TerminalSample,
     run_coupling,
     sample_limit_sum,
-    sample_terminal_exp,
     sample_terminal_gamma_direct,
     sample_terminal_gamma_process,
     simulate_birth_times,
@@ -75,8 +68,6 @@ from .rng import make_rng, stream_seed
 from .verify import run_verification
 
 __all__ = [
-    "BirthTimes",
-    "DeathTimes",
     "Engine",
     "Estimator",
     "EstimatorSummary",
@@ -87,18 +78,14 @@ __all__ = [
     "Graph",
     "GraphState",
     "InitMode",
-    "LimitRegime",
     "NoTransitionError",
     "ParameterError",
     "Params",
     "PopulationState",
     "QuadratureError",
     "ResourceLimitError",
-    "TerminalKind",
-    "TerminalSample",
     "Trajectory",
     "VertexColor",
-    "classify_regime",
     "complete_graph",
     "conversion_growth_limit",
     "exact_distribution_W",
@@ -122,7 +109,6 @@ __all__ = [
     "run_to_fixation",
     "run_verification",
     "sample_limit_sum",
-    "sample_terminal_exp",
     "sample_terminal_gamma_direct",
     "sample_terminal_gamma_process",
     "simulate_birth_times",

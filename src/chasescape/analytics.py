@@ -12,40 +12,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, ndtri
 
-from .params import InitMode, ParameterError, QuadratureError
+from .params import InitMode, ParameterError, Params, QuadratureError, is_integer, require_positive
 
 DP_MAX_N = 5000  # the layered state space is O(n^2)
 
 QUADRATURE_ABS_TOL = 1e-10
 
 
-class LimitRegime(Enum):
-    SUBCRITICAL = "subcritical"
-    CRITICAL = "critical"
-    SUPERCRITICAL = "supercritical"
-
-
-def classify_regime(lam: float) -> LimitRegime:
-    """Exact trichotomy in lambda; no tolerance band around 1."""
-    if lam < 1.0:
-        return LimitRegime.SUBCRITICAL
-    if lam == 1.0:
-        return LimitRegime.CRITICAL
-    return LimitRegime.SUPERCRITICAL
-
-
 def extinction_limit(lam: float, alpha: float) -> float:
-    """Limiting probability that no white site survives."""
-    regime = classify_regime(lam)
-    if regime is LimitRegime.SUBCRITICAL:
+    """Limiting probability that no white site survives.
+
+    The trichotomy in lambda is exact, with no tolerance band around 1.
+    """
+    if lam < 1.0:
         return 0.0
-    if regime is LimitRegime.CRITICAL:
+    if lam == 1.0:
         return 2.0 ** -alpha
     return 1.0
 
@@ -62,13 +47,13 @@ def conversion_growth_limit(alpha: float) -> float:
 
 def prob_gamma_less_exp_closed(alpha: float) -> float:
     """P(Gamma(alpha,1) < Exp(1)) for independent variables: 2^{-alpha}."""
-    _require_positive_alpha(alpha)
+    require_positive("alpha", alpha)
     return 2.0 ** -alpha
 
 
 def expected_excess_closed(alpha: float) -> float:
     """E[(G - E) 1{G > E}] for independent Gamma(alpha,1), Exp(1)."""
-    _require_positive_alpha(alpha)
+    require_positive("alpha", alpha)
     return alpha - 1.0 + 2.0 ** -alpha
 
 
@@ -78,19 +63,14 @@ def expected_Z(alpha: float) -> float:
     return (1.0 - prob_gamma_less_exp_closed(alpha)) + expected_excess_closed(alpha)
 
 
-def _require_positive_alpha(alpha: float) -> None:
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)) or alpha <= 0:
-        raise ParameterError(f"alpha must be a positive finite real, got {alpha!r}")
-
-
 def _integrate_halfline(f: Callable[[float], float], abs_tol: float = QUADRATURE_ABS_TOL) -> float:
     """Adaptive quadrature of f over [0, inf) via the map u = x / (1 + x).
 
     The substitution gives a finite interval; the Gauss-Kronrod rule never
     evaluates the endpoints, so integrable singularities at x = 0 are fine.
     """
-    # scipy.integrate is most of the package's import time and only these
-    # cross-checks use it
+    # scipy is most of the package's import time, so each function that
+    # needs it imports it
     from scipy.integrate import quad
 
     def transformed(u: float) -> float:
@@ -108,7 +88,7 @@ def _integrate_halfline(f: Callable[[float], float], abs_tol: float = QUADRATURE
 def prob_gamma_less_exp_quadrature(alpha: float) -> float:
     """Numerical evaluation of (1/Gamma(a)) * int_0^inf x^{a-1} e^{-2x} dx,
     independent of the closed form."""
-    _require_positive_alpha(alpha)
+    require_positive("alpha", alpha)
     lg = math.lgamma(alpha)
 
     def integrand(x: float) -> float:
@@ -122,7 +102,7 @@ def prob_gamma_less_exp_quadrature(alpha: float) -> float:
 def expected_excess_quadrature(alpha: float) -> float:
     """Numerical evaluation of int (x - 1 + e^{-x}) f_G(x) dx against the
     Gamma(alpha, 1) density."""
-    _require_positive_alpha(alpha)
+    require_positive("alpha", alpha)
     lg = math.lgamma(alpha)
 
     def integrand(x: float) -> float:
@@ -137,8 +117,9 @@ def expected_excess_quadrature(alpha: float) -> float:
 
 def gamma_cdf(x: float, alpha: float) -> float:
     """CDF of Gamma(alpha, 1)."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ParameterError(f"shape must be a positive finite real, got {alpha!r}")
+    from scipy.special import gammainc
+
+    require_positive("shape", alpha)
     if x <= 0.0:
         return 0.0
     if not math.isfinite(x):
@@ -164,30 +145,21 @@ def exact_distribution_W(
     States are (r, b) pairs with w implied by conservation, grouped into
     layers r + 2b which every jump advances by one.  Mass arriving at r = 0
     is recorded against W = w; the expected conversion count accumulates
-    alpha / (b + alpha) times the flow on every red-decrease transition.
+    a / (b + a) times the flow on every red-decrease transition, where a is
+    the conversion rate.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    params = Params(n, lam, alpha, init_mode)
     if n > DP_MAX_N:
         raise ParameterError(f"n = {n} exceeds the exact-oracle cap {DP_MAX_N}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)) or lam <= 0:
-        raise ParameterError(f"lambda must be a positive finite real, got {lam!r}")
-    kortchemski = init_mode is InitMode.KORTCHEMSKI
-    if kortchemski:
-        a = 0.0
-        total = n + 2
-        b_floor = 1  # the blue count starts at 1 and never decreases
-    else:
-        _require_positive_alpha(alpha)
-        a = float(alpha)
-        total = n + 1
-        b_floor = 0
+    a = params.conversion_rate
+    total = params.total_vertices
+    r0, b_floor = params.initial_red_blue  # the blue count never decreases
 
     current = np.zeros(total + 2)
     current[b_floor] = 1.0
     w_dist = np.zeros(n + 1)
     expected_c = 0.0
-    for layer in range(1 + 2 * b_floor, 2 * total + 1):
+    for layer in range(r0 + 2 * b_floor, 2 * total + 1):
         b_lo = max(b_floor, layer - total)
         b_hi = (layer - 1) // 2
         if b_hi < b_lo:
@@ -196,8 +168,8 @@ def exact_distribution_W(
         mass = current[bs]
         rs = layer - 2 * bs
         ws = total - layer + bs
-        denom = lam * ws + bs + a
-        p_grow = lam * ws / denom
+        denom = params.lam * ws + bs + a
+        p_grow = params.lam * ws / denom
         p_dec = (bs + a) / denom
         nxt = np.zeros(total + 2)
         nxt[bs] += mass * p_grow
@@ -220,9 +192,11 @@ def exact_distribution_W(
 
 def stats_wilson_ci(successes: int, trials: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if not isinstance(trials, int) or trials < 1:
+    from scipy.special import ndtri
+
+    if not is_integer(trials) or trials < 1:
         raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
-    if not isinstance(successes, int) or not 0 <= successes <= trials:
+    if not is_integer(successes) or not 0 <= successes <= trials:
         raise ParameterError(f"successes must lie in [0, {trials}], got {successes!r}")
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence!r}")
@@ -278,6 +252,8 @@ def chi_square_gof(
     ``min_expected``; a trailing underweight group is folded into its
     predecessor.
     """
+    from scipy.special import gammaincc
+
     obs = np.asarray(observed, dtype=np.float64)
     probs = np.asarray(expected_probs, dtype=np.float64)
     if obs.shape != probs.shape or obs.ndim != 1:

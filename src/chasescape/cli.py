@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="emit one trajectory as CSV (or JSON)")
     add_model_flags(sim)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--trials", type=int, default=1, help="must be 1 for simulate")
     sim.add_argument("--output", default=None, help="output path (default: stdout)")
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -101,8 +100,6 @@ def _params_from_args(args: argparse.Namespace) -> Params:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.trials != 1:
-        raise ParameterError("simulate runs a single trajectory; use estimate for many trials")
     params = _params_from_args(args)
     trajectory = record_trajectory(params, make_rng(stream_seed(args.seed, 0)))
     if args.format == "csv":

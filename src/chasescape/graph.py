@@ -18,7 +18,18 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .chain import EventKind, FixationResult
-from .params import InitMode, NoTransitionError, ParameterError, Params
+from .params import (
+    InitMode,
+    NoTransitionError,
+    ParameterError,
+    Params,
+    ResourceLimitError,
+    is_integer,
+)
+
+# cap on the m(m - 1) adjacency entries complete_graph builds as Python
+# tuples; 2^24 is about K_4097
+MAX_COMPLETE_GRAPH_ENTRIES = 1 << 24
 
 
 class VertexColor(IntEnum):
@@ -84,9 +95,18 @@ class Graph:
 
 
 def complete_graph(m: int) -> Graph:
-    """K_m; requires m >= 2."""
-    if not isinstance(m, int) or m < 2:
+    """K_m; requires m >= 2.
+
+    Raises ResourceLimitError, before allocating, when its m(m - 1)
+    adjacency entries exceed MAX_COMPLETE_GRAPH_ENTRIES.
+    """
+    if not is_integer(m) or m < 2:
         raise ParameterError(f"complete graph needs an integer vertex count >= 2, got {m!r}")
+    if m * (m - 1) > MAX_COMPLETE_GRAPH_ENTRIES:
+        raise ResourceLimitError(
+            f"K_{m} has {m * (m - 1)} adjacency entries, over the cap of "
+            f"{MAX_COMPLETE_GRAPH_ENTRIES}"
+        )
     verts = tuple(range(m))
     return Graph(tuple(tuple(v for v in verts if v != u) for u in verts))
 

@@ -19,7 +19,6 @@ from functools import partial
 from typing import Callable, TextIO
 
 import numpy as np
-from scipy.special import ndtri
 
 from .analytics import stats_wilson_ci
 from .birth_death import coupling_block, coupling_uniforms
@@ -49,8 +48,8 @@ class Estimator(Enum):
     TAU_OVER_LOG_N = "tau_over_log_n"
     W_HISTOGRAM = "w_histogram"
 
-# two-sided 95% normal quantile
-_Z975 = float(ndtri(0.975))
+# two-sided 95% normal quantile, scipy.special.ndtri(0.975) to the last bit
+_Z975 = 1.959963984540054
 
 _LOG_N_ESTIMATORS = (Estimator.CONVERSION_OVER_LOG_N, Estimator.TAU_OVER_LOG_N)
 
@@ -208,36 +207,14 @@ def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.nda
     pool runs them on at most one worker process per CPU.
     """
     trials = config.trials
-    block = ENGINE_KERNELS[config.engine]
+    block = partial(ENGINE_KERNELS[config.engine], config.params, config.graph_file, config.seed)
     if config.parallelism == 1 or trials < 2 * config.parallelism:
-        return block(config.params, config.graph_file, config.seed, 0, trials)
-    bounds = np.linspace(0, trials, config.parallelism + 1).astype(int)
-    w = np.empty(trials, dtype=np.int64)
-    c = np.empty(trials, dtype=np.int64)
-    tau = np.empty(trials, dtype=np.float64)
+        return block(0, trials)
+    bounds = np.linspace(0, trials, config.parallelism + 1).astype(int).tolist()
     workers = min(config.parallelism, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (
-                int(lo),
-                int(hi),
-                pool.submit(
-                    block,
-                    config.params,
-                    config.graph_file,
-                    config.seed,
-                    int(lo),
-                    int(hi),
-                ),
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for lo, hi, fut in futures:
-            bw, bc, btau = fut.result()
-            w[lo:hi] = bw
-            c[lo:hi] = bc
-            tau[lo:hi] = btau
+        blocks = list(pool.map(block, bounds[:-1], bounds[1:]))
+    w, c, tau = (np.concatenate(column) for column in zip(*blocks))
     return w, c, tau
 
 

@@ -16,8 +16,15 @@ def is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
+def is_real(x) -> bool:
+    """An int or float that is not a bool."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def require_positive(name: str, x) -> None:
+    """Raise ParameterError unless x is a finite real > 0 (bools refused)."""
+    if not (is_real(x) and math.isfinite(x)) or x <= 0:
+        raise ParameterError(f"{name} must be a positive finite real, got {x!r}")
 
 
 class ParameterError(ValueError):
@@ -74,9 +81,8 @@ class Params:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.n > MAX_N:
             raise ParameterError(f"n must be <= {MAX_N}, got {self.n}")
-        if not (_is_real(self.lam) and math.isfinite(self.lam)) or self.lam <= 0:
-            raise ParameterError(f"lambda must be a positive finite real, got {self.lam!r}")
-        if not (_is_real(self.alpha) and math.isfinite(self.alpha)) or self.alpha < 0:
+        require_positive("lambda", self.lam)
+        if not (is_real(self.alpha) and math.isfinite(self.alpha)) or self.alpha < 0:
             raise ParameterError(f"alpha must be a non-negative finite real, got {self.alpha!r}")
         if not isinstance(self.init_mode, InitMode):
             raise ParameterError(f"init_mode must be an InitMode, got {self.init_mode!r}")

@@ -13,13 +13,23 @@ from chasescape import (
     PopulationState,
     Trajectory,
     exact_distribution_W,
+    gamma_cdf,
     initial_state,
     make_rng,
+    prob_gamma_less_exp_closed,
     record_trajectory,
     run_to_fixation,
+    sample_limit_sum,
+    sample_terminal_gamma_direct,
+    sample_terminal_gamma_process,
+    simulate_birth_times,
+    simulate_death_times,
+    stats_wilson_ci,
     stream_seed,
 )
 from chasescape.chain import JumpRecord, check_trajectory
+
+KORTCHEMSKI = InitMode.KORTCHEMSKI
 
 
 class TestParams:
@@ -41,6 +51,44 @@ class TestParams:
         kwargs = {"n": 10, "lam": 1.0, "alpha": 1.0, field: True}
         with pytest.raises(ParameterError):
             Params(**kwargs)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda rng: Params(10, 1.0, True, KORTCHEMSKI), id="Params-alpha"),
+            pytest.param(lambda rng: exact_distribution_W(10, True, 1.0), id="exact-lam"),
+            pytest.param(
+                lambda rng: exact_distribution_W(10, 1.0, True, KORTCHEMSKI), id="exact-alpha"
+            ),
+            pytest.param(
+                lambda rng: exact_distribution_W(10, 1.0, math.nan, KORTCHEMSKI), id="exact-nan"
+            ),
+            pytest.param(
+                lambda rng: exact_distribution_W(10, 1.0, -3.0, KORTCHEMSKI), id="exact-negative"
+            ),
+            pytest.param(lambda rng: simulate_death_times(True, 1.0, rng), id="death-n"),
+            pytest.param(lambda rng: simulate_death_times(3, True, rng), id="death-lam"),
+            pytest.param(lambda rng: simulate_birth_times(True, 3, rng), id="birth-alpha"),
+            pytest.param(lambda rng: simulate_birth_times(1.0, True, rng), id="birth-k"),
+            pytest.param(lambda rng: sample_terminal_gamma_direct(True, rng), id="direct"),
+            pytest.param(
+                lambda rng: sample_terminal_gamma_process(True, 1.0, rng), id="process-alpha"
+            ),
+            pytest.param(
+                lambda rng: sample_terminal_gamma_process(1.0, True, rng), id="process-t"
+            ),
+            pytest.param(lambda rng: sample_limit_sum(True, 1.0, rng), id="limit-sum-alpha"),
+            pytest.param(lambda rng: sample_limit_sum(1.0, True, rng), id="limit-sum-T"),
+            pytest.param(lambda rng: gamma_cdf(1.0, True), id="gamma-cdf"),
+            pytest.param(lambda rng: prob_gamma_less_exp_closed(True), id="closed-form"),
+            pytest.param(lambda rng: stats_wilson_ci(True, 10, 0.95), id="wilson-successes"),
+            pytest.param(lambda rng: stats_wilson_ci(1, True, 0.95), id="wilson-trials"),
+        ],
+    )
+    def test_every_entry_point_refuses_bad_rates_and_counts(self, call):
+        # bool subclasses int, so each check must refuse it explicitly
+        with pytest.raises(ParameterError):
+            call(make_rng(0))
 
     def test_rejects_standard_alpha_zero(self):
         # no blue seed and no conversion: the process would never fixate

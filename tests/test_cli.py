@@ -51,9 +51,10 @@ class TestSimulate:
         assert len(data_rows) <= 4
 
     def test_multi_trial_rejected(self):
-        code, _, err = run_cli("simulate", "--n", "5", "--trials", "3")
-        assert code == 2
-        assert "error" in err
+        # simulate emits one trajectory and has no --trials flag
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--n", "5", "--trials", "3")
+        assert exc.value.code == 2
 
 
 class TestEstimate:
@@ -148,6 +149,12 @@ class TestEstimate:
     def test_coupling_resource_cap_exits_2(self):
         code, out, err = run_cli(
             "estimate", "--n", "100000000", "--engine", "coupling", "--trials", "1"
+        )
+        assert code == 2 and out == "" and "cap" in err
+
+    def test_graph_resource_cap_exits_2(self):
+        code, out, err = run_cli(
+            "estimate", "--n", "10000000", "--engine", "graph", "--trials", "1"
         )
         assert code == 2 and out == "" and "cap" in err
 

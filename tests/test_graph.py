@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chasescape import (
     NoTransitionError,
     ParameterError,
     Params,
+    ResourceLimitError,
     VertexColor,
     complete_graph,
     exact_distribution_W,
@@ -21,6 +23,7 @@ from chasescape import (
     stream_seed,
 )
 from chasescape.analytics import chi_square_gof
+from chasescape import graph
 from chasescape.graph import GraphState, IndexedSet, write_edge_list
 
 
@@ -89,6 +92,23 @@ class TestGraphConstruction:
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):
             complete_graph(1)
+
+    def test_oversized_refused_before_allocating(self):
+        # K_{10^7} would be about 10^14 adjacency entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                complete_graph(10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_counts_adjacency_entries(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_COMPLETE_GRAPH_ENTRIES", 20)
+        assert complete_graph(5).vertex_count == 5  # 5 * 4 = 20 entries
+        with pytest.raises(ResourceLimitError):
+            complete_graph(6)
 
 
 class TestEdgeListFormat:

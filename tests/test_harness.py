@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -185,11 +184,10 @@ def inline_pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            self.blocks += 1
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
+        def map(self, fn, *iterables):
+            results = [fn(*args) for args in zip(*iterables)]
+            self.blocks += len(results)
+            return iter(results)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     return pools
@@ -269,13 +267,21 @@ class TestEngineSummaries:
 
 
 def test_import_does_not_load_scipy_integrate():
-    # only the quadrature cross-checks need it, and it is most of the import time
-    code = "import sys, chasescape; print('scipy.integrate' in sys.modules)"
+    # scipy is most of the import time; the functions that need it import it
+    code = "import sys, chasescape; print('scipy.integrate' in sys.modules, 'scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
+
+
+def test_z975_literal_is_scipys_quantile():
+    # the literal stands in for ndtri(0.975) in every ci95; a last-bit
+    # difference would change the golden estimate JSON
+    import scipy.special
+
+    assert harness._Z975 == float(scipy.special.ndtri(0.975))
 
 
 class TestJsonContract:
