@@ -30,14 +30,17 @@ ALPHA_GRID = (0.1, 0.3, 1.0, 2.0, 2.5, 4.0, 8.0)
 
 
 class TestClosedForms:
+    def test_regime_trichotomy_is_exact(self):
+        # no tolerance band around lambda = 1: each regime keeps its own limit
+        assert extinction_limit(0.999999999, 1.0) == 0.0
+        assert extinction_limit(1.0, 1.0) == 0.5
+        assert extinction_limit(1.000000001, 1.0) == 1.0
+
     def test_extinction_limit(self):
         assert extinction_limit(0.5, 3.0) == 0.0
         assert extinction_limit(1.0, 1.0) == 0.5
         assert extinction_limit(1.0, 3.0) == 0.125
         assert extinction_limit(2.0, 0.1) == 1.0
-        # the trichotomy in lambda is exact: no tolerance band around 1
-        assert extinction_limit(0.999999999, 1.0) == 0.0
-        assert extinction_limit(1.000000001, 1.0) == 1.0
 
     def test_expected_white_limit(self):
         assert expected_white_limit(1.0) == 2.0
