@@ -9,7 +9,9 @@ edit.  To regenerate them (only for such a declared change):
 """
 
 import contextlib
+import csv
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -58,6 +60,12 @@ CLI_GOLDENS = {
     "simulate_standard.csv": ("simulate", "--n", "20", "--alpha", "2", "--seed", "17"),
     "simulate_kortchemski.csv": (
         "simulate", "--n", "20", "--init", "kortchemski", "--seed", "18",
+    ),
+    "simulate_standard.json": (
+        "simulate", "--n", "20", "--alpha", "2", "--seed", "17", "--format", "json",
+    ),
+    "simulate_kortchemski.json": (
+        "simulate", "--n", "20", "--init", "kortchemski", "--seed", "18", "--format", "json",
     ),
 }
 
@@ -114,6 +122,26 @@ def fixation_results_csv() -> str:
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert run_cli(CLI_GOLDENS[name]) == expected
+
+
+@pytest.mark.parametrize("mode", ["standard", "kortchemski"])
+def test_simulate_json_and_csv_rows_carry_the_same_values(mode):
+    """Both trajectory formats of one seeded run hold the same jumps."""
+    argv = ("simulate", "--n", "30", "--alpha", "1.5", "--init", mode, "--seed", "23")
+    csv_rows = [
+        {
+            "jump_index": int(row["jump_index"]),
+            "time": float(row["time"]),
+            "r": int(row["r"]),
+            "b": int(row["b"]),
+            "w": int(row["w"]),
+            "event": row["event"],
+        }
+        for row in csv.DictReader(io.StringIO(run_cli(argv)))
+    ]
+    doc = json.loads(run_cli((*argv, "--format", "json")))
+    assert csv_rows and doc["jumps"] == csv_rows
+    assert doc["params"] == {"n": 30, "lambda": 1.0, "alpha": 1.5, "init": mode}
 
 
 def test_fixation_results_match_golden():
