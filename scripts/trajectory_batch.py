@@ -14,8 +14,8 @@ from collections import Counter
 
 import numpy as np
 
-from chasescape import Params, make_rng, record_trajectory, stream_seed
-from chasescape.harness import write_trajectory_csv
+from chasescape import Params, make_rng, run_to_fixation, stream_seed
+from chasescape.chain import write_trajectory_csv
 
 
 def main() -> int:
@@ -31,11 +31,12 @@ def main() -> int:
     params = Params(n=args.n, lam=args.lam, alpha=args.alpha)
     w_samples = []
     for i in range(args.seeds):
-        trajectory = record_trajectory(params, make_rng(stream_seed(args.seed_base, i)))
-        w_samples.append(trajectory.records[-1].state.w)
-        if i == 0 and args.dump_first:
+        records = [] if i == 0 and args.dump_first else None
+        result = run_to_fixation(params, make_rng(stream_seed(args.seed_base, i)), records)
+        w_samples.append(result.white_survivors)
+        if records is not None:
             with open(args.dump_first, "w", encoding="utf-8") as fh:
-                write_trajectory_csv(trajectory, fh)
+                write_trajectory_csv(records, fh)
 
     w = np.array(w_samples)
     print(f"config: n={args.n} lambda={args.lam} alpha={args.alpha} seeds={args.seeds}")

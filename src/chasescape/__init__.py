@@ -15,7 +15,6 @@ from .analytics import (
     expected_white_limit,
     expected_Z,
     extinction_limit,
-    gamma_cdf,
     prob_gamma_less_exp_closed,
     prob_gamma_less_exp_quadrature,
     stats_ks,
@@ -25,7 +24,6 @@ from .analytics import (
 from .birth_death import (
     run_coupling,
     sample_limit_sum,
-    sample_terminal_gamma_direct,
     sample_terminal_gamma_process,
     simulate_birth_times,
     simulate_death_times,
@@ -34,9 +32,7 @@ from .chain import (
     EventKind,
     FixationResult,
     PopulationState,
-    Trajectory,
     initial_state,
-    record_trajectory,
     run_to_fixation,
 )
 from .graph import (
@@ -84,7 +80,6 @@ __all__ = [
     "PopulationState",
     "QuadratureError",
     "ResourceLimitError",
-    "Trajectory",
     "VertexColor",
     "complete_graph",
     "conversion_growth_limit",
@@ -94,7 +89,6 @@ __all__ = [
     "expected_excess_quadrature",
     "expected_white_limit",
     "extinction_limit",
-    "gamma_cdf",
     "graph_jump",
     "initial_state",
     "load_edge_list",
@@ -102,14 +96,12 @@ __all__ = [
     "parse_edge_list",
     "prob_gamma_less_exp_closed",
     "prob_gamma_less_exp_quadrature",
-    "record_trajectory",
     "run_coupling",
     "run_experiment",
     "run_graph_to_fixation",
     "run_to_fixation",
     "run_verification",
     "sample_limit_sum",
-    "sample_terminal_gamma_direct",
     "sample_terminal_gamma_process",
     "simulate_birth_times",
     "simulate_death_times",

@@ -115,18 +115,6 @@ def expected_excess_quadrature(alpha: float) -> float:
     return _integrate_halfline(integrand)
 
 
-def gamma_cdf(x: float, alpha: float) -> float:
-    """CDF of Gamma(alpha, 1)."""
-    from scipy.special import gammainc
-
-    require_positive("shape", alpha)
-    if x <= 0.0:
-        return 0.0
-    if not math.isfinite(x):
-        raise ParameterError(f"x must be a finite real, got {x!r}")
-    return float(gammainc(alpha, x))
-
-
 @dataclass(frozen=True)
 class ExactDistribution:
     """Exact law of the white-survivor count for a finite model instance."""
@@ -212,13 +200,20 @@ def stats_wilson_ci(successes: int, trials: int, confidence: float) -> tuple[flo
     return lo, hi
 
 
-def stats_ks(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
-    """One-sample Kolmogorov-Smirnov statistic sup |F_emp - F|."""
+def stats_ks(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """One-sample Kolmogorov-Smirnov statistic sup |F_emp - F|.
+
+    ``cdf`` is vectorised: it gets the sorted samples as one array.
+    """
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     n = xs.size
     if n == 0:
         raise ParameterError("samples must be non-empty")
-    f_vals = np.array([cdf(float(x)) for x in xs])
+    if not np.all(np.isfinite(xs)):
+        raise ParameterError("samples must be finite")
+    f_vals = np.asarray(cdf(xs), dtype=np.float64)
+    if f_vals.shape != xs.shape or not np.all((f_vals >= 0.0) & (f_vals <= 1.0)):
+        raise ParameterError("cdf must map each sample into [0, 1]")
     steps = np.arange(n, dtype=np.float64)
     return float(max(np.max(f_vals - steps / n), np.max((steps + 1.0) / n - f_vals)))
 

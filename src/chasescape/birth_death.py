@@ -150,12 +150,6 @@ def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
     )
 
 
-def sample_terminal_gamma_direct(alpha: float, rng: np.random.Generator) -> float:
-    """One Gamma(alpha, 1) draw via the standard rejection sampler."""
-    require_positive("alpha", alpha)
-    return float(rng.standard_gamma(alpha))
-
-
 def sample_terminal_gamma_process(
     alpha: float, t_horizon: float, rng: np.random.Generator
 ) -> float:

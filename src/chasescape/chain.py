@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .params import Params
+from .params import ParameterError, Params
 
 _BUFFER_CHUNK = 1 << 16  # even, so paired draws never straddle a refill
 
@@ -50,35 +50,13 @@ class JumpRecord(NamedTuple):
     event: EventKind
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One realization with every jump retained."""
-
-    initial: PopulationState
-    records: tuple[JumpRecord, ...]
-
-    def states(self) -> list[PopulationState]:
-        return [self.initial] + [rec.state for rec in self.records]
-
-    def fixation_result(self) -> FixationResult:
-        last = self.records[-1]
-        conversions = sum(1 for rec in self.records if rec.event is EventKind.CONVERT)
-        return FixationResult(
-            white_survivors=last.state.w,
-            blue_total=last.state.b,
-            conversions=conversions,
-            fixation_time=last.time,
-            jump_count=len(self.records),
-        )
-
-
 def initial_state(params: Params) -> PopulationState:
     r0, b0 = params.initial_red_blue
     return PopulationState(r0, b0, params.n)
 
 
 def run_to_fixation(
-    params: Params, rng: np.random.Generator, _records: list | None = None
+    params: Params, rng: np.random.Generator, records: list[JumpRecord] | None = None
 ) -> FixationResult:
     """Simulate until no red vertices remain.
 
@@ -86,8 +64,9 @@ def run_to_fixation(
     holding time), drawn from the generator in blocks for speed, so the
     result is a pure function of the generator state.  The holding time is
     Exp(r * (lambda*w + b + alpha)) of the state being left.  When
-    ``_records`` is a list, every jump is appended to it as a
-    :class:`JumpRecord`.
+    ``records`` is a list, every jump is appended to it as a
+    :class:`JumpRecord`: that list is the trajectory, and
+    :func:`initial_state` is where it starts.
     """
     lam = params.lam
     a = params.conversion_rate
@@ -125,36 +104,25 @@ def run_to_fixation(
             r -= 1
             b += 1
         jumps += 1
-        if _records is not None:
-            _records.append(JumpRecord(fixation_time, PopulationState(r, b, w), event))
+        if records is not None:
+            records.append(JumpRecord(fixation_time, PopulationState(r, b, w), event))
     assert jumps <= 2 * total  # each vertex reds at most once and blues at most once
     return FixationResult(w, total - w, conversions, float(fixation_time), jumps)
 
 
-def record_trajectory(params: Params, rng: np.random.Generator) -> Trajectory:
-    """Like :func:`run_to_fixation` but retaining every jump record."""
-    records: list[JumpRecord] = []
-    run_to_fixation(params, rng, records)
-    return Trajectory(initial=initial_state(params), records=tuple(records))
-
-
 def check_trajectory(
-    rows: Trajectory | Iterable[tuple[float, PopulationState, EventKind]], params: Params
+    rows: Iterable[tuple[float, PopulationState, EventKind]], params: Params
 ) -> None:
     """Raise AssertionError unless a trajectory satisfies every invariant.
 
-    ``rows`` is a :class:`Trajectory` or its jumps as (time, state, event)
-    rows, as :func:`chasescape.harness.read_trajectory_csv` returns them;
-    either way the path starts at the initial state ``params`` implies.
-    Every legal transition conserves the vertex count and advances the
-    layer index r + 2b by exactly one, so it also bounds the jump count
-    by 2 * (vertex count).
+    ``rows`` are its jumps as (time, state, event) rows, such as the
+    :class:`JumpRecord` list :func:`run_to_fixation` fills or
+    :func:`read_trajectory_csv` returns; the path starts at the initial
+    state ``params`` implies.  Every legal transition conserves the vertex
+    count and advances the layer index r + 2b by exactly one, so it also
+    bounds the jump count by 2 * (vertex count).
     """
     prev = initial_state(params)
-    if isinstance(rows, Trajectory):
-        if rows.initial != prev:
-            raise AssertionError("trajectory does not start at the initial condition")
-        rows = rows.records
     total = params.total_vertices
     prev_time = 0.0
     jumps = 0
@@ -177,3 +145,47 @@ def check_trajectory(
         raise AssertionError("trajectory has no jumps")
     if prev.r != 0:
         raise AssertionError("trajectory does not end at fixation")
+
+
+# one trajectory row per jump; the initial state is implied by the parameters
+TRAJECTORY_FIELDS = ("jump_index", "time", "r", "b", "w", "event")
+
+
+def trajectory_rows(records: Iterable[JumpRecord]) -> Iterator[tuple]:
+    """Each jump's values in :data:`TRAJECTORY_FIELDS` order."""
+    for i, (t, (r, b, w), event) in enumerate(records, start=1):
+        yield i, t, r, b, w, event.value
+
+
+def write_trajectory_csv(records: Iterable[JumpRecord], stream: TextIO) -> None:
+    """One row per jump; floats in their shortest round-trip form."""
+    stream.write(",".join(TRAJECTORY_FIELDS) + "\n")
+    for row in trajectory_rows(records):
+        stream.write(",".join(map(str, row)) + "\n")
+
+
+def read_trajectory_csv(stream: TextIO) -> list[JumpRecord]:
+    """Parse rows back into jump records, checking the jump_index column.
+
+    :func:`check_trajectory` checks the records themselves.
+    """
+    header = stream.readline().rstrip("\n")
+    if header != ",".join(TRAJECTORY_FIELDS):
+        raise ParameterError(f"unexpected trajectory header: {header!r}")
+    rows = []
+    for raw in stream:
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(TRAJECTORY_FIELDS):
+            raise ParameterError(f"malformed trajectory row: {raw!r}")
+        idx, t, r, b, w, event = fields
+        if int(idx) != len(rows) + 1:
+            raise ParameterError(f"jump_index {idx} out of order (expected {len(rows) + 1})")
+        rows.append(
+            JumpRecord(float(t), PopulationState(int(r), int(b), int(w)), EventKind(event))
+        )
+    if not rows:
+        raise ParameterError("trajectory CSV has no data rows")
+    return rows

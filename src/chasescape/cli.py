@@ -14,7 +14,13 @@ import json
 import sys
 
 from .analytics import exact_distribution_W
-from .chain import record_trajectory
+from .chain import (
+    TRAJECTORY_FIELDS,
+    JumpRecord,
+    run_to_fixation,
+    trajectory_rows,
+    write_trajectory_csv,
+)
 from .harness import (
     Engine,
     Estimator,
@@ -22,7 +28,6 @@ from .harness import (
     canonical_json,
     params_as_dict,
     run_experiment,
-    write_trajectory_csv,
 )
 from .params import InitMode, ParameterError, Params, ResourceLimitError
 from .rng import make_rng, stream_seed
@@ -101,24 +106,16 @@ def _params_from_args(args: argparse.Namespace) -> Params:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    trajectory = record_trajectory(params, make_rng(stream_seed(args.seed, 0)))
+    records: list[JumpRecord] = []
+    run_to_fixation(params, make_rng(stream_seed(args.seed, 0)), records)
     if args.format == "csv":
         buf = io.StringIO()
-        write_trajectory_csv(trajectory, buf)
-        _write_output(buf.getvalue(), args.output)
+        write_trajectory_csv(records, buf)
+        text = buf.getvalue()
     else:
-        rows = [
-            {
-                "jump_index": i,
-                "time": rec.time,
-                "r": rec.state.r,
-                "b": rec.state.b,
-                "w": rec.state.w,
-                "event": rec.event.value,
-            }
-            for i, rec in enumerate(trajectory.records, start=1)
-        ]
-        _write_output(canonical_json({"params": params_as_dict(params), "jumps": rows}), args.output)
+        jumps = [dict(zip(TRAJECTORY_FIELDS, row)) for row in trajectory_rows(records)]
+        text = canonical_json({"params": params_as_dict(params), "jumps": jumps})
+    _write_output(text, args.output)
     return 0
 
 
@@ -170,10 +167,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import format_report, run_verification
+    from .verify import run_verification
 
     report = run_verification(args.level)
-    _write_output(format_report(report), args.output)
+    _write_output(canonical_json(report), args.output)
     return 0 if report["passed"] else 1
 
 

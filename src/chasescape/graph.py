@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class Graph:
     def vertex_count(self) -> int:
         return len(self.adjacency)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
 
 def complete_graph(m: int) -> Graph:
     """K_m; requires m >= 2.
@@ -165,13 +161,6 @@ def parse_edge_list(lines: Iterable[str]) -> Graph:
 def load_edge_list(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh)
-
-
-def write_edge_list(graph: Graph, stream: TextIO) -> None:
-    for u, nbrs in enumerate(graph.adjacency):
-        for v in nbrs:
-            if u < v:
-                stream.write(f"{u} {v}\n")
 
 
 class GraphState:
@@ -255,8 +244,9 @@ class GraphState:
 
 def graph_jump(
     state: GraphState, graph: Graph, params: Params, rng: np.random.Generator
-) -> tuple[GraphState, EventKind, float]:
-    """One Gillespie event; mutates ``state`` in place and returns it.
+) -> tuple[EventKind, float]:
+    """One Gillespie event; mutates ``state`` in place and returns the
+    event with its holding time.
 
     Consumes exactly three uniforms in fixed order: event class, member
     within the class, holding time.
@@ -284,7 +274,7 @@ def graph_jump(
     else:
         state.paint_blue(graph, state.red.sample(u_member))
         event = EventKind.CONVERT
-    return state, event, -math.log1p(-u_hold) / total
+    return event, -math.log1p(-u_hold) / total
 
 
 def run_graph_to_fixation(
@@ -301,7 +291,7 @@ def run_graph_to_fixation(
     conversions = 0
     jumps = 0
     while len(state.red) > 0:
-        _, event, holding = graph_jump(state, graph, params, rng)
+        event, holding = graph_jump(state, graph, params, rng)
         fixation_time += holding
         if event is EventKind.CONVERT:
             conversions += 1

@@ -16,20 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
 from .analytics import stats_wilson_ci
 from .birth_death import coupling_block, coupling_uniforms
-from .chain import (
-    EventKind,
-    FixationResult,
-    JumpRecord,
-    PopulationState,
-    Trajectory,
-    run_to_fixation,
-)
+from .chain import FixationResult, run_to_fixation
 from .graph import complete_graph, load_edge_list, run_graph_to_fixation
 from .params import ParameterError, Params, is_integer
 from .rng import trial_rngs
@@ -263,41 +256,3 @@ def summarize(
 def run_experiment(config: ExperimentConfig) -> EstimatorSummary:
     w, c, tau = run_trials(config)
     return summarize(config, w, c, tau)
-
-
-TRAJECTORY_HEADER = "jump_index,time,r,b,w,event"
-
-
-def write_trajectory_csv(trajectory: Trajectory, stream: TextIO) -> None:
-    """One row per jump; the initial state is implied by the parameters."""
-    stream.write(TRAJECTORY_HEADER + "\n")
-    for i, rec in enumerate(trajectory.records, start=1):
-        r, b, w = rec.state
-        stream.write(f"{i},{rec.time!r},{r},{b},{w},{rec.event.value}\n")
-
-
-def read_trajectory_csv(stream: TextIO) -> list[JumpRecord]:
-    """Parse rows back into jump records, checking the jump_index column.
-
-    :func:`chasescape.chain.check_trajectory` checks the records themselves.
-    """
-    header = stream.readline().rstrip("\n")
-    if header != TRAJECTORY_HEADER:
-        raise ParameterError(f"unexpected trajectory header: {header!r}")
-    rows = []
-    for raw in stream:
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise ParameterError(f"malformed trajectory row: {raw!r}")
-        idx, t, r, b, w, event = fields
-        if int(idx) != len(rows) + 1:
-            raise ParameterError(f"jump_index {idx} out of order (expected {len(rows) + 1})")
-        rows.append(
-            JumpRecord(float(t), PopulationState(int(r), int(b), int(w)), EventKind(event))
-        )
-    if not rows:
-        raise ParameterError("trajectory CSV has no data rows")
-    return rows

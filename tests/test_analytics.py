@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import gammainc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from chasescape import (
     expected_excess_quadrature,
     expected_white_limit,
     extinction_limit,
-    gamma_cdf,
     prob_gamma_less_exp_closed,
     prob_gamma_less_exp_quadrature,
     stats_ks,
@@ -84,28 +84,38 @@ class TestQuadratureOracles:
 
 
 class TestRegularizedGamma:
+    """stats_ks against the Gamma(a, 1) CDF as criterion 2 passes it:
+    scipy's gammainc(a, .), called once on the sorted sample array."""
+
     @pytest.mark.parametrize("a", (0.3, 1.0, 2.5, 7.0, 30.0))
     @pytest.mark.parametrize("x", (0.01, 0.5, 1.0, 3.0, 10.0, 40.0))
     def test_matches_scipy(self, a, x):
-        # pins the (x, shape) argument order against scipy's own Gamma CDF
-        assert gamma_cdf(x, a) == pytest.approx(float(scipy.stats.gamma.cdf(x, a)), abs=1e-12)
+        # pins the (shape, x) argument order against scipy's own Gamma KS test
+        samples = x * np.array([0.25, 0.5, 1.0, 1.5, 2.0])
+        mine = stats_ks(samples, lambda xs: gammainc(a, xs))
+        ref = scipy.stats.kstest(samples, scipy.stats.gamma(a).cdf).statistic
+        assert mine == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0, 3.5))
     @pytest.mark.parametrize("x", (0.2, 1.0, 2.5, 6.0))
     def test_cdf_matches_density_quadrature(self, alpha, x):
-        # tanh-sinh quadrature absorbs the endpoint singularity for alpha < 1
+        # one sample at x: the statistic is max(F(x), 1 - F(x)); tanh-sinh
+        # quadrature absorbs the density's endpoint singularity for alpha < 1
         density = lambda t: mpmath.power(t, alpha - 1) * mpmath.exp(-t) / mpmath.gamma(alpha)
         grid = float(mpmath.quad(density, [0, x]))
-        assert abs(gamma_cdf(x, alpha) - grid) < 1e-9
+        assert abs(stats_ks([x], lambda xs: gammainc(alpha, xs)) - max(grid, 1.0 - grid)) < 1e-9
 
     def test_boundaries(self):
-        assert gamma_cdf(0.0, 2.0) == 0.0
-        assert gamma_cdf(-1.0, 2.0) == 0.0
+        # F(0) = 0, so samples all at zero sit a full step from the CDF
+        assert stats_ks([0.0], lambda xs: gammainc(2.0, xs)) == 1.0
+        assert stats_ks([0.0] * 4, lambda xs: gammainc(2.0, xs)) == 1.0
 
     def test_validation(self):
-        for x, shape in ((2.0, -1.0), (2.0, 0.0), (2.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
+        # gammainc answers nan for a bad shape or a negative x; stats_ks
+        # refuses that and any non-finite sample
+        for x, shape in ((2.0, -1.0), (2.0, math.nan), (-1.0, 2.0), (math.nan, 1.0), (math.inf, 1.0)):
             with pytest.raises(ParameterError):
-                gamma_cdf(x, shape)
+                stats_ks([x], lambda xs: gammainc(shape, xs))
 
 
 class TestExactDistribution:
@@ -198,27 +208,27 @@ class TestKolmogorovSmirnov:
     def test_null_distribution_small_statistic(self):
         rng = np.random.default_rng(123)
         samples = rng.random(10**5)
-        assert stats_ks(samples, lambda x: min(max(x, 0.0), 1.0)) < 0.006
+        assert stats_ks(samples, lambda xs: np.clip(xs, 0.0, 1.0)) < 0.006
 
     def test_constant_samples_vs_continuous_cdf(self):
-        assert stats_ks([2.0] * 50, lambda x: -math.expm1(-x)) >= 0.5
+        assert stats_ks([2.0] * 50, lambda xs: -np.expm1(-xs)) >= 0.5
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         samples = list(rng.exponential(size=200))
-        cdf = lambda x: -math.expm1(-x)
+        cdf = lambda xs: -np.expm1(-xs)
         shuffled = list(samples)
         rng.shuffle(shuffled)
         assert stats_ks(samples, cdf) == stats_ks(shuffled, cdf)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            stats_ks([], lambda x: x)
+            stats_ks([], lambda xs: xs)
 
     def test_matches_scipy_one_sample(self):
         rng = np.random.default_rng(9)
         samples = rng.exponential(size=777)
-        mine = stats_ks(samples, lambda x: -math.expm1(-x))
+        mine = stats_ks(samples, lambda xs: -np.expm1(-xs))
         ref = scipy.stats.kstest(samples, scipy.stats.expon.cdf).statistic
         assert mine == pytest.approx(ref, abs=1e-12)
 

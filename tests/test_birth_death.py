@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
 from chasescape import (
     InitMode,
@@ -12,11 +13,9 @@ from chasescape import (
     Params,
     ResourceLimitError,
     exact_distribution_W,
-    gamma_cdf,
     make_rng,
     run_coupling,
     sample_limit_sum,
-    sample_terminal_gamma_direct,
     sample_terminal_gamma_process,
     simulate_birth_times,
     simulate_death_times,
@@ -236,22 +235,20 @@ class TestTerminalSamplers:
     def test_gamma_direct_mean_and_laplace(self):
         alpha = 2.5
         rng = make_rng(stream_seed(37, 1))
-        draws = np.array(
-            [sample_terminal_gamma_direct(alpha, rng) for _ in range(50000)]
-        )
+        draws = rng.standard_gamma(alpha, size=50000)
         assert _mean_within_3se(draws, alpha)
         assert _mean_within_3se(np.exp(-draws), 2.0**-alpha)
 
     def test_gamma_direct_alpha_one_is_exponential(self):
         rng = make_rng(stream_seed(37, 2))
-        draws = np.array([sample_terminal_gamma_direct(1.0, rng) for _ in range(30000)])
-        assert stats_ks(draws, lambda x: -math.expm1(-x)) < 0.012
+        draws = rng.standard_gamma(1.0, size=30000)
+        assert stats_ks(draws, lambda xs: -np.expm1(-xs)) < 0.012
 
     def test_gamma_direct_small_alpha(self):
         rng = make_rng(stream_seed(37, 3))
-        draws = np.array([sample_terminal_gamma_direct(0.4, rng) for _ in range(30000)])
+        draws = rng.standard_gamma(0.4, size=30000)
         assert _mean_within_3se(draws, 0.4)
-        assert stats_ks(draws, lambda x: gamma_cdf(x, 0.4)) < 0.012
+        assert stats_ks(draws, lambda xs: gammainc(0.4, xs)) < 0.012
 
     def test_process_horizon_zero_is_exactly_one(self):
         assert sample_terminal_gamma_process(3.0, 0.0, make_rng(0)) == 1.0
@@ -300,9 +297,7 @@ class TestTerminalSamplers:
         alpha, trials = 1.5, 50000
         rng = make_rng(stream_seed(37, 8))
         sums = np.array([sample_limit_sum(alpha, 40.0, rng) for _ in range(trials)])
-        direct = np.array(
-            [sample_terminal_gamma_direct(alpha, rng) for _ in range(trials)]
-        )
+        direct = rng.standard_gamma(alpha, size=trials)
         assert stats_ks_two_sample(sums, direct) < 0.012
 
     def test_all_three_gamma_routes_agree_pairwise(self):
@@ -310,7 +305,7 @@ class TestTerminalSamplers:
         # the same distribution; 10^5 samples each at the default horizons
         alpha, trials = 1.5, 10**5
         rng = make_rng(stream_seed(38, 0))
-        direct = np.array([sample_terminal_gamma_direct(alpha, rng) for _ in range(trials)])
+        direct = rng.standard_gamma(alpha, size=trials)
         rng = make_rng(stream_seed(38, 1))
         process = np.array(
             [sample_terminal_gamma_process(alpha, 12.0, rng) for _ in range(trials)]
@@ -322,8 +317,6 @@ class TestTerminalSamplers:
         assert stats_ks_two_sample(process, sums) < 0.01
 
     def test_sampler_validation(self):
-        with pytest.raises(ParameterError):
-            sample_terminal_gamma_direct(-1.0, make_rng(0))
         with pytest.raises(ParameterError):
             sample_terminal_gamma_process(1.0, -2.0, make_rng(0))
         with pytest.raises(ParameterError):

@@ -11,16 +11,12 @@ from chasescape import (
     ParameterError,
     Params,
     PopulationState,
-    Trajectory,
     exact_distribution_W,
-    gamma_cdf,
     initial_state,
     make_rng,
     prob_gamma_less_exp_closed,
-    record_trajectory,
     run_to_fixation,
     sample_limit_sum,
-    sample_terminal_gamma_direct,
     sample_terminal_gamma_process,
     simulate_birth_times,
     simulate_death_times,
@@ -30,6 +26,12 @@ from chasescape import (
 from chasescape.chain import JumpRecord, check_trajectory
 
 KORTCHEMSKI = InitMode.KORTCHEMSKI
+
+
+def _recorded(params, rng):
+    records = []
+    run_to_fixation(params, rng, records)
+    return records
 
 
 class TestParams:
@@ -70,7 +72,6 @@ class TestParams:
             pytest.param(lambda rng: simulate_death_times(3, True, rng), id="death-lam"),
             pytest.param(lambda rng: simulate_birth_times(True, 3, rng), id="birth-alpha"),
             pytest.param(lambda rng: simulate_birth_times(1.0, True, rng), id="birth-k"),
-            pytest.param(lambda rng: sample_terminal_gamma_direct(True, rng), id="direct"),
             pytest.param(
                 lambda rng: sample_terminal_gamma_process(True, 1.0, rng), id="process-alpha"
             ),
@@ -79,7 +80,6 @@ class TestParams:
             ),
             pytest.param(lambda rng: sample_limit_sum(True, 1.0, rng), id="limit-sum-alpha"),
             pytest.param(lambda rng: sample_limit_sum(1.0, True, rng), id="limit-sum-T"),
-            pytest.param(lambda rng: gamma_cdf(1.0, True), id="gamma-cdf"),
             pytest.param(lambda rng: prob_gamma_less_exp_closed(True), id="closed-form"),
             pytest.param(lambda rng: stats_wilson_ci(True, 10, 0.95), id="wilson-successes"),
             pytest.param(lambda rng: stats_wilson_ci(1, True, 0.95), id="wilson-trials"),
@@ -131,13 +131,14 @@ class TestInitialState:
 @settings(max_examples=200, deadline=None)
 def test_recorded_trajectories_pass_the_checker(n, lam, alpha, mode, seed):
     p = Params(n, lam, alpha, mode)
-    trajectory = record_trajectory(p, make_rng(seed))
-    check_trajectory(trajectory, p)
+    records = _recorded(p, make_rng(seed))
+    check_trajectory(records, p)
     # what the checker's legal-transition test implies: the layer index
     # r + 2b advances by one per jump, and at most 2 * (vertex count) jumps
-    layers = [s.r + 2 * s.b for s in trajectory.states()]
+    states = [initial_state(p)] + [rec.state for rec in records]
+    layers = [s.r + 2 * s.b for s in states]
     assert layers == list(range(layers[0], layers[0] + len(layers)))
-    assert len(trajectory.records) <= 2 * p.total_vertices
+    assert len(records) <= 2 * p.total_vertices
 
 
 class TestRunToFixation:
@@ -176,7 +177,7 @@ class TestRunToFixation:
                 p = Params(n, 1.2, 0.9, mode)
                 for seed in seeds:
                     plain = run_to_fixation(p, make_rng(seed))
-                    recorded = record_trajectory(p, make_rng(seed)).fixation_result()
+                    recorded = run_to_fixation(p, make_rng(seed), [])
                     assert plain == recorded
 
     @pytest.mark.parametrize("mode", list(InitMode))
@@ -187,7 +188,7 @@ class TestRunToFixation:
         rate = p.lam * w + b + p.conversion_rate
         for seed in range(200):
             u_event, u_hold = make_rng(seed).random(2)
-            first = record_trajectory(p, make_rng(seed)).records[0]
+            first = _recorded(p, make_rng(seed))[0]
             assert first.time == -math.log1p(-u_hold) / (r * rate)
             assert (first.event is EventKind.GROW) == (u_event < p.lam * w / rate)
 
@@ -240,28 +241,34 @@ class TestRunToFixation:
 class TestTrajectory:
     def test_invariants(self):
         p = Params(100, 1.0, 4.0)
-        traj = record_trajectory(p, make_rng(stream_seed(16, 0)))
-        check_trajectory(traj, p)
-        assert traj.records[-1].state.r == 0
-        assert all(sum(rec.state) == 101 for rec in traj.records)
+        records = _recorded(p, make_rng(stream_seed(16, 0)))
+        check_trajectory(records, p)
+        assert records[-1].state.r == 0
+        assert all(sum(rec.state) == 101 for rec in records)
 
     def test_fixation_result_consistent(self):
+        # the kernel's result is what its own records end at
         p = Params(30, 1.0, 1.5)
-        traj = record_trajectory(p, make_rng(77))
-        res = traj.fixation_result()
-        assert res == run_to_fixation(p, make_rng(77))
+        records = []
+        res = run_to_fixation(p, make_rng(77), records)
+        last = records[-1]
+        assert res.white_survivors == last.state.w
+        assert res.blue_total == last.state.b
+        assert res.conversions == sum(rec.event is EventKind.CONVERT for rec in records)
+        assert res.fixation_time == last.time
+        assert res.jump_count == len(records)
 
     def test_kortchemski_trajectory(self):
         p = Params(20, 1.0, 0.0, InitMode.KORTCHEMSKI)
-        traj = record_trajectory(p, make_rng(5))
-        check_trajectory(traj, p)
-        assert traj.initial == (1, 1, 20)
-        assert all(rec.event is not EventKind.CONVERT for rec in traj.records)
+        records = _recorded(p, make_rng(5))
+        check_trajectory(records, p)
+        assert initial_state(p) == (1, 1, 20)
+        assert all(rec.event is not EventKind.CONVERT for rec in records)
 
     def test_checker_accepts_plain_rows(self):
         p = Params(25, 1.0, 2.0)
-        traj = record_trajectory(p, make_rng(3))
-        check_trajectory([tuple(rec) for rec in traj.records], p)
+        records = _recorded(p, make_rng(3))
+        check_trajectory([tuple(rec) for rec in records], p)
 
 
 def _tamper(records, index, **changes):
@@ -275,15 +282,15 @@ class TestCheckerRejects:
 
     def _records(self):
         # seed 2 gives a run with several jumps
-        records = list(record_trajectory(self.P, make_rng(2)).records)
+        records = _recorded(self.P, make_rng(2))
         assert len(records) >= 3
         return records
 
     def test_wrong_initial_state(self):
-        traj = record_trajectory(self.P, make_rng(2))
-        bad = Trajectory(initial=PopulationState(1, 1, 9), records=traj.records)
-        with pytest.raises(AssertionError, match="initial"):
-            check_trajectory(bad, self.P)
+        # same vertex count, but this path starts at (1, 1, 9), not (1, 0, 10)
+        other = Params(9, 1.0, 1.0, InitMode.KORTCHEMSKI)
+        with pytest.raises(AssertionError, match="illegal transition"):
+            check_trajectory(_recorded(other, make_rng(2)), self.P)
 
     def test_no_jumps(self):
         with pytest.raises(AssertionError, match="no jumps"):
@@ -312,7 +319,7 @@ class TestCheckerRejects:
 
     def test_conversion_in_kortchemski_mode(self):
         p = Params(10, 1.0, 0.0, InitMode.KORTCHEMSKI)
-        records = list(record_trajectory(p, make_rng(1)).records)
+        records = _recorded(p, make_rng(1))
         k = next(i for i, rec in enumerate(records) if rec.event is EventKind.CHASE)
         with pytest.raises(AssertionError, match="conversion"):
             check_trajectory(_tamper(records, k, event=EventKind.CONVERT), p)

@@ -5,8 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from chasescape.cli import main
-from chasescape.chain import check_trajectory
-from chasescape.harness import read_trajectory_csv
+from chasescape.chain import check_trajectory, read_trajectory_csv
 from chasescape.params import Params
 
 

@@ -19,19 +19,18 @@ from chasescape import (
     Params,
     exact_distribution_W,
     make_rng,
-    record_trajectory,
     run_coupling,
     run_experiment,
     stream_seed,
 )
 from chasescape import harness
-from chasescape.chain import check_trajectory
-from chasescape.harness import (
-    canonical_json,
+from chasescape.chain import (
+    check_trajectory,
     read_trajectory_csv,
-    run_trials,
+    run_to_fixation,
     write_trajectory_csv,
 )
+from chasescape.harness import canonical_json, run_trials
 from chasescape.rng import splitmix64, stream_seeds, trial_rngs
 
 
@@ -301,25 +300,29 @@ class TestJsonContract:
         assert keys[-1] == "histogram"
 
 
+def _csv(params, rng) -> str:
+    records = []
+    run_to_fixation(params, rng, records)
+    buf = io.StringIO()
+    write_trajectory_csv(records, buf)
+    return buf.getvalue()
+
+
 class TestTrajectoryCsv:
     def test_write_read_check(self):
         params = Params(40, 1.0, 2.0)
-        trajectory = record_trajectory(params, make_rng(stream_seed(3, 0)))
+        records = []
+        run_to_fixation(params, make_rng(stream_seed(3, 0)), records)
         buf = io.StringIO()
-        write_trajectory_csv(trajectory, buf)
+        write_trajectory_csv(records, buf)
         buf.seek(0)
         rows = read_trajectory_csv(buf)
         check_trajectory(rows, params)
-        assert rows == list(trajectory.records)
+        assert rows == records
 
     def test_same_seed_byte_identical(self):
         params = Params(15, 1.0, 1.0)
-        outs = []
-        for _ in range(2):
-            buf = io.StringIO()
-            write_trajectory_csv(record_trajectory(params, make_rng(11)), buf)
-            outs.append(buf.getvalue())
-        assert outs[0] == outs[1]
+        assert _csv(params, make_rng(11)) == _csv(params, make_rng(11))
 
     def test_reader_rejects_bad_header(self):
         with pytest.raises(ParameterError):
@@ -327,9 +330,7 @@ class TestTrajectoryCsv:
 
     def test_checker_rejects_tampered_rows(self):
         params = Params(10, 1.0, 1.0)
-        buf = io.StringIO()
-        write_trajectory_csv(record_trajectory(params, make_rng(2)), buf)
-        lines = buf.getvalue().splitlines()
+        lines = _csv(params, make_rng(2)).splitlines()
         fields = lines[1].split(",")
         fields[2] = str(int(fields[2]) + 1)  # corrupt the red count
         lines[1] = ",".join(fields)
@@ -340,9 +341,7 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize("index", ["0", "3", "x"])
     def test_reader_rejects_bad_jump_index(self, index):
         params = Params(10, 1.0, 1.0)
-        buf = io.StringIO()
-        write_trajectory_csv(record_trajectory(params, make_rng(2)), buf)
-        lines = buf.getvalue().splitlines()
+        lines = _csv(params, make_rng(2)).splitlines()
         lines[2] = ",".join([index] + lines[2].split(",")[1:])
         with pytest.raises(ValueError):
             read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))

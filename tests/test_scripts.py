@@ -1,0 +1,34 @@
+"""The experiment scripts still run against the package API.
+
+No test imports them, so each runs once in a subprocess on a small input.
+"""
+
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from chasescape.chain import check_trajectory, read_trajectory_csv
+from chasescape.params import Params
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv: str) -> None:
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_trajectory_batch_runs(tmp_path):
+    dump = tmp_path / "first.csv"
+    run_script("scripts/trajectory_batch.py", "--seeds", "3", "--n", "10", "--dump-first", str(dump))
+    rows = read_trajectory_csv(io.StringIO(dump.read_text(encoding="utf-8")))
+    check_trajectory(rows, Params(10, 1.0, 4.0))
+
+
+def test_trend_sweep_runs():
+    run_script("scripts/trend_sweep.py", "--ns", "10", "20", "--trials", "50")
