@@ -27,6 +27,8 @@ def main() -> int:
     parser.add_argument("--seed-base", type=int, default=0)
     parser.add_argument("--dump-first", default=None, help="write seed 0's trajectory CSV here")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     params = Params(n=args.n, lam=args.lam, alpha=args.alpha)
     w_samples = []
@@ -40,7 +42,9 @@ def main() -> int:
 
     w = np.array(w_samples)
     print(f"config: n={args.n} lambda={args.lam} alpha={args.alpha} seeds={args.seeds}")
-    print(f"W mean={w.mean():.3f} sd={w.std(ddof=1):.3f} min={w.min()} max={w.max()}")
+    # a sample sd needs two samples
+    sd = f" sd={w.std(ddof=1):.3f}" if w.size > 1 else ""
+    print(f"W mean={w.mean():.3f}{sd} min={w.min()} max={w.max()}")
     print(f"extinctions (W=0): {int((w == 0).sum())}")
     counts = Counter(w_samples)
     head = ", ".join(f"W={k}:{counts[k]}" for k in sorted(counts)[:8])

@@ -57,12 +57,6 @@ def expected_excess_closed(alpha: float) -> float:
     return alpha - 1.0 + 2.0 ** -alpha
 
 
-def expected_Z(alpha: float) -> float:
-    """Mean of Z = (1 + Poisson(G - E)) 1{G > E}, assembled from the two
-    closed-form identities rather than hard-coded; equals alpha identically."""
-    return (1.0 - prob_gamma_less_exp_closed(alpha)) + expected_excess_closed(alpha)
-
-
 def _integrate_halfline(f: Callable[[float], float], abs_tol: float = QUADRATURE_ABS_TOL) -> float:
     """Adaptive quadrature of f over [0, inf) via the map u = x / (1 + x).
 

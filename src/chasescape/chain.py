@@ -181,11 +181,14 @@ def read_trajectory_csv(stream: TextIO) -> list[JumpRecord]:
         if len(fields) != len(TRAJECTORY_FIELDS):
             raise ParameterError(f"malformed trajectory row: {raw!r}")
         idx, t, r, b, w, event = fields
-        if int(idx) != len(rows) + 1:
+        try:
+            index = int(idx)
+            record = JumpRecord(float(t), PopulationState(int(r), int(b), int(w)), EventKind(event))
+        except ValueError as exc:
+            raise ParameterError(f"malformed trajectory row: {raw!r} ({exc})") from None
+        if index != len(rows) + 1:
             raise ParameterError(f"jump_index {idx} out of order (expected {len(rows) + 1})")
-        rows.append(
-            JumpRecord(float(t), PopulationState(int(r), int(b), int(w)), EventKind(event))
-        )
+        rows.append(record)
     if not rows:
         raise ParameterError("trajectory CSV has no data rows")
     return rows

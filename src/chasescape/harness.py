@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -86,23 +86,11 @@ class EstimatorSummary:
     params: dict
     histogram: list[int] | None = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "estimator": self.estimator,
-            "engine": self.engine,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "ci95": list(self.ci95),
-            "trials": self.trials,
-            "seed": self.seed,
-            "params": self.params,
-        }
-        if self.histogram is not None:
-            out["histogram"] = self.histogram
-        return out
-
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        doc = asdict(self)
+        if self.histogram is None:
+            del doc["histogram"]
+        return canonical_json(doc)
 
 
 def canonical_json(obj) -> str:
@@ -231,15 +219,14 @@ def summarize(
         estimate = successes / trials
         std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
         ci = stats_wilson_ci(successes, trials, 0.95)
-    elif config.estimator is Estimator.EXPECTED_W:
-        estimate, std_error, ci = _mean_summary(w.astype(np.float64))
     elif config.estimator is Estimator.CONVERSION_OVER_LOG_N:
         estimate, std_error, ci = _mean_summary(c / math.log(config.params.n))
     elif config.estimator is Estimator.TAU_OVER_LOG_N:
         estimate, std_error, ci = _mean_summary(tau / math.log(config.params.n))
-    else:
+    else:  # expected_w, and w_histogram with its bins
         estimate, std_error, ci = _mean_summary(w.astype(np.float64))
-        histogram = np.bincount(w, minlength=config.params.n + 1).tolist()
+        if config.estimator is Estimator.W_HISTOGRAM:
+            histogram = np.bincount(w, minlength=config.params.n + 1).tolist()
     return EstimatorSummary(
         estimator=config.estimator.value,
         engine=config.engine.value,

@@ -71,14 +71,26 @@ class CriterionResult:
         }
 
 
-def _three_se_check(mean: float, target: float, sd: float, count: int) -> dict:
-    se = sd / math.sqrt(count)
+def _three_se_check(measured: float, expected: float, se: float) -> dict:
     return {
-        "measured": mean,
-        "expected": target,
+        "measured": measured,
+        "expected": expected,
         "tolerance_3se": 3.0 * se,
-        "ok": abs(mean - target) <= 3.0 * se,
+        "ok": abs(measured - expected) <= 3.0 * se,
     }
+
+
+def _gap_ladder(key: str, value: Callable[[int], float], limit: float) -> list[dict]:
+    """``{n, key: value(n), gap}`` rows at n = 100, 400, 1600; gap = |value - limit|."""
+    rows = []
+    for n in (100, 400, 1600):
+        v = value(n)
+        rows.append({"n": n, key: v, "gap": abs(v - limit)})
+    return rows
+
+
+def _strictly_decreasing(rows: list[dict], key: str = "gap") -> bool:
+    return all(a[key] > b[key] for a, b in zip(rows, rows[1:]))
 
 
 def check_appendix_identities() -> tuple[bool, dict]:
@@ -102,8 +114,7 @@ def check_terminal_laws() -> tuple[bool, dict]:
     mean_check = _three_se_check(
         float(process_vals.mean()),
         3.0 - 2.0 * math.exp(-12.0),
-        float(process_vals.std(ddof=1)),
-        n_samples,
+        float(process_vals.std(ddof=1)) / math.sqrt(n_samples),
     )
     ks_process = stats_ks(process_vals, lambda xs: gammainc(3.0, xs))
 
@@ -117,7 +128,7 @@ def check_terminal_laws() -> tuple[bool, dict]:
         -np.array([sample_limit_sum(2.0, 40.0, rng) for _ in range(n_samples)])
     )
     laplace_check = _three_se_check(
-        float(laplace_vals.mean()), 0.25, float(laplace_vals.std(ddof=1)), n_samples
+        float(laplace_vals.mean()), 0.25, float(laplace_vals.std(ddof=1)) / math.sqrt(n_samples)
     )
 
     details = {
@@ -148,12 +159,7 @@ def _engine_agreement(
         "engine": engine.value,
         "n": n,
         "trials": trials,
-        "extinction": {
-            "measured": p_hat,
-            "expected": p_exact,
-            "tolerance_3se": 3.0 * se,
-            "ok": abs(p_hat - p_exact) <= 3.0 * se,
-        },
+        "extinction": _three_se_check(p_hat, p_exact, se),
         "chi_square": {
             "statistic": chi.statistic,
             "dof": chi.dof,
@@ -202,11 +208,10 @@ def check_alpha_one_equivalence() -> tuple[bool, dict]:
 
 def check_extinction_trend() -> tuple[bool, dict]:
     target = extinction_limit(1.0, 2.0)
-    gaps = []
-    for n in (100, 400, 1600):
-        p = exact_distribution_W(n, 1.0, 2.0).extinction_probability
-        gaps.append({"n": n, "extinction": p, "gap": abs(p - target)})
-    decreasing = gaps[0]["gap"] > gaps[1]["gap"] > gaps[2]["gap"]
+    gaps = _gap_ladder(
+        "extinction", lambda n: exact_distribution_W(n, 1.0, 2.0).extinction_probability, target
+    )
+    decreasing = _strictly_decreasing(gaps)
     sub = exact_distribution_W(1600, 0.5, 2.0).extinction_probability
     sup = exact_distribution_W(1600, 2.0, 2.0).extinction_probability
     details = {
@@ -224,11 +229,10 @@ def check_expected_white_trend() -> tuple[bool, dict]:
     passed = True
     for alpha in (1.0, 3.0):
         limit = expected_white_limit(alpha)
-        ladder = []
-        for n in (100, 400, 1600):
-            ew = exact_distribution_W(n, 1.0, alpha).expected_w
-            ladder.append({"n": n, "expected_w": ew, "gap": abs(ew - limit)})
-        decreasing = ladder[0]["gap"] > ladder[1]["gap"] > ladder[2]["gap"]
+        ladder = _gap_ladder(
+            "expected_w", lambda n: exact_distribution_W(n, 1.0, alpha).expected_w, limit
+        )
+        decreasing = _strictly_decreasing(ladder)
         passed = passed and decreasing
         out[f"alpha_{alpha}"] = {
             "limit": limit,
@@ -261,12 +265,8 @@ def check_conversion_trend() -> tuple[bool, dict]:
                 "fraction_outside_band": float(np.mean(np.abs(scaled - target) > 1.0)),
             }
         )
-    mean_decreasing = rows[0]["gap"] > rows[1]["gap"] > rows[2]["gap"]
-    frac_decreasing = (
-        rows[0]["fraction_outside_band"]
-        > rows[1]["fraction_outside_band"]
-        > rows[2]["fraction_outside_band"]
-    )
+    mean_decreasing = _strictly_decreasing(rows)
+    frac_decreasing = _strictly_decreasing(rows, "fraction_outside_band")
     details = {
         "limit": target,
         "ladder": rows,
@@ -299,7 +299,7 @@ def check_z_identity() -> tuple[bool, dict]:
     g = rng.standard_gamma(alpha, size=n_samples)
     e = -np.log1p(-rng.random(n_samples))
     z = np.where(g > e, 1.0 + rng.poisson(np.clip(g - e, 0.0, None)), 0.0)
-    check = _three_se_check(float(z.mean()), alpha, float(z.std(ddof=1)), n_samples)
+    check = _three_se_check(float(z.mean()), alpha, float(z.std(ddof=1)) / math.sqrt(n_samples))
     return check["ok"], check
 
 

@@ -8,12 +8,10 @@ from scipy.special import gammainc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chasescape import (
-    InitMode,
-    ParameterError,
+from chasescape import InitMode, ParameterError, exact_distribution_W
+from chasescape.analytics import (
+    chi_square_gof,
     conversion_growth_limit,
-    exact_distribution_W,
-    expected_Z,
     expected_excess_closed,
     expected_excess_quadrature,
     expected_white_limit,
@@ -24,7 +22,6 @@ from chasescape import (
     stats_ks_two_sample,
     stats_wilson_ci,
 )
-from chasescape.analytics import chi_square_gof
 
 ALPHA_GRID = (0.1, 0.3, 1.0, 2.0, 2.5, 4.0, 8.0)
 
@@ -60,10 +57,6 @@ class TestClosedForms:
         assert expected_excess_closed(1.0) == 0.5
         assert expected_excess_closed(2.0) == 1.25
         assert expected_excess_closed(1e-9) == pytest.approx(0.0, abs=1e-8)
-
-    def test_expected_Z_is_alpha(self):
-        for alpha in ALPHA_GRID:
-            assert expected_Z(alpha) == pytest.approx(alpha, abs=1e-12)
 
 
 class TestQuadratureOracles:

@@ -15,16 +15,16 @@ from chasescape import (
     exact_distribution_W,
     make_rng,
     run_coupling,
+    stream_seed,
+)
+from chasescape import harness
+from chasescape.analytics import chi_square_gof, stats_ks, stats_ks_two_sample
+from chasescape.birth_death import (
     sample_limit_sum,
     sample_terminal_gamma_process,
     simulate_birth_times,
     simulate_death_times,
-    stats_ks,
-    stats_ks_two_sample,
-    stream_seed,
 )
-from chasescape import harness
-from chasescape.analytics import chi_square_gof
 from chasescape.params import MAX_N
 
 

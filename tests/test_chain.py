@@ -6,24 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasescape import (
-    EventKind,
     InitMode,
     ParameterError,
     Params,
-    PopulationState,
     exact_distribution_W,
-    initial_state,
     make_rng,
-    prob_gamma_less_exp_closed,
     run_to_fixation,
+    stream_seed,
+)
+from chasescape.analytics import prob_gamma_less_exp_closed, stats_wilson_ci
+from chasescape.birth_death import (
     sample_limit_sum,
     sample_terminal_gamma_process,
     simulate_birth_times,
     simulate_death_times,
-    stats_wilson_ci,
-    stream_seed,
 )
-from chasescape.chain import JumpRecord, check_trajectory
+from chasescape.chain import (
+    EventKind,
+    JumpRecord,
+    PopulationState,
+    check_trajectory,
+    initial_state,
+)
 
 KORTCHEMSKI = InitMode.KORTCHEMSKI
 

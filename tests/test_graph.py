@@ -6,24 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chasescape import (
-    EventKind,
     InitMode,
-    NoTransitionError,
     ParameterError,
     Params,
     ResourceLimitError,
-    VertexColor,
     complete_graph,
     exact_distribution_W,
-    graph_jump,
     make_rng,
-    parse_edge_list,
     run_graph_to_fixation,
     stream_seed,
 )
 from chasescape.analytics import chi_square_gof
 from chasescape import graph
-from chasescape.graph import GraphState, IndexedSet
+from chasescape.chain import EventKind
+from chasescape.graph import GraphState, IndexedSet, VertexColor, graph_jump, parse_edge_list
+from chasescape.params import NoTransitionError
 
 
 class TestIndexedSet:

@@ -12,7 +12,6 @@ import pytest
 from chasescape import (
     Engine,
     Estimator,
-    EstimatorSummary,
     ExperimentConfig,
     InitMode,
     ParameterError,
@@ -25,6 +24,7 @@ from chasescape import (
 )
 from chasescape import harness
 from chasescape.chain import (
+    TRAJECTORY_FIELDS,
     check_trajectory,
     read_trajectory_csv,
     run_to_fixation,
@@ -266,13 +266,17 @@ class TestEngineSummaries:
 
 
 def test_import_does_not_load_scipy_integrate():
-    # scipy is most of the import time; the functions that need it import it
-    code = "import sys, chasescape; print('scipy.integrate' in sys.modules, 'scipy' in sys.modules)"
+    # scipy is most of the import time; the functions that need it import it,
+    # and only the CLI's verify command imports the verify module
+    code = (
+        "import sys, chasescape; print('scipy.integrate' in sys.modules, 'scipy' in sys.modules,"
+        " 'chasescape.verify' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
     ).stdout
-    assert out.strip() == "False False"
+    assert out.strip() == "False False False"
 
 
 def test_z975_literal_is_scipys_quantile():
@@ -345,3 +349,23 @@ class TestTrajectoryCsv:
         lines[2] = ",".join([index] + lines[2].split(",")[1:])
         with pytest.raises(ValueError):
             read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("jump_index", "2.0"),
+            ("time", "abc"),
+            ("r", "x"),
+            ("b", "1.5"),
+            ("w", "nan"),
+            ("event", "teleport"),
+        ],
+    )
+    def test_reader_rejects_unparseable_field(self, column, value):
+        lines = _csv(Params(10, 1.0, 1.0), make_rng(2)).splitlines()
+        fields = lines[2].split(",")
+        fields[TRAJECTORY_FIELDS.index(column)] = value
+        lines[2] = ",".join(fields)
+        with pytest.raises(ParameterError, match="malformed trajectory row") as info:
+            read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert repr(lines[2] + "\n") in str(info.value)

@@ -1,0 +1,81 @@
+"""The package exports what the scripts and the benchmark reach, and no more.
+
+Everything else is imported from its module.  These checks read
+``scripts/*.py`` and ``perfbench/*.py`` (which no test imports) so that a
+later trim of ``__all__`` cannot break them silently.
+"""
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+import chasescape
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PACKAGE_NAMES = {
+    "Engine",
+    "Estimator",
+    "ExperimentConfig",
+    "InitMode",
+    "ParameterError",
+    "Params",
+    "ResourceLimitError",
+    "complete_graph",
+    "exact_distribution_W",
+    "make_rng",
+    "run_coupling",
+    "run_experiment",
+    "run_graph_to_fixation",
+    "run_to_fixation",
+    "stream_seed",
+}
+
+
+def _package_names(source: str) -> set[str]:
+    """Names taken from the package: ``from chasescape import X`` and
+    ``<alias>.X`` for every name bound to the package itself, including
+    ``<alias>.X`` inside string literals (code run in a subprocess)."""
+    tree = ast.parse(source)
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "chasescape" and not node.level:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "chasescape":
+                    aliases.add(alias.asname or "chasescape")
+                elif alias.name.startswith("chasescape.") and alias.asname is None:
+                    aliases.add("chasescape")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for alias in aliases:
+                names.update(re.findall(rf"\b{re.escape(alias)}\.([A-Za-z_]\w*)", node.value))
+    return names
+
+
+def _resolves(name: str) -> bool:
+    if name in chasescape.__all__ or name.startswith("__"):
+        return hasattr(chasescape, name)
+    return importlib.util.find_spec(f"chasescape.{name}") is not None
+
+
+def test_all_is_the_fifteen_names():
+    assert set(chasescape.__all__) == PACKAGE_NAMES
+    assert len(chasescape.__all__) == len(PACKAGE_NAMES)
+
+
+def test_scripts_and_perfbench_reach_only_the_package_surface():
+    sources = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    used = {}
+    for path in sources:
+        for name in _package_names(path.read_text(encoding="utf-8")):
+            used.setdefault(name, []).append(path.name)
+    # the walker sees both kinds of use: exported names and submodules
+    assert {"Params", "run_coupling", "harness", "cli"} <= set(used)
+    missing = {name: files for name, files in used.items() if not _resolves(name)}
+    assert not missing, f"not exported and not a submodule: {missing}"

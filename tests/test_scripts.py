@@ -15,12 +15,13 @@ from chasescape.params import Params
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(*argv: str) -> None:
+def run_script(*argv: str, returncode: int = 0) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(
         [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 def test_trajectory_batch_runs(tmp_path):
@@ -28,6 +29,18 @@ def test_trajectory_batch_runs(tmp_path):
     run_script("scripts/trajectory_batch.py", "--seeds", "3", "--n", "10", "--dump-first", str(dump))
     rows = read_trajectory_csv(io.StringIO(dump.read_text(encoding="utf-8")))
     check_trajectory(rows, Params(10, 1.0, 4.0))
+
+
+def test_trajectory_batch_refuses_zero_seeds():
+    proc = run_script("scripts/trajectory_batch.py", "--seeds", "0", returncode=2)
+    assert "--seeds must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_trajectory_batch_one_seed_prints_no_sd():
+    proc = run_script("scripts/trajectory_batch.py", "--seeds", "1", "--n", "10")
+    assert "W mean=" in proc.stdout and "sd=" not in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_trend_sweep_runs():
