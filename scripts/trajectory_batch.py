@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from chasescape import Params, make_rng, run_to_fixation, stream_seed
+from chasescape import ParameterError, Params, make_rng, run_to_fixation, stream_seed
 from chasescape.chain import write_trajectory_csv
 
 
@@ -30,7 +30,10 @@ def main() -> int:
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
-    params = Params(n=args.n, lam=args.lam, alpha=args.alpha)
+    try:
+        params = Params(n=args.n, lam=args.lam, alpha=args.alpha)
+    except ParameterError as exc:
+        parser.error(str(exc))
     w_samples = []
     for i in range(args.seeds):
         records = [] if i == 0 and args.dump_first else None

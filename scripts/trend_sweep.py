@@ -12,7 +12,7 @@ tau_over_log_n -> 1.  Example:
 import argparse
 import sys
 
-from chasescape import Engine, Estimator, ExperimentConfig, Params, run_experiment
+from chasescape import Engine, Estimator, ExperimentConfig, ParameterError, Params, run_experiment
 
 
 def main() -> int:
@@ -28,16 +28,23 @@ def main() -> int:
     parser.add_argument("--parallelism", type=int, default=1)
     args = parser.parse_args()
 
+    try:
+        configs = [
+            ExperimentConfig(
+                params=Params(n=n, lam=args.lam, alpha=args.alpha),
+                trials=args.trials,
+                seed=args.seed + i,
+                estimator=Estimator(args.estimator),
+                engine=Engine(args.engine),
+                parallelism=args.parallelism,
+            )
+            for i, n in enumerate(args.ns)
+        ]
+    except ParameterError as exc:
+        parser.error(str(exc))
+
     print("n,estimate,std_error,ci_lo,ci_hi,trials")
-    for i, n in enumerate(args.ns):
-        config = ExperimentConfig(
-            params=Params(n=n, lam=args.lam, alpha=args.alpha),
-            trials=args.trials,
-            seed=args.seed + i,
-            estimator=Estimator(args.estimator),
-            engine=Engine(args.engine),
-            parallelism=args.parallelism,
-        )
+    for n, config in zip(args.ns, configs):
         s = run_experiment(config)
         print(f"{n},{s.estimate!r},{s.std_error!r},{s.ci95[0]!r},{s.ci95[1]!r},{s.trials}")
     return 0

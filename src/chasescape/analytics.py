@@ -22,6 +22,9 @@ DP_MAX_N = 5000  # the layered state space is O(n^2)
 
 QUADRATURE_ABS_TOL = 1e-10
 
+# two-sided 95% normal quantile, scipy.special.ndtri(0.975) to the last bit
+_Z975 = 1.959963984540054
+
 
 def extinction_limit(lam: float, alpha: float) -> float:
     """Limiting probability that no white site survives.
@@ -172,17 +175,13 @@ def exact_distribution_W(
     )
 
 
-def stats_wilson_ci(successes: int, trials: int, confidence: float) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    from scipy.special import ndtri
-
+def stats_wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if not is_integer(trials) or trials < 1:
         raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
     if not is_integer(successes) or not 0 <= successes <= trials:
         raise ParameterError(f"successes must lie in [0, {trials}], got {successes!r}")
-    if not 0.0 < confidence < 1.0:
-        raise ParameterError(f"confidence must lie in (0, 1), got {confidence!r}")
-    z = float(ndtri(0.5 + confidence / 2.0))
+    z = _Z975
     phat = successes / trials
     shrink = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / shrink
@@ -227,9 +226,8 @@ def stats_ks_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
 @dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float
-    dof: int
+    dof: int  # one less than the groups compared after pooling
     pvalue: float
-    bins: int  # groups actually compared after pooling
 
 
 def chi_square_gof(
@@ -275,4 +273,4 @@ def chi_square_gof(
     statistic = float(np.sum((go - ge) ** 2 / ge))
     dof = len(ge) - 1
     pvalue = float(gammaincc(dof / 2.0, statistic / 2.0))
-    return ChiSquareResult(statistic=statistic, dof=dof, pvalue=pvalue, bins=len(ge))
+    return ChiSquareResult(statistic=statistic, dof=dof, pvalue=pvalue)

@@ -98,14 +98,15 @@ def coupling_uniforms(params: Params) -> int:
 
 def coupling_block(
     params: Params, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row (W, C, tau, jump count) of coupling trials.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (W, C, tau) of coupling trials.
 
     Row r of ``uniforms`` holds one trial's 3n + 2 uniforms in draw order:
     n for the death spacings, n + 1 for the birth spacings, n + 1 for the
     defective flags.  The red count hits zero at the first birth index m
     with beta[m-1] <= delta[m-1]; if the deaths stay ahead through all n
-    of them the (n+1)-th birth finishes the process.  A floating-point tie
+    of them the (n+1)-th birth finishes the process.  Exactly m - 1 deaths
+    come before that birth, so W = n + 1 - m.  A floating-point tie
     between a birth and a death is broken in favor of the birth, declaring
     extinction; ties have probability zero in exact arithmetic so any fixed
     rule leaves the law unchanged.
@@ -120,10 +121,9 @@ def coupling_block(
     ahead = beta[:, :n] <= delta
     m = np.where(ahead.any(axis=1), ahead.argmax(axis=1) + 1, n + 1)
     tau = beta[np.arange(beta.shape[0]), m - 1]
-    deaths_before = np.count_nonzero(delta < tau[:, None], axis=1)
     flags = _defective_flags(uniforms[:, 2 * n + 1 :], a, offset)
     conversions = np.count_nonzero(flags & (np.arange(n + 1) < m[:, None]), axis=1)
-    return n - deaths_before, conversions, tau, deaths_before + m
+    return n + 1 - m, conversions, tau
 
 
 def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
@@ -143,11 +143,8 @@ def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
     """
     uniforms = np.empty((1, coupling_uniforms(params)))
     rng.random(out=uniforms[0])
-    w, c, tau, jumps = coupling_block(params, uniforms)
-    white = int(w[0])
-    return FixationResult(
-        white, params.total_vertices - white, int(c[0]), float(tau[0]), int(jumps[0])
-    )
+    w, c, tau = coupling_block(params, uniforms)
+    return FixationResult.at_fixation(params, int(w[0]), int(c[0]), float(tau[0]))
 
 
 def sample_terminal_gamma_process(

@@ -43,6 +43,19 @@ class FixationResult:
     fixation_time: float
     jump_count: int
 
+    @classmethod
+    def at_fixation(
+        cls, params: Params, white: int, conversions: int, fixation_time: float
+    ) -> FixationResult:
+        """The result of a run that fixated with ``white`` survivors.
+
+        Every jump either reddens a white or blues a red, and the red count
+        goes from 1 to 0, so the run made 2(n - W) + 1 jumps and left
+        total - W vertices blue.
+        """
+        blue = params.total_vertices - white
+        return cls(white, blue, conversions, fixation_time, 2 * (params.n - white) + 1)
+
 
 class JumpRecord(NamedTuple):
     time: float
@@ -74,7 +87,6 @@ def run_to_fixation(
     total = params.total_vertices
     fixation_time = 0.0
     conversions = 0
-    jumps = 0
     log1p = math.log1p
     grow, chase, convert = EventKind.GROW, EventKind.CHASE, EventKind.CONVERT
     buf = rng.random(min(4 * total, _BUFFER_CHUNK))
@@ -103,11 +115,9 @@ def run_to_fixation(
                 conversions += 1
             r -= 1
             b += 1
-        jumps += 1
         if records is not None:
             records.append(JumpRecord(fixation_time, PopulationState(r, b, w), event))
-    assert jumps <= 2 * total  # each vertex reds at most once and blues at most once
-    return FixationResult(w, total - w, conversions, float(fixation_time), jumps)
+    return FixationResult.at_fixation(params, w, conversions, float(fixation_time))
 
 
 def check_trajectory(

@@ -19,7 +19,6 @@ import numpy as np
 
 from .chain import EventKind, FixationResult
 from .params import (
-    InitMode,
     NoTransitionError,
     ParameterError,
     Params,
@@ -171,7 +170,7 @@ class GraphState:
     selected uniformly within their class in O(1).
     """
 
-    __slots__ = ("colors", "red", "rw", "rb", "white_count")
+    __slots__ = ("colors", "red", "rw", "rb")
 
     def __init__(self, graph: Graph, colors: list[VertexColor]) -> None:
         if len(colors) != graph.vertex_count:
@@ -180,7 +179,6 @@ class GraphState:
         self.red = IndexedSet()
         self.rw = IndexedSet()
         self.rb = IndexedSet()
-        self.white_count = sum(1 for c in colors if c == VertexColor.WHITE)
         for u, c in enumerate(colors):
             if c != VertexColor.RED:
                 continue
@@ -192,18 +190,22 @@ class GraphState:
                     self.rb.add((u, v))
 
     @classmethod
-    def initial(cls, graph: Graph, init_mode: InitMode) -> GraphState:
-        """Vertex 0 red; Kortchemski mode also makes vertex 1 blue."""
-        colors = [VertexColor.WHITE] * graph.vertex_count
-        colors[0] = VertexColor.RED
-        if init_mode is InitMode.KORTCHEMSKI:
-            colors[1] = VertexColor.BLUE
+    def initial(cls, graph: Graph, params: Params) -> GraphState:
+        """The start state of ``params``: its red vertices first, then its
+        blue ones, then n white; ParameterError unless the graph has
+        ``params.total_vertices`` vertices."""
+        if graph.vertex_count != params.total_vertices:
+            raise ParameterError(
+                f"graph has {graph.vertex_count} vertices but n = {params.n} "
+                f"({params.init_mode.value} start) needs {params.total_vertices}"
+            )
+        r0, b0 = params.initial_red_blue
+        colors = [VertexColor.RED] * r0 + [VertexColor.BLUE] * b0 + [VertexColor.WHITE] * params.n
         return cls(graph, colors)
 
     def paint_red(self, graph: Graph, v: int) -> None:
         assert self.colors[v] == VertexColor.WHITE
         self.colors[v] = VertexColor.RED
-        self.white_count -= 1
         self.red.add(v)
         for x in graph.adjacency[v]:
             c = self.colors[x]
@@ -282,20 +284,18 @@ def run_graph_to_fixation(
 ) -> FixationResult:
     """Simulate on ``graph`` until no red vertices remain.
 
-    The initial coloring follows ``params.init_mode``; rates come from
-    ``params.lam`` and the effective conversion rate.  On K_{n+1} the
-    returned statistics have the same law as the count-chain engine.
+    The initial coloring and the vertex count follow ``params`` (see
+    :meth:`GraphState.initial`); rates come from ``params.lam`` and the
+    effective conversion rate.  On K_{n+1} the returned statistics have the
+    same law as the count-chain engine.
     """
-    state = GraphState.initial(graph, params.init_mode)
+    state = GraphState.initial(graph, params)
     fixation_time = 0.0
     conversions = 0
-    jumps = 0
     while len(state.red) > 0:
         event, holding = graph_jump(state, graph, params, rng)
         fixation_time += holding
         if event is EventKind.CONVERT:
             conversions += 1
-        jumps += 1
-    assert jumps <= 2 * graph.vertex_count
-    w = state.white_count
-    return FixationResult(w, graph.vertex_count - w, conversions, fixation_time, jumps)
+    white = state.colors.count(VertexColor.WHITE)
+    return FixationResult.at_fixation(params, white, conversions, fixation_time)

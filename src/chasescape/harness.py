@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytics import stats_wilson_ci
+from .analytics import _Z975, stats_wilson_ci
 from .birth_death import coupling_block, coupling_uniforms
 from .chain import FixationResult, run_to_fixation
 from .graph import complete_graph, load_edge_list, run_graph_to_fixation
@@ -40,9 +40,6 @@ class Estimator(Enum):
     CONVERSION_OVER_LOG_N = "conversion_over_log_n"
     TAU_OVER_LOG_N = "tau_over_log_n"
     W_HISTOGRAM = "w_histogram"
-
-# two-sided 95% normal quantile, scipy.special.ndtri(0.975) to the last bit
-_Z975 = 1.959963984540054
 
 _LOG_N_ESTIMATORS = (Estimator.CONVERSION_OVER_LOG_N, Estimator.TAU_OVER_LOG_N)
 
@@ -141,11 +138,6 @@ def _graph_block(params: Params, graph_file: str | None, seed: int, start: int, 
         graph = complete_graph(params.total_vertices)
     else:
         graph = load_edge_list(graph_file)
-        if graph.vertex_count != params.total_vertices:
-            raise ParameterError(
-                f"{graph_file} has {graph.vertex_count} vertices but n = {params.n} "
-                f"({params.init_mode.value} start) needs {params.total_vertices}"
-            )
     return _per_trial_block(partial(run_graph_to_fixation, graph, params), seed, start, stop)
 
 
@@ -167,7 +159,7 @@ def _coupling_block(
         for row, rng in zip(chunk, rngs):
             rng.random(out=row)
         hi = lo + chunk.shape[0]
-        w[lo:hi], c[lo:hi], tau[lo:hi], _ = coupling_block(params, chunk)
+        w[lo:hi], c[lo:hi], tau[lo:hi] = coupling_block(params, chunk)
     return w, c, tau
 
 
@@ -218,7 +210,7 @@ def summarize(
         successes = int(np.count_nonzero(w == 0))
         estimate = successes / trials
         std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
-        ci = stats_wilson_ci(successes, trials, 0.95)
+        ci = stats_wilson_ci(successes, trials)
     elif config.estimator is Estimator.CONVERSION_OVER_LOG_N:
         estimate, std_error, ci = _mean_summary(c / math.log(config.params.n))
     elif config.estimator is Estimator.TAU_OVER_LOG_N:

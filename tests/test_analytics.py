@@ -162,38 +162,32 @@ class TestExactDistribution:
 
 class TestWilsonCI:
     def test_zero_successes(self):
-        lo, hi = stats_wilson_ci(0, 100, 0.95)
+        lo, hi = stats_wilson_ci(0, 100)
         assert lo == 0.0  # interval must contain the point estimate 0
         assert hi == pytest.approx(0.037, abs=0.002)
 
     def test_symmetric_at_half(self):
-        lo, hi = stats_wilson_ci(50, 100, 0.95)
+        lo, hi = stats_wilson_ci(50, 100)
         assert lo + hi == pytest.approx(1.0, abs=1e-12)
         assert lo < 0.5 < hi
 
     def test_all_successes(self):
-        lo, hi = stats_wilson_ci(100, 100, 0.95)
+        lo, hi = stats_wilson_ci(100, 100)
         assert hi == 1.0
         assert lo < 1.0
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            stats_wilson_ci(5, 0, 0.95)
+            stats_wilson_ci(5, 0)
         with pytest.raises(ParameterError):
-            stats_wilson_ci(11, 10, 0.95)
-        with pytest.raises(ParameterError):
-            stats_wilson_ci(1, 10, 1.5)
+            stats_wilson_ci(11, 10)
 
 
-@given(
-    trials=st.integers(1, 10000),
-    frac=st.floats(0.0, 1.0),
-    confidence=st.floats(0.5, 0.999),
-)
+@given(trials=st.integers(1, 10000), frac=st.floats(0.0, 1.0))
 @settings(max_examples=200, deadline=None)
-def test_wilson_interval_brackets_the_point_estimate(trials, frac, confidence):
+def test_wilson_interval_brackets_the_point_estimate(trials, frac):
     successes = min(trials, int(frac * trials))
-    lo, hi = stats_wilson_ci(successes, trials, confidence)
+    lo, hi = stats_wilson_ci(successes, trials)
     assert 0.0 <= lo <= successes / trials <= hi <= 1.0
 
 
@@ -250,7 +244,7 @@ class TestChiSquare:
         observed = [500, 480, 15, 3, 1, 1]
         probs = [0.5, 0.48, 0.012, 0.004, 0.002, 0.002]
         res = chi_square_gof(observed, probs, min_expected=5.0)
-        assert res.bins < len(observed)
+        assert res.dof + 1 < len(observed)
         assert res.pvalue > 0.001
 
     def test_detects_wrong_distribution(self):

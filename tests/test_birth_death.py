@@ -147,12 +147,12 @@ class TestCoupling:
         n, lam, alpha = 30, 1.0, 1.5
         trials = 10**5
         exact = exact_distribution_W(n, lam, alpha)
-        counts = np.zeros(n + 1, dtype=np.int64)
-        conversions = np.empty(trials, dtype=np.int64)
-        for i in range(trials):
-            res = run_coupling(Params(n, lam, alpha), make_rng(stream_seed(34, i)))
-            counts[res.white_survivors] += 1
-            conversions[i] = res.conversions
+        # the block draws trial i from make_rng(stream_seed(34, i)), as
+        # run_coupling would
+        w, conversions, _ = harness.ENGINE_KERNELS[harness.Engine.COUPLING](
+            Params(n, lam, alpha), None, 34, 0, trials
+        )
+        counts = np.bincount(w, minlength=n + 1)
         chi = chi_square_gof(counts, exact.probabilities)
         assert chi.pvalue > 0.001
         assert _mean_within_3se(conversions, exact.expected_c)

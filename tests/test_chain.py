@@ -14,6 +14,7 @@ from chasescape import (
     run_to_fixation,
     stream_seed,
 )
+from chasescape import harness
 from chasescape.analytics import prob_gamma_less_exp_closed, stats_wilson_ci
 from chasescape.birth_death import (
     sample_limit_sum,
@@ -85,8 +86,8 @@ class TestParams:
             pytest.param(lambda rng: sample_limit_sum(True, 1.0, rng), id="limit-sum-alpha"),
             pytest.param(lambda rng: sample_limit_sum(1.0, True, rng), id="limit-sum-T"),
             pytest.param(lambda rng: prob_gamma_less_exp_closed(True), id="closed-form"),
-            pytest.param(lambda rng: stats_wilson_ci(True, 10, 0.95), id="wilson-successes"),
-            pytest.param(lambda rng: stats_wilson_ci(1, True, 0.95), id="wilson-trials"),
+            pytest.param(lambda rng: stats_wilson_ci(True, 10), id="wilson-successes"),
+            pytest.param(lambda rng: stats_wilson_ci(1, True), id="wilson-trials"),
         ],
     )
     def test_every_entry_point_refuses_bad_rates_and_counts(self, call):
@@ -233,9 +234,10 @@ class TestRunToFixation:
         n, trials = 50, 10**5
         p = Params(n, 1.0, 2.0)
         exact = exact_distribution_W(n, 1.0, 2.0)
-        counts = np.zeros(n + 1)
-        for i in range(trials):
-            counts[run_to_fixation(p, make_rng(stream_seed(51, i))).white_survivors] += 1
+        # the block draws trial i from make_rng(stream_seed(51, i)), as
+        # run_to_fixation would
+        w, _, _ = harness.ENGINE_KERNELS[harness.Engine.CHAIN](p, None, 51, 0, trials)
+        counts = np.bincount(w, minlength=n + 1)
         for k in range(n + 1):
             pk = exact.probabilities[k]
             se = math.sqrt(pk * (1 - pk) / trials)

@@ -193,7 +193,7 @@ class TestBookkeeping:
         p = Params(11, 1.0, 1.0)
         for trial in range(20):
             rng = make_rng(stream_seed(21, trial))
-            state = GraphState.initial(g, p.init_mode)
+            state = GraphState.initial(g, p)
             while len(state.red) > 0:
                 graph_jump(state, g, p, rng)
                 assert state.recount(g) == (len(state.red), len(state.rw), len(state.rb))
@@ -202,13 +202,44 @@ class TestBookkeeping:
         g = complete_graph(10)
         p = Params(9, 1.0, 1.5)
         rng = make_rng(31)
-        state = GraphState.initial(g, p.init_mode)
+        state = GraphState.initial(g, p)
         ever_blue = set()
         while len(state.red) > 0:
             graph_jump(state, g, p, rng)
             now_blue = {v for v, c in enumerate(state.colors) if c == VertexColor.BLUE}
             assert ever_blue <= now_blue
             ever_blue = now_blue
+
+
+def _path_graph(m):
+    return parse_edge_list([f"{v} {v + 1}" for v in range(m - 1)])
+
+
+def test_initial_refuses_a_graph_of_the_wrong_size():
+    # K_{n+2} is the kortchemski graph, one vertex too many for the standard start
+    with pytest.raises(ParameterError, match="12 vertices"):
+        GraphState.initial(complete_graph(12), Params(10, 1.0, 1.0))
+    with pytest.raises(ParameterError, match="11 vertices"):
+        GraphState.initial(complete_graph(11), Params(10, 1.0, 0.0, InitMode.KORTCHEMSKI))
+
+
+@pytest.mark.parametrize("mode", list(InitMode))
+def test_jump_count_is_the_number_of_graph_jumps(mode):
+    # jump_count is derived from W; count the events themselves, on the
+    # complete graph and on a path, where the identity must hold just the same
+    for n in (1, 6, 20):
+        p = Params(n, 1.3, 0.7, mode)
+        for g in (complete_graph(p.total_vertices), _path_graph(p.total_vertices)):
+            for seed in range(25):
+                state = GraphState.initial(g, p)
+                rng = make_rng(stream_seed(24, seed))
+                jumps = 0
+                while len(state.red) > 0:
+                    graph_jump(state, g, p, rng)
+                    jumps += 1
+                res = run_graph_to_fixation(g, p, make_rng(stream_seed(24, seed)))
+                assert res.jump_count == jumps
+                assert res.white_survivors == state.colors.count(VertexColor.WHITE)
 
 
 @given(seed=st.integers(0, 2**32), n=st.integers(2, 12))
@@ -248,10 +279,10 @@ class TestLawAgreement:
     def test_kortchemski_initial_coloring(self):
         g = complete_graph(7)
         p = Params(5, 1.0, 0.0, InitMode.KORTCHEMSKI)
-        state = GraphState.initial(g, p.init_mode)
+        state = GraphState.initial(g, p)
         assert state.colors[0] == VertexColor.RED
         assert state.colors[1] == VertexColor.BLUE
-        assert state.white_count == 5
+        assert state.colors.count(VertexColor.WHITE) == 5
 
     def test_determinism(self):
         g = complete_graph(15)

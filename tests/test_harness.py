@@ -279,12 +279,29 @@ def test_import_does_not_load_scipy_integrate():
     assert out.strip() == "False False False"
 
 
+def test_extinction_estimate_does_not_load_scipy():
+    # the Wilson interval's z is a literal, so no estimator needs scipy
+    code = (
+        "import sys; from chasescape.cli import main; rc = main(['estimate', '--n', '20',"
+        " '--engine', 'coupling', '--estimator', 'extinction_prob', '--trials', '50']);"
+        " print(rc, 'scipy' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
+    )
+    assert json.loads(proc.stdout)["estimator"] == "extinction_prob"
+    assert proc.stderr.strip() == "0 False"
+
+
 def test_z975_literal_is_scipys_quantile():
-    # the literal stands in for ndtri(0.975) in every ci95; a last-bit
-    # difference would change the golden estimate JSON
+    # the literal stands in for ndtri(0.975) in every ci95 and Wilson
+    # interval; a last-bit difference would change the golden estimate JSON
     import scipy.special
 
-    assert harness._Z975 == float(scipy.special.ndtri(0.975))
+    from chasescape import analytics
+
+    assert analytics._Z975 == float(scipy.special.ndtri(0.975))
 
 
 class TestJsonContract:

@@ -43,5 +43,19 @@ def test_trajectory_batch_one_seed_prints_no_sd():
     assert proc.stderr == ""
 
 
+def test_trajectory_batch_refuses_a_bad_parameter():
+    proc = run_script("scripts/trajectory_batch.py", "--n", "0", "--seeds", "2", returncode=2)
+    assert "n must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_trend_sweep_refuses_a_bad_parameter():
+    proc = run_script(
+        "scripts/trend_sweep.py", "--ns", "1", "--estimator", "conversion_over_log_n", returncode=2
+    )
+    assert "log-n estimators need n >= 2" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_trend_sweep_runs():
     run_script("scripts/trend_sweep.py", "--ns", "10", "20", "--trials", "50")
