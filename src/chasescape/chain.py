@@ -17,8 +17,14 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from .params import ParameterError, Params
+from .rng import fill_windows, make_rng
 
 _BUFFER_CHUNK = 1 << 16  # even, so paired draws never straddle a refill
+# uniforms per row of a lockstep window (128 jumps); a multiple of 4, so
+# every window starts on a Philox counter step
+_WINDOW = 256
+# fewest live trials a lockstep step serves; with fewer, the scalar loop is cheaper
+_LOCKSTEP_MIN_LIVE = 32
 
 
 class EventKind(Enum):
@@ -81,12 +87,24 @@ def run_to_fixation(
     :class:`JumpRecord`: that list is the trajectory, and
     :func:`initial_state` is where it starts.
     """
+    return _run_from(params, rng, initial_state(params), 0.0, 0, records)
+
+
+def _run_from(
+    params: Params,
+    rng: np.random.Generator,
+    state: PopulationState,
+    fixation_time: float,
+    conversions: int,
+    records: list[JumpRecord] | None = None,
+) -> FixationResult:
+    """:func:`run_to_fixation` from ``state``, with the clock at
+    ``fixation_time`` and ``conversions`` already made, reading the next
+    jump's uniforms from ``rng``."""
     lam = params.lam
     a = params.conversion_rate
-    r, b, w = initial_state(params)
+    r, b, w = state
     total = params.total_vertices
-    fixation_time = 0.0
-    conversions = 0
     log1p = math.log1p
     grow, chase, convert = EventKind.GROW, EventKind.CHASE, EventKind.CONVERT
     buf = rng.random(min(4 * total, _BUFFER_CHUNK))
@@ -118,6 +136,84 @@ def run_to_fixation(
         if records is not None:
             records.append(JumpRecord(fixation_time, PopulationState(r, b, w), event))
     return FixationResult.at_fixation(params, w, conversions, float(fixation_time))
+
+
+def chain_block(
+    params: Params, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (W, C, tau) of count-chain trials run in lockstep.
+
+    Trial j draws from the stream keyed by ``seeds[j]`` and gives the same
+    bytes as ``run_to_fixation(params, make_rng(seeds[j]))``.  Every live
+    trial makes its t-th jump in the same numpy step, reading uniforms 2t
+    (event) and 2t + 1 (holding time) of its own stream through the scalar
+    loop's IEEE expressions; the holding times go through ``math.log1p``,
+    which ``np.log1p`` differs from in the last bit.  The uniforms are read
+    in windows of at most ``_WINDOW`` columns, so a trial holds O(_WINDOW)
+    doubles however long it runs.  A trial leaves the step arrays at
+    fixation, so no arithmetic runs on a row with no red.  A numpy step
+    costs about as much as ``_LOCKSTEP_MIN_LIVE`` scalar jumps, so once
+    fewer trials are live the scalar loop finishes each of them from where
+    its stream stands.
+    """
+    lam = params.lam
+    a = params.conversion_rate
+    total = params.total_vertices
+    r0, b0 = params.initial_red_blue
+    count = len(seeds)
+    width = min(_WINDOW, 4 * total)
+    white = np.empty(count, dtype=np.int64)
+    conversions = np.empty(count, dtype=np.int64)
+    times = np.empty(count, dtype=np.float64)
+    window = np.empty((count, width))
+    # live trials: their index, blue count, conversions and clock; every
+    # jump raises the layer r + 2b by one, so r and w follow from b
+    trial = np.arange(count)
+    b = np.full(count, float(b0))
+    c = np.zeros(count, dtype=np.int64)
+    t = np.zeros(count)
+    layer = r0 + 2 * b0
+    position = 0  # in every live trial's stream, of the next jump's uniforms
+    log1p = math.log1p
+    while trial.size >= _LOCKSTEP_MIN_LIVE:
+        live = trial.size
+        col = position % width
+        if col == 0:
+            fill_windows(seeds[trial], position, window[:live])
+        u = window[:live, col]
+        log_hold = np.fromiter(map(log1p, (-window[:live, col + 1]).tolist()), np.float64, live)
+        position += 2
+        r = layer - 2 * b
+        lw = lam * ((total - layer) + b)
+        denom = lw + b
+        denom += a
+        # t + -x/y is t - x/y to the bit: negation is exact and division
+        # is symmetric in sign
+        t -= log_hold / (r * denom)
+        p_grow = lw / denom
+        not_grow = u >= p_grow
+        c += u >= p_grow + b / denom
+        b += not_grow
+        layer += 1
+        if np.minimum.reduce(r) == 1:
+            done = not_grow & (r == 1)
+            if done.any():
+                out = trial[done]
+                white[out] = (total - layer) + b[done]
+                conversions[out] = c[done]
+                times[out] = t[done]
+                keep = ~done
+                trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
+                window[: trial.size, col + 2 :] = window[:live][keep, col + 2 :]
+    for i, blue, made, clock in zip(trial.tolist(), b.tolist(), c.tolist(), t.tolist()):
+        rng = make_rng(int(seeds[i]))
+        rng.bit_generator.advance(position // 4)  # four doubles per Philox counter step
+        rng.random(position % 4)
+        blue = int(blue)
+        state = PopulationState(layer - 2 * blue, blue, (total - layer) + blue)
+        res = _run_from(params, rng, state, clock, made)
+        white[i], conversions[i], times[i] = res.white_survivors, res.conversions, res.fixation_time
+    return white, conversions, times
 
 
 def check_trajectory(

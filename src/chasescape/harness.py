@@ -22,10 +22,10 @@ import numpy as np
 
 from .analytics import _Z975, stats_wilson_ci
 from .birth_death import coupling_block, coupling_uniforms
-from .chain import FixationResult, run_to_fixation
+from .chain import FixationResult, chain_block
 from .graph import complete_graph, load_edge_list, run_graph_to_fixation
 from .params import ParameterError, Params, is_integer
-from .rng import trial_rngs
+from .rng import stream_seeds, trial_rngs
 
 
 class Engine(Enum):
@@ -112,15 +112,19 @@ BlockKernel = Callable[[Params, str | None, int, int, int], Block]
 # uniforms per chunk of a coupling block: ~100 trials at n = 50, and one
 # trial per chunk from n = 5461 up
 _COUPLING_CHUNK_UNIFORMS = 1 << 14
+# trials per lockstep chunk of a chain block; with windows of at most 256
+# uniforms a chunk holds at most 2^16 of them (512 KiB) at any n
+_CHAIN_CHUNK_TRIALS = 256
+
+
+def _empty_block(count: int) -> Block:
+    return np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64), np.empty(count)
 
 
 def _per_trial_block(
     kernel: Callable[[np.random.Generator], FixationResult], seed: int, start: int, stop: int
 ) -> Block:
-    count = stop - start
-    w = np.empty(count, dtype=np.int64)
-    c = np.empty(count, dtype=np.int64)
-    tau = np.empty(count, dtype=np.float64)
+    w, c, tau = _empty_block(stop - start)
     for k, rng in enumerate(trial_rngs(seed, start, stop)):
         res = kernel(rng)
         w[k] = res.white_survivors
@@ -130,7 +134,14 @@ def _per_trial_block(
 
 
 def _chain_block(params: Params, _graph_file: str | None, seed: int, start: int, stop: int) -> Block:
-    return _per_trial_block(partial(run_to_fixation, params), seed, start, stop)
+    """Trials run through the lockstep kernel in chunks of
+    ``_CHAIN_CHUNK_TRIALS``, each trial from its own stream."""
+    seeds = stream_seeds(seed, start, stop)
+    w, c, tau = _empty_block(seeds.size)
+    for lo in range(0, seeds.size, _CHAIN_CHUNK_TRIALS):
+        hi = min(lo + _CHAIN_CHUNK_TRIALS, seeds.size)
+        w[lo:hi], c[lo:hi], tau[lo:hi] = chain_block(params, seeds[lo:hi])
+    return w, c, tau
 
 
 def _graph_block(params: Params, graph_file: str | None, seed: int, start: int, stop: int) -> Block:
@@ -149,9 +160,7 @@ def _coupling_block(
     width = coupling_uniforms(params)
     rows = max(1, _COUPLING_CHUNK_UNIFORMS // width)
     count = stop - start
-    w = np.empty(count, dtype=np.int64)
-    c = np.empty(count, dtype=np.int64)
-    tau = np.empty(count, dtype=np.float64)
+    w, c, tau = _empty_block(count)
     uniforms = np.empty((min(rows, count), width))
     rngs = trial_rngs(seed, start, stop)
     for lo in range(0, count, rows):

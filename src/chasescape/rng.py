@@ -8,10 +8,10 @@ how trials are distributed across workers.
 
 The mixing function is SplitMix64: ``stream_seed(s, i)`` is the ``i``-th
 output of a SplitMix64 sequence seeded with ``s``.  ``stream_seeds`` computes
-a range of them at once, and ``trial_rngs`` hands out the matching streams
-from a single Philox whose key and counter are reset for each trial, which
-a counter-based generator allows and which costs a fraction of building a
-new one.
+a range of them at once.  ``trial_rngs`` hands out the matching streams,
+and ``fill_windows`` fills rows with a window of each, from a single Philox
+whose key and counter are reset for each trial, which a counter-based
+generator allows and which costs a fraction of building a new one.
 """
 
 from __future__ import annotations
@@ -65,6 +65,21 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
+def _rekeyed(seeds: np.ndarray, offset: int) -> Iterator[np.random.Generator]:
+    """One generator, re-keyed with each of ``seeds`` in turn, its counter
+    at ``offset // 4`` and its buffer empty, so that for an ``offset`` that
+    is a multiple of 4 uniform ``offset`` of each stream comes next."""
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    state["state"]["counter"][0] = offset // 4
+    key = state["state"]["key"]
+    for seed in seeds:
+        key[0] = seed
+        bit_generator.state = state
+        yield rng
+
+
 def trial_rngs(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
     """The generators of trials [start, stop), each equal to
     ``make_rng(stream_seed(master_seed, i))``.
@@ -73,11 +88,19 @@ def trial_rngs(master_seed: int, start: int, stop: int) -> Iterator[np.random.Ge
     and an empty buffer before each trial, so it must not be used after the
     iteration moves on.
     """
-    bit_generator = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    key = state["state"]["key"]
-    for seed in stream_seeds(master_seed, start, stop):
-        key[0] = seed
-        bit_generator.state = state
-        yield rng
+    return _rekeyed(stream_seeds(master_seed, start, stop), 0)
+
+
+def fill_windows(seeds: np.ndarray, offset: int, out: np.ndarray) -> None:
+    """Fill row j of ``out`` with uniforms [offset, offset + width) of the
+    stream keyed by ``seeds[j]``, that is with
+    ``make_rng(seeds[j]).random(offset + width)[offset:]``.
+
+    Each double takes one 64-bit Philox output and each counter step makes
+    four, so a window starts on a counter step: ``offset`` must be a
+    non-negative multiple of 4.
+    """
+    if offset < 0 or offset % 4:
+        raise ValueError(f"window offset must be a non-negative multiple of 4, got {offset}")
+    for row, rng in zip(out, _rekeyed(seeds, offset)):
+        rng.random(out=row)

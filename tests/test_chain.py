@@ -151,14 +151,10 @@ class TestRunToFixation:
         # n=1, lambda=1, alpha=1: P(W=1) = P(W=0) = 1/2, E[C] = 1.25
         p = Params(1, 1.0, 1.0)
         trials = 40000
-        w_hits = 0
-        conversions = 0
-        for i in range(trials):
-            res = run_to_fixation(p, make_rng(stream_seed(11, i)))
-            w_hits += res.white_survivors
-            conversions += res.conversions
-        assert abs(w_hits / trials - 0.5) < 3 * 0.5 / math.sqrt(trials)
-        assert abs(conversions / trials - 1.25) < 0.02
+        # trial i draws from make_rng(stream_seed(11, i)), as run_to_fixation would
+        w, c, _ = harness.ENGINE_KERNELS[harness.Engine.CHAIN](p, None, 11, 0, trials)
+        assert abs(w.sum() / trials - 0.5) < 3 * 0.5 / math.sqrt(trials)
+        assert abs(c.sum() / trials - 1.25) < 0.02
 
     def test_conservation_and_bounds(self):
         p = Params(25, 0.8, 1.7)
@@ -201,10 +197,8 @@ class TestRunToFixation:
         # P(W = n) = alpha / (lambda n + alpha); frequency vs exact
         p = Params(100, 1.0, 4.0)
         trials = 20000
-        hits = sum(
-            run_to_fixation(p, make_rng(stream_seed(13, i))).white_survivors == p.n
-            for i in range(trials)
-        )
+        w, _, _ = harness.ENGINE_KERNELS[harness.Engine.CHAIN](p, None, 13, 0, trials)
+        hits = np.count_nonzero(w == p.n)
         target = 4.0 / 104.0
         assert abs(hits / trials - target) < 3 * math.sqrt(target * (1 - target) / trials)
 
@@ -219,9 +213,8 @@ class TestRunToFixation:
         n, trials = 12, 30000
         p = Params(n, 1.0, 2.0)
         exact = exact_distribution_W(n, 1.0, 2.0)
-        counts = np.zeros(n + 1)
-        for i in range(trials):
-            counts[run_to_fixation(p, make_rng(stream_seed(15, i))).white_survivors] += 1
+        w, _, _ = harness.ENGINE_KERNELS[harness.Engine.CHAIN](p, None, 15, 0, trials)
+        counts = np.bincount(w, minlength=n + 1)
         for k in range(n + 1):
             pk = exact.probabilities[k]
             se = math.sqrt(pk * (1 - pk) / trials)

@@ -22,7 +22,7 @@ from chasescape import (
     run_experiment,
     stream_seed,
 )
-from chasescape import harness
+from chasescape import chain, harness
 from chasescape.chain import (
     TRAJECTORY_FIELDS,
     check_trajectory,
@@ -31,7 +31,7 @@ from chasescape.chain import (
     write_trajectory_csv,
 )
 from chasescape.harness import canonical_json, run_trials
-from chasescape.rng import splitmix64, stream_seeds, trial_rngs
+from chasescape.rng import fill_windows, splitmix64, stream_seeds, trial_rngs
 
 
 class TestStreamSeeding:
@@ -71,6 +71,26 @@ class TestStreamSeeding:
                 0, 2**32, 3, dtype=np.uint32
             ).tolist()
             assert rng.standard_gamma(0.5) == ref.standard_gamma(0.5)
+
+
+class TestWindowFill:
+    @pytest.mark.parametrize("master", [0, 2**64 - 1])
+    @pytest.mark.parametrize("offset", [0, 4, 256, 2**16 + 4])
+    def test_window_is_a_slice_of_the_stream(self, master, offset):
+        width = 36
+        seeds = stream_seeds(master, 7, 12)
+        out = np.empty((seeds.size, width))
+        fill_windows(seeds, offset, out)
+        for row, i in zip(out, range(7, 12)):
+            ref = make_rng(stream_seed(master, i)).random(offset + width)[offset:]
+            assert row.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("offset", [-4, 2, 6, 258])
+    def test_offset_off_a_counter_step_is_refused_before_any_draw(self, offset):
+        out = np.full((3, 8), -1.0)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            fill_windows(stream_seeds(0, 0, 3), offset, out)
+        assert (out == -1.0).all()
 
 
 class TestConfigValidation:
@@ -225,6 +245,36 @@ class TestCouplingBlock:
 
     def test_empty_block(self):
         w, c, tau = harness.ENGINE_KERNELS[Engine.COUPLING](Params(5, 1.0, 1.0), None, 0, 3, 3)
+        assert w.size == c.size == tau.size == 0
+
+
+class TestChainBlock:
+    @pytest.mark.parametrize("mode", list(InitMode))
+    @pytest.mark.parametrize(
+        "n, start, stop, min_live",
+        [
+            # n = 100 runs past the first 128-jump window, and 296 trials
+            # fill one chunk and start a second, which ends in the scalar loop
+            (100, 5, 301, None),
+            # rows far wider than one window and than run_to_fixation's
+            # 2^16-uniform buffer, in lockstep to the end and in the scalar loop
+            (20000, 3, 6, 1),
+            (20000, 3, 6, None),
+        ],
+    )
+    def test_block_matches_per_trial_kernel(self, mode, n, start, stop, min_live, monkeypatch):
+        if min_live is not None:
+            monkeypatch.setattr(chain, "_LOCKSTEP_MIN_LIVE", min_live)
+        params = Params(n, 1.0, 2.0, mode)
+        seed = 1003
+        w, c, tau = harness.ENGINE_KERNELS[Engine.CHAIN](params, None, seed, start, stop)
+        ref = [run_to_fixation(params, make_rng(stream_seed(seed, i))) for i in range(start, stop)]
+        assert w.tolist() == [res.white_survivors for res in ref]
+        assert c.tolist() == [res.conversions for res in ref]
+        assert tau.tobytes() == np.array([res.fixation_time for res in ref]).tobytes()
+
+    def test_empty_block(self):
+        w, c, tau = harness.ENGINE_KERNELS[Engine.CHAIN](Params(5, 1.0, 1.0), None, 0, 3, 3)
         assert w.size == c.size == tau.size == 0
 
 
