@@ -195,6 +195,7 @@ def chain_block(
         c += u >= p_grow + b / denom
         b += not_grow
         layer += 1
+        # only a jump that blues the last red fixates a trial
         if np.minimum.reduce(r) == 1:
             done = not_grow & (r == 1)
             if done.any():
@@ -207,7 +208,8 @@ def chain_block(
                 window[: trial.size, col + 2 :] = window[:live][keep, col + 2 :]
     for i, blue, made, clock in zip(trial.tolist(), b.tolist(), c.tolist(), t.tolist()):
         rng = make_rng(int(seeds[i]))
-        rng.bit_generator.advance(position // 4)  # four doubles per Philox counter step
+        # four doubles per Philox counter step, then past the rest of this one
+        rng.bit_generator.advance(position // 4)
         rng.random(position % 4)
         blue = int(blue)
         state = PopulationState(layer - 2 * blue, blue, (total - layer) + blue)
