@@ -16,6 +16,7 @@ import numpy as np
 
 from chasescape import ParameterError, Params, make_rng, run_to_fixation, stream_seed
 from chasescape.chain import write_trajectory_csv
+from chasescape.params import require_seed
 
 
 def main() -> int:
@@ -32,6 +33,7 @@ def main() -> int:
 
     try:
         params = Params(n=args.n, lam=args.lam, alpha=args.alpha)
+        require_seed("--seed-base", args.seed_base)
     except ParameterError as exc:
         parser.error(str(exc))
     w_samples = []

@@ -193,36 +193,6 @@ def stats_wilson_ci(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def stats_ks(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """One-sample Kolmogorov-Smirnov statistic sup |F_emp - F|.
-
-    ``cdf`` is vectorised: it gets the sorted samples as one array.
-    """
-    xs = np.sort(np.asarray(samples, dtype=np.float64))
-    n = xs.size
-    if n == 0:
-        raise ParameterError("samples must be non-empty")
-    if not np.all(np.isfinite(xs)):
-        raise ParameterError("samples must be finite")
-    f_vals = np.asarray(cdf(xs), dtype=np.float64)
-    if f_vals.shape != xs.shape or not np.all((f_vals >= 0.0) & (f_vals <= 1.0)):
-        raise ParameterError("cdf must map each sample into [0, 1]")
-    steps = np.arange(n, dtype=np.float64)
-    return float(max(np.max(f_vals - steps / n), np.max((steps + 1.0) / n - f_vals)))
-
-
-def stats_ks_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    xa = np.sort(np.asarray(a, dtype=np.float64))
-    xb = np.sort(np.asarray(b, dtype=np.float64))
-    if xa.size == 0 or xb.size == 0:
-        raise ParameterError("both samples must be non-empty")
-    grid = np.concatenate([xa, xb])
-    fa = np.searchsorted(xa, grid, side="right") / xa.size
-    fb = np.searchsorted(xb, grid, side="right") / xb.size
-    return float(np.max(np.abs(fa - fb)))
-
-
 @dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float

@@ -29,7 +29,7 @@ from .harness import (
     params_as_dict,
     run_experiment,
 )
-from .params import InitMode, ParameterError, Params, ResourceLimitError
+from .params import InitMode, ParameterError, Params, ResourceLimitError, require_seed
 from .rng import make_rng, stream_seed
 
 _CONFIG_KEYS = {
@@ -106,6 +106,7 @@ def _params_from_args(args: argparse.Namespace) -> Params:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
+    require_seed("seed", args.seed)
     records: list[JumpRecord] = []
     run_to_fixation(params, make_rng(stream_seed(args.seed, 0)), records)
     if args.format == "csv":

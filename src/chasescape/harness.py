@@ -22,9 +22,9 @@ import numpy as np
 
 from .analytics import _Z975, stats_wilson_ci
 from .birth_death import coupling_block, coupling_uniforms
-from .chain import FixationResult, chain_block
+from .chain import chain_block
 from .graph import complete_graph, load_edge_list, run_graph_to_fixation
-from .params import ParameterError, Params, is_integer
+from .params import ParameterError, Params, is_integer, require_seed
 from .rng import stream_seeds, trial_rngs
 
 
@@ -57,8 +57,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not is_integer(self.trials) or self.trials < 1:
             raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not is_integer(self.seed) or not 0 <= self.seed < 2**64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        require_seed("seed", self.seed)
         if not is_integer(self.parallelism) or self.parallelism < 1:
             raise ParameterError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         if self.estimator in _LOG_N_ESTIMATORS and self.params.n < 2:
@@ -121,18 +120,6 @@ def _empty_block(count: int) -> Block:
     return np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64), np.empty(count)
 
 
-def _per_trial_block(
-    kernel: Callable[[np.random.Generator], FixationResult], seed: int, start: int, stop: int
-) -> Block:
-    w, c, tau = _empty_block(stop - start)
-    for k, rng in enumerate(trial_rngs(seed, start, stop)):
-        res = kernel(rng)
-        w[k] = res.white_survivors
-        c[k] = res.conversions
-        tau[k] = res.fixation_time
-    return w, c, tau
-
-
 def _chain_block(params: Params, _graph_file: str | None, seed: int, start: int, stop: int) -> Block:
     """Trials run through the lockstep kernel in chunks of
     ``_CHAIN_CHUNK_TRIALS``, each trial from its own stream."""
@@ -149,7 +136,13 @@ def _graph_block(params: Params, graph_file: str | None, seed: int, start: int, 
         graph = complete_graph(params.total_vertices)
     else:
         graph = load_edge_list(graph_file)
-    return _per_trial_block(partial(run_graph_to_fixation, graph, params), seed, start, stop)
+    w, c, tau = _empty_block(stop - start)
+    for k, rng in enumerate(trial_rngs(seed, start, stop)):
+        res = run_graph_to_fixation(graph, params, rng)
+        w[k] = res.white_survivors
+        c[k] = res.conversions
+        tau[k] = res.fixation_time
+    return w, c, tau
 
 
 def _coupling_block(

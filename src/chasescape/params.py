@@ -27,6 +27,13 @@ def require_positive(name: str, x) -> None:
         raise ParameterError(f"{name} must be a positive finite real, got {x!r}")
 
 
+def require_seed(name: str, x) -> None:
+    """Raise ParameterError unless x is an integer in [0, 2^64): a master
+    seed outside that range would alias one inside it."""
+    if not is_integer(x) or not 0 <= x < 2**64:
+        raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {x!r}")
+
+
 class ParameterError(ValueError):
     """Invalid model or experiment parameters."""
 

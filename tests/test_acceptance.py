@@ -29,82 +29,82 @@ def _golden_details() -> dict:
 
 def _run(cid):
     result = run_criterion(_BY_ID[cid])
-    marker = "PASS" if result.passed else "FAIL"
+    marker = "PASS" if result["passed"] else "FAIL"
     print(
-        f"[criterion {result.cid:02d}] {result.name}: {marker} "
-        f"({result.runtime_seconds:.2f}s / limit {result.runtime_limit_seconds:.0f}s)"
+        f"[criterion {result['id']:02d}] {result['name']}: {marker} "
+        f"({result['runtime_seconds']:.2f}s / limit {result['runtime_limit_seconds']:.0f}s)"
     )
-    assert result.passed, f"{result.name} failed: {result.details}"
-    assert canonical_json(result.details) == canonical_json(_golden_details()[str(cid)])
-    return result
+    assert result["passed"], f"{result['name']} failed: {result}"
+    assert canonical_json(result["details"]) == canonical_json(_golden_details()[str(cid)])
+    return result["details"]
 
 
 def test_criterion_01_appendix_integral_identities():
-    result = _run(1)
-    assert result.details["worst_abs_diff"] < 1e-8
+    details = _run(1)
+    assert details["worst_abs_diff"] < 1e-8
 
 
 def test_criterion_02_terminal_value_laws():
-    result = _run(2)
-    assert result.details["process_ks_vs_gamma3"]["measured"] < 0.01
-    assert result.details["limit_sum_vs_direct_ks"]["measured"] < 0.01
+    details = _run(2)
+    assert details["process_ks_vs_gamma3"]["measured"] < 0.01
+    assert details["limit_sum_vs_direct_ks"]["measured"] < 0.01
 
 
 def test_criterion_03_cross_engine_law_equivalence():
-    result = _run(3)
-    for engine_report in result.details["engines"]:
+    details = _run(3)
+    for engine_report in details["engines"]:
         assert engine_report["chi_square"]["pvalue"] >= 0.001
 
 
 def test_criterion_04_instant_conversion_identity():
-    result = _run(4)
-    assert result.details["worst_abs_diff"] < 1e-12
+    details = _run(4)
+    assert details["worst_abs_diff"] < 1e-12
 
 
 def test_criterion_05_alpha_one_equivalence():
-    result = _run(5)
-    assert result.details["max_abs_diff"] < 1e-12
+    details = _run(5)
+    assert details["max_abs_diff"] < 1e-12
 
 
 def test_criterion_06_extinction_probability_trend():
-    result = _run(6)
-    assert result.details["critical"]["strictly_decreasing"]
+    details = _run(6)
+    assert details["critical"]["strictly_decreasing"]
 
 
 def test_criterion_07_expected_white_trend():
-    result = _run(7)
+    details = _run(7)
     for key in ("alpha_1.0", "alpha_3.0"):
-        assert result.details[key]["strictly_decreasing"]
+        assert details[key]["strictly_decreasing"]
 
 
 def test_criterion_08_conversion_growth_trend():
-    result = _run(8)
-    assert result.details["mean_gap_strictly_decreasing"]
-    assert result.details["outside_band_fraction_decreasing"]
+    details = _run(8)
+    assert details["mean_gap_strictly_decreasing"]
+    assert details["outside_band_fraction_decreasing"]
 
 
 def test_criterion_09_fixation_time_scaling():
-    result = _run(9)
-    assert 0.85 <= result.details["measured"] <= 1.15
+    details = _run(9)
+    assert 0.85 <= details["measured"] <= 1.15
 
 
 def test_criterion_10_z_identity():
-    result = _run(10)
-    assert abs(result.details["measured"] - 2.0) <= result.details["tolerance_3se"]
+    details = _run(10)
+    assert abs(details["measured"] - 2.0) <= details["tolerance_3se"]
 
 
 def test_criterion_11_trajectory_export():
-    result = _run(11)
-    assert result.details["w_variance"] > 0
+    details = _run(11)
+    assert details["w_variance"] > 0
     # the minimum over 100 seeds is reported, not asserted
-    assert "w_min_observed" in result.details
+    assert "w_min_observed" in details
 
 
 def test_criterion_12_determinism():
-    result = _run(12)
-    assert result.details["parallelism_1_vs_8_identical"]
-    assert all(result.details["engine_repeat_identical"].values())
-    assert result.details["coupling_block_matches_per_trial"]
+    details = _run(12)
+    assert details["parallelism_1_vs_8_identical"]
+    assert all(details["engine_repeat_identical"].values())
+    assert details["coupling_block_matches_per_trial"]
 
 
 @pytest.mark.parametrize("cid", sorted(_BY_ID))
@@ -113,7 +113,7 @@ def test_registry_budgets_are_positive(cid):
 
 
 def _write_golden() -> None:
-    details = {str(c.cid): run_criterion(c).details for c in CRITERIA}
+    details = {str(c.cid): run_criterion(c)["details"] for c in CRITERIA}
     DETAILS_GOLDEN.write_text(canonical_json(details), encoding="utf-8")
 
 

@@ -49,6 +49,12 @@ class TestSimulate:
         data_rows = [line for line in out.splitlines()[1:] if line]
         assert len(data_rows) <= 4
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, seed):
+        code, out, err = run_cli("simulate", "--n", "5", "--seed", seed)
+        assert code == 2 and out == ""
+        assert "seed must be a 64-bit unsigned integer" in err
+
     def test_multi_trial_rejected(self):
         # simulate emits one trajectory and has no --trials flag
         with pytest.raises(SystemExit) as exc:

@@ -49,6 +49,12 @@ def test_trajectory_batch_refuses_a_bad_parameter():
     assert "Traceback" not in proc.stderr
 
 
+def test_trajectory_batch_refuses_a_negative_seed_base():
+    proc = run_script("scripts/trajectory_batch.py", "--seed-base", "-1", returncode=2)
+    assert "--seed-base must be a 64-bit unsigned integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_trend_sweep_refuses_a_bad_parameter():
     proc = run_script(
         "scripts/trend_sweep.py", "--ns", "1", "--estimator", "conversion_over_log_n", returncode=2
