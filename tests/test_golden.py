@@ -56,6 +56,12 @@ CLI_GOLDENS = {
         *_ESTIMATE, "--init", "kortchemski", "--engine", "coupling",
         "--estimator", "expected_w", "--seed", "16",
     ),
+    # a connected 21-vertex graph that is not complete, so the engine's
+    # edge bookkeeping runs on vertices of unequal degree
+    "estimate_graph_edgelist.json": (
+        *_ESTIMATE, "--engine", "graph", "--graph-file", str(GOLDEN_DIR / "sparse21.edges"),
+        "--estimator", "tau_over_log_n", "--seed", "20",
+    ),
     "exact_standard.json": ("exact", "--n", "20", "--lambda", "1", "--alpha", "2"),
     "simulate_standard.csv": ("simulate", "--n", "20", "--alpha", "2", "--seed", "17"),
     "simulate_kortchemski.csv": (
