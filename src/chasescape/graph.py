@@ -3,32 +3,29 @@
 Works on any finite connected graph; on complete graphs the induced
 population process has exactly the law of the count chain in
 :mod:`chasescape.chain`, which makes this module an independent oracle for
-it.  Rates are tracked incrementally (O(degree) per event) through indexed
-sets of red vertices, red-white edges, and red-blue edges.
+it.  A graph is a CSR table in which every directed edge (u, v) has an
+integer id.  Rates are tracked incrementally (O(degree) per event) through
+array-backed sets of red vertices, red-white edge ids and red-blue edge ids.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .chain import EventKind, FixationResult
-from .params import (
-    NoTransitionError,
-    ParameterError,
-    Params,
-    ResourceLimitError,
-    is_integer,
-)
+from .params import NoTransitionError, ParameterError, Params, ResourceLimitError, is_integer
 
-# cap on the m(m - 1) adjacency entries complete_graph builds as Python
-# tuples; 2^24 is about K_4097
+# cap on the m(m - 1) adjacency entries of complete_graph, each an int32
+# head plus an int32 reverse id; 2^24 is about K_4097, 128 MiB of tables
 MAX_COMPLETE_GRAPH_ENTRIES = 1 << 24
+
+# jumps whose uniforms run_graph_to_fixation reads from its stream at once
+_WINDOW_JUMPS = 64
 
 
 class VertexColor(IntEnum):
@@ -37,56 +34,25 @@ class VertexColor(IntEnum):
     BLUE = 2  # terminal
 
 
-class IndexedSet:
-    """Set with O(1) add, O(1) remove, and unbiased O(1) sampling by index."""
-
-    __slots__ = ("_items", "_pos")
-
-    def __init__(self, items: Iterable = ()) -> None:
-        self._items: list = []
-        self._pos: dict = {}
-        for x in items:
-            self.add(x)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, x) -> bool:
-        return x in self._pos
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def add(self, x) -> None:
-        if x in self._pos:
-            raise ValueError(f"{x!r} already present")
-        self._pos[x] = len(self._items)
-        self._items.append(x)
-
-    def remove(self, x) -> None:
-        i = self._pos.pop(x)  # KeyError on absent member surfaces bookkeeping bugs
-        last = self._items.pop()
-        if i < len(self._items):
-            self._items[i] = last
-            self._pos[last] = i
-
-    def sample(self, u: float):
-        """Member at index floor(u * len) for a uniform u in [0, 1)."""
-        n = len(self._items)
-        if n == 0:
-            raise IndexError("sample from empty set")
-        return self._items[min(int(u * n), n - 1)]
+_WHITE, _RED, _BLUE = 0, 1, 2  # VertexColor as the plain ints GraphState stores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph as per-vertex neighbor tuples."""
+    """Undirected simple graph as CSR int32 tables, one id per directed edge.
 
-    adjacency: tuple[tuple[int, ...], ...]
+    The edges out of u have ids ``indptr[u]`` to ``indptr[u + 1] - 1`` and
+    edge e ends at ``indices[e]``, ascending within each u.  ``reverse[e]``
+    is the id of e's opposite edge: (v, u) when e is (u, v).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    reverse: np.ndarray
 
     @property
     def vertex_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
 
 def complete_graph(m: int) -> Graph:
@@ -102,20 +68,12 @@ def complete_graph(m: int) -> Graph:
             f"K_{m} has {m * (m - 1)} adjacency entries, over the cap of "
             f"{MAX_COMPLETE_GRAPH_ENTRIES}"
         )
-    verts = tuple(range(m))
-    return Graph(tuple(tuple(v for v in verts if v != u) for u in verts))
-
-
-def _check_connected(adjacency: list[set[int]]) -> bool:
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(adjacency)
+    tails, heads = np.arange(m, dtype=np.int32)[:, None], np.arange(m - 1, dtype=np.int32)
+    indices = heads + (heads >= tails)  # row u is every vertex but u, ascending
+    # (v, u) is entry u of row v, or entry u - 1 when u > v
+    reverse = indices * np.int32(m - 1) + tails - (tails > indices)
+    indptr = np.arange(m + 1, dtype=np.int32) * np.int32(m - 1)
+    return Graph(indptr, indices.ravel(), reverse.ravel())
 
 
 def parse_edge_list(lines: Iterable[str]) -> Graph:
@@ -152,9 +110,19 @@ def parse_edge_list(lines: Iterable[str]) -> Graph:
             raise ParameterError(f"line {lineno}: duplicate edge {u} {v}")
         adjacency[u].add(v)
         adjacency[v].add(u)
-    if not _check_connected(adjacency):
+    seen, queue = {0}, [0]
+    for u in queue:  # breadth first from vertex 0; the queue grows as it is read
+        found = adjacency[u] - seen
+        seen |= found
+        queue.extend(found)
+    if len(seen) != len(adjacency):
         raise ParameterError("graph is not connected")
-    return Graph(tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
+    m, degrees = len(adjacency), [len(nbrs) for nbrs in adjacency]
+    indices = np.array([v for nbrs in adjacency for v in sorted(nbrs)], dtype=np.int32)
+    # the (tail, head) keys ascend in edge-id order, so bisection finds each reverse
+    tails = np.repeat(np.arange(m, dtype=np.int64), degrees)
+    reverse = np.searchsorted(tails * m + indices, indices * np.int64(m) + tails)
+    return Graph(np.cumsum([0, *degrees], dtype=np.int32), indices, reverse.astype(np.int32))
 
 
 def load_edge_list(path: str) -> Graph:
@@ -163,31 +131,34 @@ def load_edge_list(path: str) -> Graph:
 
 
 class GraphState:
-    """Vertex colors plus incremental bookkeeping of the active rate classes.
+    """Vertex colors plus array-backed sets of the three rate classes.
 
-    ``red`` holds red vertices, ``rw`` holds (red, white) edges, and ``rb``
-    holds (red, blue) edges, each in an :class:`IndexedSet` so events can be
-    selected uniformly within their class in O(1).
+    ``red`` lists the red vertices, ``rw`` the ids of (red, white) edges and
+    ``rb`` those of (red, blue) edges; a set grows at its end and loses a
+    member by moving its last one into the freed slot.  ``vertex_pos[v]`` is
+    v's index in ``red``, ``edge_pos[e]`` e's index in ``rw`` or ``rb``.
     """
 
-    __slots__ = ("colors", "red", "rw", "rb")
+    __slots__ = ("colors", "red", "rw", "rb", "vertex_pos", "edge_pos")
 
     def __init__(self, graph: Graph, colors: list[VertexColor]) -> None:
         if len(colors) != graph.vertex_count:
             raise ParameterError("color array does not match the graph")
-        self.colors = list(colors)
-        self.red = IndexedSet()
-        self.rw = IndexedSet()
-        self.rb = IndexedSet()
-        for u, c in enumerate(colors):
-            if c != VertexColor.RED:
+        self.colors = [int(c) for c in colors]
+        self.red, self.rw, self.rb = [], [], []
+        self.vertex_pos = [0] * len(colors)
+        self.edge_pos = [0] * len(graph.indices)
+        for u, c in enumerate(self.colors):
+            if c != _RED:
                 continue
-            self.red.add(u)
-            for v in graph.adjacency[u]:
-                if colors[v] == VertexColor.WHITE:
-                    self.rw.add((u, v))
-                elif colors[v] == VertexColor.BLUE:
-                    self.rb.add((u, v))
+            self.vertex_pos[u] = len(self.red)
+            self.red.append(u)
+            lo, hi = graph.indptr[u : u + 2].tolist()
+            for e, v in zip(range(lo, hi), graph.indices[lo:hi].tolist()):
+                if self.colors[v] != _RED:
+                    rates = self.rw if self.colors[v] == _WHITE else self.rb
+                    self.edge_pos[e] = len(rates)
+                    rates.append(e)
 
     @classmethod
     def initial(cls, graph: Graph, params: Params) -> GraphState:
@@ -204,79 +175,106 @@ class GraphState:
         return cls(graph, colors)
 
     def paint_red(self, graph: Graph, v: int) -> None:
-        assert self.colors[v] == VertexColor.WHITE
-        self.colors[v] = VertexColor.RED
-        self.red.add(v)
-        for x in graph.adjacency[v]:
-            c = self.colors[x]
-            if c == VertexColor.WHITE:
-                self.rw.add((v, x))
-            elif c == VertexColor.RED:
-                self.rw.remove((x, v))
+        colors, rw, rb, pos = self.colors, self.rw, self.rb, self.edge_pos
+        assert colors[v] == _WHITE
+        colors[v] = _RED
+        self.vertex_pos[v] = len(self.red)
+        self.red.append(v)
+        lo, hi = graph.indptr[v : v + 2].tolist()
+        heads, backs = graph.indices[lo:hi].tolist(), graph.reverse[lo:hi].tolist()
+        for e, x, back in zip(range(lo, hi), heads, backs):
+            c = colors[x]
+            if c == _WHITE:
+                pos[e] = len(rw)
+                rw.append(e)
+            elif c == _RED:  # remove (x, v) from rw
+                last = rw.pop()
+                if last != back:
+                    pos[last] = i = pos[back]
+                    rw[i] = last
             else:
-                self.rb.add((v, x))
+                pos[e] = len(rb)
+                rb.append(e)
 
     def paint_blue(self, graph: Graph, v: int) -> None:
-        assert self.colors[v] == VertexColor.RED
-        self.colors[v] = VertexColor.BLUE
-        self.red.remove(v)
-        for x in graph.adjacency[v]:
-            c = self.colors[x]
-            if c == VertexColor.WHITE:
-                self.rw.remove((v, x))
-            elif c == VertexColor.RED:
-                self.rb.add((x, v))
-            else:
-                self.rb.remove((v, x))
+        colors, rw, rb, pos = self.colors, self.rw, self.rb, self.edge_pos
+        assert colors[v] == _RED
+        colors[v] = _BLUE
+        last = self.red.pop()
+        if last != v:
+            self.vertex_pos[last] = i = self.vertex_pos[v]
+            self.red[i] = last
+        lo, hi = graph.indptr[v : v + 2].tolist()
+        heads, backs = graph.indices[lo:hi].tolist(), graph.reverse[lo:hi].tolist()
+        for e, x, back in zip(range(lo, hi), heads, backs):
+            c = colors[x]
+            if c == _WHITE:  # remove (v, x) from rw
+                last = rw.pop()
+                if last != e:
+                    pos[last] = i = pos[e]
+                    rw[i] = last
+            elif c == _RED:
+                pos[back] = len(rb)
+                rb.append(back)
+            else:  # remove (v, x) from rb
+                last = rb.pop()
+                if last != e:
+                    pos[last] = i = pos[e]
+                    rb[i] = last
+
+    def step(
+        self, graph: Graph, params: Params, u_class: float, u_member: float, u_hold: float
+    ) -> tuple[EventKind, float]:
+        """One Gillespie event, in place, from uniforms for its class, its
+        member within the class and its holding time; returns the event and
+        the holding time."""
+        red, rw, rb = self.red, self.rw, self.rb
+        if not red:
+            raise NoTransitionError("process already fixated (no red vertices)")
+        rate_grow = params.lam * len(rw)
+        rate_chase = float(len(rb))
+        rate_convert = params.conversion_rate * len(red)
+        total = rate_grow + rate_chase + rate_convert
+        if total <= 0.0:
+            raise NoTransitionError("total jump rate is zero in this state")
+        x = u_class * total
+        if x < rate_grow:
+            self.paint_red(graph, int(graph.indices[_pick(rw, u_member)]))
+            event = EventKind.GROW
+        elif x < rate_grow + rate_chase:
+            self.paint_blue(graph, int(graph.indices[graph.reverse[_pick(rb, u_member)]]))
+            event = EventKind.CHASE
+        else:
+            self.paint_blue(graph, _pick(red, u_member))
+            event = EventKind.CONVERT
+        return event, -math.log1p(-u_hold) / total
 
     def recount(self, graph: Graph) -> tuple[int, int, int]:
         """Brute-force (red, red-white, red-blue) counts for consistency checks."""
-        n_red = n_rw = n_rb = 0
-        for u, c in enumerate(self.colors):
-            if c != VertexColor.RED:
-                continue
-            n_red += 1
-            for v in graph.adjacency[u]:
-                if self.colors[v] == VertexColor.WHITE:
-                    n_rw += 1
-                elif self.colors[v] == VertexColor.BLUE:
-                    n_rb += 1
-        return n_red, n_rw, n_rb
+        colors = np.array(self.colors)
+        heads = colors[graph.indices][np.repeat(colors == _RED, np.diff(graph.indptr))]
+        return int((colors == _RED).sum()), int((heads == _WHITE).sum()), int((heads == _BLUE).sum())
+
+
+def _pick(items: list[int], u: float) -> int:
+    """Member at index floor(u * len) for a uniform u in [0, 1)."""
+    n = len(items)
+    return items[min(int(u * n), n - 1)]
+
+
+def _uniform_triples(rng: np.random.Generator) -> Iterator[tuple[float, float, float]]:
+    """Consecutive triples of ``rng``'s uniforms, read in windows: the same
+    doubles in the same order as three ``rng.random()`` calls per triple."""
+    while True:
+        u = rng.random(3 * _WINDOW_JUMPS).tolist()
+        yield from zip(u[0::3], u[1::3], u[2::3])
 
 
 def graph_jump(
     state: GraphState, graph: Graph, params: Params, rng: np.random.Generator
 ) -> tuple[EventKind, float]:
-    """One Gillespie event; mutates ``state`` in place and returns the
-    event with its holding time.
-
-    Consumes exactly three uniforms in fixed order: event class, member
-    within the class, holding time.
-    """
-    if len(state.red) == 0:
-        raise NoTransitionError("process already fixated (no red vertices)")
-    rate_grow = params.lam * len(state.rw)
-    rate_chase = float(len(state.rb))
-    rate_convert = params.conversion_rate * len(state.red)
-    total = rate_grow + rate_chase + rate_convert
-    if total <= 0.0:
-        raise NoTransitionError("total jump rate is zero in this state")
-    u_class = rng.random()
-    u_member = rng.random()
-    u_hold = rng.random()
-    x = u_class * total
-    if x < rate_grow:
-        _, white_v = state.rw.sample(u_member)
-        state.paint_red(graph, white_v)
-        event = EventKind.GROW
-    elif x < rate_grow + rate_chase:
-        red_v, _ = state.rb.sample(u_member)
-        state.paint_blue(graph, red_v)
-        event = EventKind.CHASE
-    else:
-        state.paint_blue(graph, state.red.sample(u_member))
-        event = EventKind.CONVERT
-    return event, -math.log1p(-u_hold) / total
+    """:meth:`GraphState.step` on the next three uniforms of ``rng``."""
+    return state.step(graph, params, rng.random(), rng.random(), rng.random())
 
 
 def run_graph_to_fixation(
@@ -287,15 +285,17 @@ def run_graph_to_fixation(
     The initial coloring and the vertex count follow ``params`` (see
     :meth:`GraphState.initial`); rates come from ``params.lam`` and the
     effective conversion rate.  On K_{n+1} the returned statistics have the
-    same law as the count-chain engine.
+    same law as the count-chain engine.  Jumps read uniforms as in
+    :func:`graph_jump`.
     """
     state = GraphState.initial(graph, params)
+    triples = _uniform_triples(rng)
     fixation_time = 0.0
     conversions = 0
-    while len(state.red) > 0:
-        event, holding = graph_jump(state, graph, params, rng)
+    while state.red:
+        event, holding = state.step(graph, params, *next(triples))
         fixation_time += holding
         if event is EventKind.CONVERT:
             conversions += 1
-    white = state.colors.count(VertexColor.WHITE)
+    white = state.colors.count(_WHITE)
     return FixationResult.at_fixation(params, white, conversions, fixation_time)

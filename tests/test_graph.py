@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,71 +20,37 @@ from chasescape import (
 from chasescape.analytics import chi_square_gof
 from chasescape import graph
 from chasescape.chain import EventKind
-from chasescape.graph import GraphState, IndexedSet, VertexColor, graph_jump, parse_edge_list
+from chasescape.graph import GraphState, VertexColor, graph_jump, parse_edge_list
 from chasescape.params import NoTransitionError
 
+SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
 
-class TestIndexedSet:
-    def test_add_remove_sample(self):
-        s = IndexedSet()
-        for x in range(10):
-            s.add(x)
-        s.remove(3)
-        s.remove(9)
-        assert len(s) == 8
-        assert 3 not in s and 9 not in s
-        assert s.sample(0.0) in s
 
-    def test_duplicate_add_raises(self):
-        s = IndexedSet([1])
-        with pytest.raises(ValueError):
-            s.add(1)
-
-    def test_remove_absent_raises(self):
-        with pytest.raises(KeyError):
-            IndexedSet([1]).remove(2)
-
-    def test_sample_empty_raises(self):
-        with pytest.raises(IndexError):
-            IndexedSet().sample(0.5)
-
-    def test_sampling_is_uniform(self):
-        # frequency counts on a fixed 3-member configuration
-        s = IndexedSet(["a", "b", "c"])
-        rng = make_rng(404)
-        counts = {"a": 0, "b": 0, "c": 0}
-        trials = 30000
-        for _ in range(trials):
-            counts[s.sample(rng.random())] += 1
-        chi = chi_square_gof(list(counts.values()), [1 / 3] * 3)
-        assert chi.pvalue > 0.001
-
-    def test_sampling_uniform_after_churn(self):
-        s = IndexedSet(range(20))
-        for x in range(0, 20, 2):
-            s.remove(x)
-        rng = make_rng(405)
-        counts = {x: 0 for x in s}
-        trials = 20000
-        for _ in range(trials):
-            counts[s.sample(rng.random())] += 1
-        chi = chi_square_gof(list(counts.values()), [1 / len(counts)] * len(counts))
-        assert chi.pvalue > 0.001
+def _assert_csr_tables(g):
+    """Heads ascend within each row, and ``reverse`` maps (u, v) to (v, u)."""
+    tails = np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
+    for u in range(g.vertex_count):
+        assert np.all(np.diff(g.indices[g.indptr[u] : g.indptr[u + 1]]) > 0)
+    assert np.array_equal(tails[g.reverse], g.indices)
+    assert np.array_equal(g.indices[g.reverse], tails)
 
 
 class TestGraphConstruction:
     def test_k2_single_edge(self):
         g = complete_graph(2)
-        assert g.adjacency == ((1,), (0,))
+        assert g.indptr.tolist() == [0, 1, 2]
+        assert g.indices.tolist() == [1, 0]
+        assert g.reverse.tolist() == [1, 0]
 
     def test_k5_edges_and_degrees(self):
         g = complete_graph(5)
-        assert sum(len(nbrs) for nbrs in g.adjacency) == 2 * 10
-        assert all(len(nbrs) == 4 for nbrs in g.adjacency)
+        assert len(g.indices) == 2 * 10
+        assert np.diff(g.indptr).tolist() == [4] * 5
 
     def test_k101_degrees(self):
         g = complete_graph(101)
-        assert all(len(nbrs) == 100 for nbrs in g.adjacency)
+        assert np.all(np.diff(g.indptr) == 100)
+        _assert_csr_tables(g)
 
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):
@@ -100,6 +67,19 @@ class TestGraphConstruction:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_tables_take_under_16_bytes_per_adjacency_entry(self):
+        # two int32 tables take 8 bytes per entry; a tuple or a boxed int per
+        # entry would take at least 28
+        m = 1025
+        tracemalloc.start()
+        try:
+            g = complete_graph(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.vertex_count == m
+        assert peak < 16 * m * (m - 1)
+
     def test_cap_counts_adjacency_entries(self, monkeypatch):
         monkeypatch.setattr(graph, "MAX_COMPLETE_GRAPH_ENTRIES", 20)
         assert complete_graph(5).vertex_count == 5  # 5 * 4 = 20 entries
@@ -111,12 +91,22 @@ class TestEdgeListFormat:
     def test_parse_path_graph(self):
         g = parse_edge_list(["0 1", "1 2"])
         assert g.vertex_count == 3
-        assert g.adjacency == ((1,), (0, 2), (1,))
+        assert g.indptr.tolist() == [0, 1, 3, 4]
+        assert g.indices.tolist() == [1, 0, 2, 1]
+        assert g.reverse.tolist() == [1, 0, 3, 2]
 
     def test_roundtrip(self):
         g = complete_graph(6)
-        lines = [f"{u} {v}" for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v]
-        assert parse_edge_list(lines) == g
+        tails = np.repeat(np.arange(6), np.diff(g.indptr))
+        lines = [f"{u} {v}" for u, v in zip(tails, g.indices) if u < v]
+        h = parse_edge_list(lines)
+        for table in ("indptr", "indices", "reverse"):
+            assert np.array_equal(getattr(h, table), getattr(g, table))
+
+    def test_sparse_graph_tables(self):
+        g = graph.load_edge_list(str(SPARSE_EDGE_LIST))
+        assert g.vertex_count == 21 and len(g.indices) == 2 * 50
+        _assert_csr_tables(g)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ParameterError):
@@ -187,16 +177,32 @@ class TestRates:
             graph_jump(state, g, p, make_rng(0))
 
 
+def _assert_consistent(state, g):
+    """The three sets hold exactly the red vertices, the red-white and the
+    red-blue edges, and each position table indexes its set."""
+    assert state.recount(g) == (len(state.red), len(state.rw), len(state.rb))
+    tails = np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
+    colors = np.array(state.colors)
+    assert np.all(colors[state.red] == VertexColor.RED)
+    for items, head_color in ((state.rw, VertexColor.WHITE), (state.rb, VertexColor.BLUE)):
+        assert np.all(colors[tails[items]] == VertexColor.RED)
+        assert np.all(colors[g.indices[items]] == head_color)
+    for items, pos in (
+        (state.red, state.vertex_pos), (state.rw, state.edge_pos), (state.rb, state.edge_pos)
+    ):
+        assert all(pos[x] == i for i, x in enumerate(items))
+
+
 class TestBookkeeping:
     def test_matches_brute_force_recount_along_runs(self):
-        g = complete_graph(12)
         p = Params(11, 1.0, 1.0)
-        for trial in range(20):
-            rng = make_rng(stream_seed(21, trial))
-            state = GraphState.initial(g, p)
-            while len(state.red) > 0:
-                graph_jump(state, g, p, rng)
-                assert state.recount(g) == (len(state.red), len(state.rw), len(state.rb))
+        for g in (complete_graph(12), _path_graph(12)):
+            for trial in range(20):
+                rng = make_rng(stream_seed(21, trial))
+                state = GraphState.initial(g, p)
+                while len(state.red) > 0:
+                    graph_jump(state, g, p, rng)
+                    _assert_consistent(state, g)
 
     def test_blue_is_terminal(self):
         g = complete_graph(10)

@@ -65,3 +65,19 @@ def test_trend_sweep_refuses_a_bad_parameter():
 
 def test_trend_sweep_runs():
     run_script("scripts/trend_sweep.py", "--ns", "10", "20", "--trials", "50")
+
+
+def test_trend_sweep_wraps_the_seed_of_a_later_n():
+    # the second n runs on seed 2^64, which wraps to 0
+    top = run_script(
+        "scripts/trend_sweep.py", "--ns", "10", "20", "--trials", "5",
+        "--seed", str(2**64 - 1),
+    )
+    wrapped = run_script("scripts/trend_sweep.py", "--ns", "20", "--trials", "5", "--seed", "0")
+    assert top.stdout.splitlines()[2] == wrapped.stdout.splitlines()[1]
+
+
+def test_trend_sweep_refuses_a_negative_seed():
+    proc = run_script("scripts/trend_sweep.py", "--ns", "10", "--seed", "-1", returncode=2)
+    assert "seed must be a 64-bit unsigned integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
