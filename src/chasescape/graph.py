@@ -252,8 +252,9 @@ class GraphState:
     def recount(self, graph: Graph) -> tuple[int, int, int]:
         """Brute-force (red, red-white, red-blue) counts for consistency checks."""
         colors = np.array(self.colors)
-        heads = colors[graph.indices][np.repeat(colors == _RED, np.diff(graph.indptr))]
-        return int((colors == _RED).sum()), int((heads == _WHITE).sum()), int((heads == _BLUE).sum())
+        red = colors == _RED
+        heads = colors[graph.indices][np.repeat(red, np.diff(graph.indptr))]
+        return int(red.sum()), int((heads == _WHITE).sum()), int((heads == _BLUE).sum())
 
 
 def _pick(items: list[int], u: float) -> int:
@@ -285,8 +286,7 @@ def run_graph_to_fixation(
     The initial coloring and the vertex count follow ``params`` (see
     :meth:`GraphState.initial`); rates come from ``params.lam`` and the
     effective conversion rate.  On K_{n+1} the returned statistics have the
-    same law as the count-chain engine.  Jumps read uniforms as in
-    :func:`graph_jump`.
+    same law as the count-chain engine.
     """
     state = GraphState.initial(graph, params)
     triples = _uniform_triples(rng)
