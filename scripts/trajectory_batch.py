@@ -14,7 +14,14 @@ from collections import Counter
 
 import numpy as np
 
-from chasescape import ParameterError, Params, make_rng, run_to_fixation, stream_seed
+from chasescape import (
+    ParameterError,
+    Params,
+    ResourceLimitError,
+    make_rng,
+    run_to_fixation,
+    stream_seed,
+)
 from chasescape.chain import write_trajectory_csv
 from chasescape.params import require_seed
 
@@ -39,7 +46,10 @@ def main() -> int:
     w_samples = []
     for i in range(args.seeds):
         records = [] if i == 0 and args.dump_first else None
-        result = run_to_fixation(params, make_rng(stream_seed(args.seed_base, i)), records)
+        try:
+            result = run_to_fixation(params, make_rng(stream_seed(args.seed_base, i)), records)
+        except ResourceLimitError as exc:  # a recorded run too long to hold, before any jump
+            parser.error(str(exc))
         w_samples.append(result.white_survivors)
         if records is not None:
             with open(args.dump_first, "w", encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .chain import FixationResult
+from .chain import FixationResult, empty_block
 from .params import (
     ParameterError,
     Params,
@@ -28,6 +28,7 @@ from .params import (
     is_real,
     require_positive,
 )
+from .rng import streams
 
 # expected population cap for the finite-horizon birth process sampler;
 # beyond 2^53 the integer count is no longer exact in a double
@@ -36,6 +37,9 @@ POPULATION_CAP = float(1 << 53)
 # cap on the uniforms one coupling trial draws (3n + 2 of them, 32 MiB of
 # doubles), so a huge n is refused before any allocation
 MAX_COUPLING_UNIFORMS = 1 << 22
+# uniforms per chunk of a coupling block: ~100 trials at n = 50, and one
+# trial per chunk from n = 5461 up
+_CHUNK_UNIFORMS = 1 << 14
 
 
 def _death_clock(u: np.ndarray, lam: float) -> np.ndarray:
@@ -97,6 +101,28 @@ def coupling_uniforms(params: Params) -> int:
 
 
 def coupling_block(
+    params: Params, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (W, C, tau) of coupling trials: trial j gives the bytes of
+    ``run_coupling(params, make_rng(seeds[j]))``.  The trials' rows of 3n + 2
+    uniforms are drawn in chunks of at most ``_CHUNK_UNIFORMS`` (one row when
+    a trial needs more), and each chunk runs through one vectorised kernel.
+    """
+    width = coupling_uniforms(params)
+    rows = max(1, _CHUNK_UNIFORMS // width)
+    white, conversions, times = empty_block(len(seeds))
+    uniforms = np.empty((min(rows, len(seeds)), width))
+    rngs = streams(seeds)  # one re-keyed Philox for the whole block
+    for lo in range(0, len(seeds), rows):
+        chunk = slice(lo, lo + rows)
+        window = uniforms[: len(seeds[chunk])]
+        for row, rng in zip(window, rngs):
+            rng.random(out=row)
+        white[chunk], conversions[chunk], times[chunk] = _coupling_rows(params, window)
+    return white, conversions, times
+
+
+def _coupling_rows(
     params: Params, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row (W, C, tau) of coupling trials.
@@ -143,7 +169,7 @@ def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
     """
     uniforms = np.empty((1, coupling_uniforms(params)))
     rng.random(out=uniforms[0])
-    w, c, tau = coupling_block(params, uniforms)
+    w, c, tau = _coupling_rows(params, uniforms)
     return FixationResult.at_fixation(params, int(w[0]), int(c[0]), float(tau[0]))
 
 

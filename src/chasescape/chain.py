@@ -16,15 +16,21 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .params import ParameterError, Params
-from .rng import fill_windows, make_rng
+from .params import ParameterError, Params, ResourceLimitError
+from .rng import fill_windows, streams
+
+# cap on the jumps a recorded run may make (2n + 1 at most), refused before
+# the first jump: at about 272 bytes per JumpRecord, 2^19 jumps is 136 MiB
+MAX_RECORDED_JUMPS = 1 << 19
 
 _BUFFER_CHUNK = 1 << 16  # even, so paired draws never straddle a refill
-# uniforms per row of a lockstep window (128 jumps); a multiple of 4, so
-# every window starts on a Philox counter step
+# uniforms per row of a lockstep window (128 jumps)
 _WINDOW = 256
 # fewest live trials a lockstep step serves; with fewer, the scalar loop is cheaper
 _LOCKSTEP_MIN_LIVE = 32
+# trials per lockstep chunk; with windows of at most _WINDOW uniforms a
+# chunk holds at most 2^16 of them (512 KiB) at any n
+_CHUNK_TRIALS = 256
 
 
 class EventKind(Enum):
@@ -63,6 +69,11 @@ class FixationResult:
         return cls(white, blue, conversions, fixation_time, 2 * (params.n - white) + 1)
 
 
+def empty_block(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialised (W, C, tau) arrays for a block of ``count`` trials."""
+    return np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64), np.empty(count)
+
+
 class JumpRecord(NamedTuple):
     time: float
     state: PopulationState
@@ -85,8 +96,14 @@ def run_to_fixation(
     Exp(r * (lambda*w + b + alpha)) of the state being left.  When
     ``records`` is a list, every jump is appended to it as a
     :class:`JumpRecord`: that list is the trajectory, and
-    :func:`initial_state` is where it starts.
+    :func:`initial_state` is where it starts.  A recorded run that could
+    make more than MAX_RECORDED_JUMPS jumps raises ResourceLimitError first.
     """
+    if records is not None and 2 * params.n + 1 > MAX_RECORDED_JUMPS:
+        raise ResourceLimitError(
+            f"a trajectory at n = {params.n} can make {2 * params.n + 1} jumps, "
+            f"over the cap of {MAX_RECORDED_JUMPS} recorded jumps"
+        )
     return _run_from(params, rng, initial_state(params), 0.0, 0, records)
 
 
@@ -144,27 +161,36 @@ def chain_block(
     """Per-trial (W, C, tau) of count-chain trials run in lockstep.
 
     Trial j draws from the stream keyed by ``seeds[j]`` and gives the same
-    bytes as ``run_to_fixation(params, make_rng(seeds[j]))``.  Every live
-    trial makes its t-th jump in the same numpy step, reading uniforms 2t
-    (event) and 2t + 1 (holding time) of its own stream through the scalar
-    loop's IEEE expressions; the holding times go through ``math.log1p``,
-    which ``np.log1p`` differs from in the last bit.  The uniforms are read
-    in windows of at most ``_WINDOW`` columns, so a trial holds O(_WINDOW)
+    bytes as ``run_to_fixation(params, make_rng(seeds[j]))``.  The trials
+    run in chunks of ``_CHUNK_TRIALS``; within a chunk every live trial
+    makes its t-th jump in the same numpy step, reading uniforms 2t (event)
+    and 2t + 1 (holding time) of its own stream through the scalar loop's
+    IEEE expressions; the holding times go through ``math.log1p``, which
+    ``np.log1p`` differs from in the last bit.  The uniforms are read in
+    windows of at most ``_WINDOW`` columns, so a trial holds O(_WINDOW)
     doubles however long it runs.  A trial leaves the step arrays at
     fixation, so no arithmetic runs on a row with no red.  A numpy step
     costs about as much as ``_LOCKSTEP_MIN_LIVE`` scalar jumps, so once
     fewer trials are live the scalar loop finishes each of them from where
     its stream stands.
     """
+    white, conversions, times = empty_block(len(seeds))
+    for lo in range(0, len(seeds), _CHUNK_TRIALS):
+        chunk = slice(lo, lo + _CHUNK_TRIALS)
+        _lockstep(params, seeds[chunk], white[chunk], conversions[chunk], times[chunk])
+    return white, conversions, times
+
+
+def _lockstep(
+    params: Params, seeds: np.ndarray, white: np.ndarray, conversions: np.ndarray, times: np.ndarray
+) -> None:
+    """One chunk of :func:`chain_block`, written into its output views."""
     lam = params.lam
     a = params.conversion_rate
     total = params.total_vertices
     r0, b0 = params.initial_red_blue
     count = len(seeds)
     width = min(_WINDOW, 4 * total)
-    white = np.empty(count, dtype=np.int64)
-    conversions = np.empty(count, dtype=np.int64)
-    times = np.empty(count, dtype=np.float64)
     window = np.empty((count, width))
     # live trials: their index, blue count, conversions and clock; every
     # jump raises the layer r + 2b by one, so r and w follow from b
@@ -206,16 +232,12 @@ def chain_block(
                 keep = ~done
                 trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
                 window[: trial.size, col + 2 :] = window[:live][keep, col + 2 :]
-    for i, blue, made, clock in zip(trial.tolist(), b.tolist(), c.tolist(), t.tolist()):
-        rng = make_rng(int(seeds[i]))
-        # four doubles per Philox counter step, then past the rest of this one
-        rng.bit_generator.advance(position // 4)
-        rng.random(position % 4)
+    rngs = streams(seeds[trial], position)
+    for i, blue, made, clock, rng in zip(trial.tolist(), b.tolist(), c.tolist(), t.tolist(), rngs):
         blue = int(blue)
         state = PopulationState(layer - 2 * blue, blue, (total - layer) + blue)
         res = _run_from(params, rng, state, clock, made)
         white[i], conversions[i], times[i] = res.white_survivors, res.conversions, res.fixation_time
-    return white, conversions, times
 
 
 def check_trajectory(

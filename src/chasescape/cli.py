@@ -186,7 +186,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParameterError, ResourceLimitError, OSError, json.JSONDecodeError) as exc:
+    except (
+        ParameterError, ResourceLimitError, OSError, json.JSONDecodeError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

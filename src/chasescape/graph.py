@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chain import EventKind, FixationResult
+from .chain import EventKind, FixationResult, empty_block
 from .params import NoTransitionError, ParameterError, Params, ResourceLimitError, is_integer
+from .rng import streams
 
 # cap on the m(m - 1) adjacency entries of complete_graph, each an int32
 # head plus an int32 reverse id; 2^24 is about K_4097, 128 MiB of tables
@@ -28,13 +28,7 @@ MAX_COMPLETE_GRAPH_ENTRIES = 1 << 24
 _WINDOW_JUMPS = 64
 
 
-class VertexColor(IntEnum):
-    WHITE = 0
-    RED = 1
-    BLUE = 2  # terminal
-
-
-_WHITE, _RED, _BLUE = 0, 1, 2  # VertexColor as the plain ints GraphState stores
+_WHITE, _RED, _BLUE = 0, 1, 2  # the vertex colours GraphState stores; blue is terminal
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +98,9 @@ def parse_edge_list(lines: Iterable[str]) -> Graph:
         max_vertex = max(max_vertex, u, v)
     if not pairs:
         raise ParameterError("edge list is empty")
+    # m edges connect at most m + 1 vertices, so this refuses before allocating
+    if max_vertex > len(pairs):
+        raise ParameterError("graph is not connected")
     adjacency: list[set[int]] = [set() for _ in range(max_vertex + 1)]
     for lineno, u, v in pairs:
         if v in adjacency[u]:
@@ -137,42 +134,31 @@ class GraphState:
     ``rb`` those of (red, blue) edges; a set grows at its end and loses a
     member by moving its last one into the freed slot.  ``vertex_pos[v]`` is
     v's index in ``red``, ``edge_pos[e]`` e's index in ``rw`` or ``rb``.
+
+    It starts in the start state of ``params`` (its red vertices, then its
+    blue ones, then n white), painted on an all-white graph: each blue vertex
+    red and then blue, then the red ones.  ParameterError unless the graph
+    has ``params.total_vertices`` vertices.
     """
 
     __slots__ = ("colors", "red", "rw", "rb", "vertex_pos", "edge_pos")
 
-    def __init__(self, graph: Graph, colors: list[VertexColor]) -> None:
-        if len(colors) != graph.vertex_count:
-            raise ParameterError("color array does not match the graph")
-        self.colors = [int(c) for c in colors]
-        self.red, self.rw, self.rb = [], [], []
-        self.vertex_pos = [0] * len(colors)
-        self.edge_pos = [0] * len(graph.indices)
-        for u, c in enumerate(self.colors):
-            if c != _RED:
-                continue
-            self.vertex_pos[u] = len(self.red)
-            self.red.append(u)
-            lo, hi = graph.indptr[u : u + 2].tolist()
-            for e, v in zip(range(lo, hi), graph.indices[lo:hi].tolist()):
-                if self.colors[v] != _RED:
-                    rates = self.rw if self.colors[v] == _WHITE else self.rb
-                    self.edge_pos[e] = len(rates)
-                    rates.append(e)
-
-    @classmethod
-    def initial(cls, graph: Graph, params: Params) -> GraphState:
-        """The start state of ``params``: its red vertices first, then its
-        blue ones, then n white; ParameterError unless the graph has
-        ``params.total_vertices`` vertices."""
+    def __init__(self, graph: Graph, params: Params) -> None:
         if graph.vertex_count != params.total_vertices:
             raise ParameterError(
                 f"graph has {graph.vertex_count} vertices but n = {params.n} "
                 f"({params.init_mode.value} start) needs {params.total_vertices}"
             )
+        self.colors = [_WHITE] * graph.vertex_count
+        self.red, self.rw, self.rb = [], [], []
+        self.vertex_pos = [0] * graph.vertex_count
+        self.edge_pos = [0] * len(graph.indices)
         r0, b0 = params.initial_red_blue
-        colors = [VertexColor.RED] * r0 + [VertexColor.BLUE] * b0 + [VertexColor.WHITE] * params.n
-        return cls(graph, colors)
+        for v in range(r0, r0 + b0):
+            self.paint_red(graph, v)
+            self.paint_blue(graph, v)
+        for v in range(r0):
+            self.paint_red(graph, v)
 
     def paint_red(self, graph: Graph, v: int) -> None:
         colors, rw, rb, pos = self.colors, self.rw, self.rb, self.edge_pos
@@ -271,24 +257,17 @@ def _uniform_triples(rng: np.random.Generator) -> Iterator[tuple[float, float, f
         yield from zip(u[0::3], u[1::3], u[2::3])
 
 
-def graph_jump(
-    state: GraphState, graph: Graph, params: Params, rng: np.random.Generator
-) -> tuple[EventKind, float]:
-    """:meth:`GraphState.step` on the next three uniforms of ``rng``."""
-    return state.step(graph, params, rng.random(), rng.random(), rng.random())
-
-
 def run_graph_to_fixation(
     graph: Graph, params: Params, rng: np.random.Generator
 ) -> FixationResult:
     """Simulate on ``graph`` until no red vertices remain.
 
     The initial coloring and the vertex count follow ``params`` (see
-    :meth:`GraphState.initial`); rates come from ``params.lam`` and the
-    effective conversion rate.  On K_{n+1} the returned statistics have the
-    same law as the count-chain engine.
+    :class:`GraphState`); rates come from ``params.lam`` and the effective
+    conversion rate.  On K_{n+1} the returned statistics have the same law
+    as the count-chain engine.
     """
-    state = GraphState.initial(graph, params)
+    state = GraphState(graph, params)
     triples = _uniform_triples(rng)
     fixation_time = 0.0
     conversions = 0
@@ -299,3 +278,15 @@ def run_graph_to_fixation(
             conversions += 1
     white = state.colors.count(_WHITE)
     return FixationResult.at_fixation(params, white, conversions, fixation_time)
+
+
+def graph_block(
+    graph: Graph, params: Params, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (W, C, tau) on ``graph``, one trial at a time: trial j is
+    ``run_graph_to_fixation(graph, params, make_rng(seeds[j]))``."""
+    white, conversions, times = empty_block(len(seeds))
+    for j, rng in enumerate(streams(seeds)):
+        res = run_graph_to_fixation(graph, params, rng)
+        white[j], conversions[j], times[j] = res.white_survivors, res.conversions, res.fixation_time
+    return white, conversions, times

@@ -16,16 +16,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from .analytics import _Z975, stats_wilson_ci
-from .birth_death import coupling_block, coupling_uniforms
+from .birth_death import coupling_block
 from .chain import chain_block
-from .graph import complete_graph, load_edge_list, run_graph_to_fixation
+from .graph import complete_graph, graph_block, load_edge_list
 from .params import ParameterError, Params, is_integer, require_seed
-from .rng import stream_seeds, trial_rngs
+from .rng import stream_seeds
 
 
 class Engine(Enum):
@@ -105,74 +104,22 @@ def params_as_dict(params: Params) -> dict:
     }
 
 
-Block = tuple[np.ndarray, np.ndarray, np.ndarray]
-BlockKernel = Callable[[Params, str | None, int, int, int], Block]
-
-# uniforms per chunk of a coupling block: ~100 trials at n = 50, and one
-# trial per chunk from n = 5461 up
-_COUPLING_CHUNK_UNIFORMS = 1 << 14
-# trials per lockstep chunk of a chain block; with windows of at most 256
-# uniforms a chunk holds at most 2^16 of them (512 KiB) at any n
-_CHAIN_CHUNK_TRIALS = 256
-
-
-def _empty_block(count: int) -> Block:
-    return np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64), np.empty(count)
-
-
-def _chain_block(params: Params, _graph_file: str | None, seed: int, start: int, stop: int) -> Block:
-    """Trials run through the lockstep kernel in chunks of
-    ``_CHAIN_CHUNK_TRIALS``, each trial from its own stream."""
-    seeds = stream_seeds(seed, start, stop)
-    w, c, tau = _empty_block(seeds.size)
-    for lo in range(0, seeds.size, _CHAIN_CHUNK_TRIALS):
-        hi = min(lo + _CHAIN_CHUNK_TRIALS, seeds.size)
-        w[lo:hi], c[lo:hi], tau[lo:hi] = chain_block(params, seeds[lo:hi])
-    return w, c, tau
-
-
-def _graph_block(params: Params, graph_file: str | None, seed: int, start: int, stop: int) -> Block:
-    if graph_file is None:
+def run_block(
+    config: ExperimentConfig, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, C, tau) arrays of trials [start, stop), trial i drawn from its own
+    stream ``stream_seed(config.seed, i)`` however the trials are split into
+    blocks.  The graph engine builds its graph once per block."""
+    params, seeds = config.params, stream_seeds(config.seed, start, stop)
+    if config.engine is Engine.CHAIN:
+        return chain_block(params, seeds)
+    if config.engine is Engine.COUPLING:
+        return coupling_block(params, seeds)
+    if config.graph_file is None:
         graph = complete_graph(params.total_vertices)
     else:
-        graph = load_edge_list(graph_file)
-    w, c, tau = _empty_block(stop - start)
-    for k, rng in enumerate(trial_rngs(seed, start, stop)):
-        res = run_graph_to_fixation(graph, params, rng)
-        w[k] = res.white_survivors
-        c[k] = res.conversions
-        tau[k] = res.fixation_time
-    return w, c, tau
-
-
-def _coupling_block(
-    params: Params, _graph_file: str | None, seed: int, start: int, stop: int
-) -> Block:
-    """Trials drawn into (rows x (3n+2)) chunks of uniforms, one row per
-    trial from its own stream, and run through one vectorised kernel."""
-    width = coupling_uniforms(params)
-    rows = max(1, _COUPLING_CHUNK_UNIFORMS // width)
-    count = stop - start
-    w, c, tau = _empty_block(count)
-    uniforms = np.empty((min(rows, count), width))
-    rngs = trial_rngs(seed, start, stop)
-    for lo in range(0, count, rows):
-        chunk = uniforms[: min(rows, count - lo)]
-        for row, rng in zip(chunk, rngs):
-            rng.random(out=row)
-        hi = lo + chunk.shape[0]
-        w[lo:hi], c[lo:hi], tau[lo:hi] = coupling_block(params, chunk)
-    return w, c, tau
-
-
-# engine -> kernel computing trials [start, stop) as (W, C, tau) arrays,
-# pure in (seed, indices): trial i always draws from its own stream
-# stream_seed(seed, i), however the trials are split into blocks
-ENGINE_KERNELS: dict[Engine, BlockKernel] = {
-    Engine.CHAIN: _chain_block,
-    Engine.GRAPH: _graph_block,
-    Engine.COUPLING: _coupling_block,
-}
+        graph = load_edge_list(config.graph_file)
+    return graph_block(graph, params, seeds)
 
 
 def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,15 +129,13 @@ def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.nda
     pool runs them on at most one worker process per CPU.
     """
     trials = config.trials
-    block = partial(ENGINE_KERNELS[config.engine], config.params, config.graph_file, config.seed)
     if config.parallelism == 1 or trials < 2 * config.parallelism:
-        return block(0, trials)
+        return run_block(config, 0, trials)
     bounds = np.linspace(0, trials, config.parallelism + 1).astype(int).tolist()
     workers = min(config.parallelism, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(block, bounds[:-1], bounds[1:]))
-    w, c, tau = (np.concatenate(column) for column in zip(*blocks))
-    return w, c, tau
+        blocks = list(pool.map(partial(run_block, config), bounds[:-1], bounds[1:]))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def _mean_summary(values: np.ndarray) -> tuple[float, float, tuple[float, float]]:

@@ -8,9 +8,9 @@ how trials are distributed across workers.
 
 The mixing function is SplitMix64: ``stream_seed(s, i)`` is the ``i``-th
 output of a SplitMix64 sequence seeded with ``s``.  ``stream_seeds`` computes
-a range of them at once.  ``trial_rngs`` hands out the matching streams,
-and ``fill_windows`` fills rows with a window of each, from a single Philox
-whose key and counter are reset for each trial, which a counter-based
+a range of them at once.  ``streams`` hands out their generators from any
+uniform on, and ``fill_windows`` fills rows with a window of each, from one
+Philox whose key and counter are reset for each trial, which a counter-based
 generator allows and which costs a fraction of building a new one.
 """
 
@@ -65,42 +65,32 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def _rekeyed(seeds: np.ndarray, offset: int) -> Iterator[np.random.Generator]:
-    """One generator, re-keyed with each of ``seeds`` in turn, its counter
-    at ``offset // 4`` and its buffer empty, so that for an ``offset`` that
-    is a multiple of 4 uniform ``offset`` of each stream comes next."""
+def streams(seeds: np.ndarray, offset: int = 0) -> Iterator[np.random.Generator]:
+    """The stream keyed by each of ``seeds`` in turn from uniform ``offset``
+    on: the j-th yields what ``make_rng(seeds[j])`` yields after ``random(offset)``.
+
+    Each double takes one 64-bit Philox output and a counter step makes four,
+    so one Philox is re-keyed for each seed with its counter at ``offset // 4``
+    and its buffer empty, and skips ``offset % 4`` doubles.  It is yielded
+    again and again, so it must not be used after the iteration moves on.
+    """
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state
     state["state"]["counter"][0] = offset // 4
     key = state["state"]["key"]
+    skip = offset % 4
     for seed in seeds:
         key[0] = seed
         bit_generator.state = state
+        if skip:
+            rng.random(skip)
         yield rng
-
-
-def trial_rngs(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """The generators of trials [start, stop), each equal to
-    ``make_rng(stream_seed(master_seed, i))``.
-
-    One generator is yielded again and again, re-keyed with a fresh counter
-    and an empty buffer before each trial, so it must not be used after the
-    iteration moves on.
-    """
-    return _rekeyed(stream_seeds(master_seed, start, stop), 0)
 
 
 def fill_windows(seeds: np.ndarray, offset: int, out: np.ndarray) -> None:
     """Fill row j of ``out`` with uniforms [offset, offset + width) of the
     stream keyed by ``seeds[j]``, that is with
-    ``make_rng(seeds[j]).random(offset + width)[offset:]``.
-
-    Each double takes one 64-bit Philox output and each counter step makes
-    four, so a window starts on a counter step: ``offset`` must be a
-    non-negative multiple of 4.
-    """
-    if offset < 0 or offset % 4:
-        raise ValueError(f"window offset must be a non-negative multiple of 4, got {offset}")
-    for row, rng in zip(out, _rekeyed(seeds, offset)):
+    ``make_rng(seeds[j]).random(offset + width)[offset:]``."""
+    for row, rng in zip(out, streams(seeds, offset)):
         rng.random(out=row)

@@ -35,14 +35,7 @@ from .chain import (
     run_to_fixation,
     write_trajectory_csv,
 )
-from .harness import (
-    ENGINE_KERNELS,
-    Engine,
-    Estimator,
-    ExperimentConfig,
-    run_experiment,
-    run_trials,
-)
+from .harness import Engine, Estimator, ExperimentConfig, run_block, run_experiment, run_trials
 from .params import InitMode, Params
 from .rng import make_rng, stream_seed
 
@@ -313,26 +306,26 @@ def check_trajectory_export() -> tuple[bool, dict]:
 
 def check_determinism() -> tuple[bool, dict]:
     params = Params(n=30, lam=1.0, alpha=1.5)
+    base = dict(params=params, seed=1012, estimator=Estimator.EXPECTED_W)
     engines_ok = {}
-    for engine, block in ENGINE_KERNELS.items():
-        first, second = block(params, None, 1012, 0, 20), block(params, None, 1012, 0, 20)
+    for engine in Engine:
+        config = ExperimentConfig(engine=engine, trials=20, **base)
+        first, second = run_block(config, 0, 20), run_block(config, 0, 20)
         engines_ok[engine.value] = all(map(np.array_equal, first, second))
 
     # the batched coupling block against one make_rng + run_coupling per
     # trial, over more trials than one chunk holds at n = 30
     start, stop = 7, 407
-    batched = ENGINE_KERNELS[Engine.COUPLING](params, None, 1012, start, stop)
+    batched = run_block(ExperimentConfig(engine=Engine.COUPLING, trials=stop, **base), start, stop)
     per_trial = [run_coupling(params, make_rng(stream_seed(1012, i))) for i in range(start, stop)]
     batched_ok = all(
         np.array_equal(column, [getattr(res, field) for res in per_trial])
         for column, field in zip(batched, ("white_survivors", "conversions", "fixation_time"))
     )
 
-    base = dict(
-        params=params, trials=2000, seed=1012, estimator=Estimator.EXPECTED_W, engine=Engine.CHAIN
-    )
-    serial = run_experiment(ExperimentConfig(parallelism=1, **base)).to_json()
-    parallel = run_experiment(ExperimentConfig(parallelism=8, **base)).to_json()
+    chain = dict(base, trials=2000, engine=Engine.CHAIN)
+    serial = run_experiment(ExperimentConfig(parallelism=1, **chain)).to_json()
+    parallel = run_experiment(ExperimentConfig(parallelism=8, **chain)).to_json()
     merge_ok = serial == parallel
     details = {
         "engine_repeat_identical": engines_ok,

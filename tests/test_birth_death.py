@@ -18,15 +18,16 @@ from chasescape import (
     run_coupling,
     stream_seed,
 )
-from chasescape import harness
 from chasescape.analytics import chi_square_gof
 from chasescape.birth_death import (
+    coupling_block,
     sample_limit_sum,
     sample_terminal_gamma_process,
     simulate_birth_times,
     simulate_death_times,
 )
 from chasescape.params import MAX_N
+from chasescape.rng import stream_seeds
 
 
 def _mean_within_3se(values, target):
@@ -150,9 +151,7 @@ class TestCoupling:
         exact = exact_distribution_W(n, lam, alpha)
         # the block draws trial i from make_rng(stream_seed(34, i)), as
         # run_coupling would
-        w, conversions, _ = harness.ENGINE_KERNELS[harness.Engine.COUPLING](
-            Params(n, lam, alpha), None, 34, 0, trials
-        )
+        w, conversions, _ = coupling_block(Params(n, lam, alpha), stream_seeds(34, 0, trials))
         counts = np.bincount(w, minlength=n + 1)
         chi = chi_square_gof(counts, exact.probabilities)
         assert chi.pvalue > 0.001
@@ -212,7 +211,7 @@ class TestCoupling:
             with pytest.raises(ResourceLimitError):
                 run_coupling(params, make_rng(0))
             with pytest.raises(ResourceLimitError):
-                harness.ENGINE_KERNELS[harness.Engine.COUPLING](params, None, 0, 0, 1)
+                coupling_block(params, stream_seeds(0, 0, 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

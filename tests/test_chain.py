@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from chasescape import (
     run_to_fixation,
     stream_seed,
 )
-from chasescape import harness
+from chasescape import chain
 from chasescape.analytics import prob_gamma_less_exp_closed, stats_wilson_ci
 from chasescape.birth_death import (
     sample_limit_sum,
@@ -26,9 +27,12 @@ from chasescape.chain import (
     EventKind,
     JumpRecord,
     PopulationState,
+    chain_block,
     check_trajectory,
     initial_state,
 )
+from chasescape.params import MAX_N, ResourceLimitError
+from chasescape.rng import stream_seeds
 
 KORTCHEMSKI = InitMode.KORTCHEMSKI
 
@@ -152,7 +156,7 @@ class TestRunToFixation:
         p = Params(1, 1.0, 1.0)
         trials = 40000
         # trial i draws from make_rng(stream_seed(11, i)), as run_to_fixation would
-        w, c, _ = harness.ENGINE_KERNELS[harness.Engine.CHAIN](p, None, 11, 0, trials)
+        w, c, _ = chain_block(p, stream_seeds(11, 0, trials))
         assert abs(w.sum() / trials - 0.5) < 3 * 0.5 / math.sqrt(trials)
         assert abs(c.sum() / trials - 1.25) < 0.02
 
@@ -197,7 +201,7 @@ class TestRunToFixation:
         # P(W = n) = alpha / (lambda n + alpha); frequency vs exact
         p = Params(100, 1.0, 4.0)
         trials = 20000
-        w, _, _ = harness.ENGINE_KERNELS[harness.Engine.CHAIN](p, None, 13, 0, trials)
+        w, _, _ = chain_block(p, stream_seeds(13, 0, trials))
         hits = np.count_nonzero(w == p.n)
         target = 4.0 / 104.0
         assert abs(hits / trials - target) < 3 * math.sqrt(target * (1 - target) / trials)
@@ -213,7 +217,7 @@ class TestRunToFixation:
         n, trials = 12, 30000
         p = Params(n, 1.0, 2.0)
         exact = exact_distribution_W(n, 1.0, 2.0)
-        w, _, _ = harness.ENGINE_KERNELS[harness.Engine.CHAIN](p, None, 15, 0, trials)
+        w, _, _ = chain_block(p, stream_seeds(15, 0, trials))
         counts = np.bincount(w, minlength=n + 1)
         for k in range(n + 1):
             pk = exact.probabilities[k]
@@ -229,7 +233,7 @@ class TestRunToFixation:
         exact = exact_distribution_W(n, 1.0, 2.0)
         # the block draws trial i from make_rng(stream_seed(51, i)), as
         # run_to_fixation would
-        w, _, _ = harness.ENGINE_KERNELS[harness.Engine.CHAIN](p, None, 51, 0, trials)
+        w, _, _ = chain_block(p, stream_seeds(51, 0, trials))
         counts = np.bincount(w, minlength=n + 1)
         for k in range(n + 1):
             pk = exact.probabilities[k]
@@ -268,6 +272,25 @@ class TestTrajectory:
         p = Params(25, 1.0, 2.0)
         records = _recorded(p, make_rng(3))
         check_trajectory([tuple(rec) for rec in records], p)
+
+    def test_record_run_at_max_n_is_refused_before_the_first_jump(self):
+        # 2 * MAX_N + 1 jumps at about 272 bytes per record would be 54 GB
+        rng, records = make_rng(0), []
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="cap"):
+                run_to_fixation(Params(MAX_N, 1.0, 1.0), rng, records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert records == [] and peak < 1 << 20
+        assert rng.random() == make_rng(0).random()  # no uniform was drawn
+
+    def test_record_cap_counts_the_most_jumps_a_run_can_make(self, monkeypatch):
+        monkeypatch.setattr(chain, "MAX_RECORDED_JUMPS", 41)
+        check_trajectory(_recorded(Params(20, 1.0, 2.0), make_rng(1)), Params(20, 1.0, 2.0))
+        with pytest.raises(ResourceLimitError):
+            _recorded(Params(21, 1.0, 2.0), make_rng(1))
 
 
 def _tamper(records, index, **changes):

@@ -61,6 +61,12 @@ class TestSimulate:
             run_cli("simulate", "--n", "5", "--trials", "3")
         assert exc.value.code == 2
 
+    def test_trajectory_over_the_record_cap_exits_2(self):
+        # 2 * 10^8 + 1 jumps would need about 54 GB of records
+        code, out, err = run_cli("simulate", "--n", "100000000", "--seed", "0")
+        assert code == 2 and out == ""
+        assert "over the cap" in err and "Traceback" not in err
+
 
 class TestEstimate:
     def test_json_summary(self):
@@ -96,6 +102,24 @@ class TestEstimate:
         assert doc["params"]["n"] == 12
         assert doc["trials"] == 120
         assert doc["estimator"] == "expected_w"
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_bytes(b'\xff{"n": 5}')
+        code, out, err = run_cli("estimate", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "codec" in err
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_graph_file_that_is_not_utf8_exits_2(self, tmp_path, parallelism):
+        edges = tmp_path / "edges.txt"
+        edges.write_bytes(b"\xff0 1\n")
+        code, out, err = run_cli(
+            "estimate", "--n", "1", "--engine", "graph", "--graph-file", str(edges),
+            "--trials", "10", "--parallelism", parallelism,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "codec" in err
 
     def test_config_rejects_unknown_keys(self, tmp_path):
         config = tmp_path / "bad.json"

@@ -20,7 +20,7 @@ from chasescape import (
 from chasescape.analytics import chi_square_gof
 from chasescape import graph
 from chasescape.chain import EventKind
-from chasescape.graph import GraphState, VertexColor, graph_jump, parse_edge_list
+from chasescape.graph import _BLUE, _RED, _WHITE, GraphState, parse_edge_list
 from chasescape.params import NoTransitionError
 
 SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
@@ -120,6 +120,20 @@ class TestEdgeListFormat:
         with pytest.raises(ParameterError):
             parse_edge_list(["0 1", "2 3"])
 
+    def test_index_past_the_edge_count_refused_before_allocating(self):
+        # one edge connects two vertices, not 200001; one set per index up
+        # to the largest would take about 43 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="not connected"):
+                parse_edge_list(["0 200000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # m edges may still reach index m
+        assert parse_edge_list(["0 2", "2 1"]).vertex_count == 3
+
     def test_rejects_garbage(self):
         with pytest.raises(ParameterError):
             parse_edge_list(["0 1 2"])
@@ -130,12 +144,18 @@ class TestEdgeListFormat:
 
 
 def _colored_state(graph, red=(), blue=()):
-    colors = [VertexColor.WHITE] * graph.vertex_count
-    for v in red:
-        colors[v] = VertexColor.RED
+    """The state with ``red`` and ``blue`` vertices, painted onto the standard
+    start (vertex 0 red), which needs vertex 0 among them."""
+    assert 0 in red or 0 in blue
+    state = GraphState(graph, Params(graph.vertex_count - 1, 1.0, 1.0))
     for v in blue:
-        colors[v] = VertexColor.BLUE
-    return GraphState(graph, colors)
+        if v != 0:
+            state.paint_red(graph, v)
+        state.paint_blue(graph, v)
+    for v in red:
+        if v != 0:
+            state.paint_red(graph, v)
+    return state
 
 
 class TestRates:
@@ -152,7 +172,7 @@ class TestRates:
         p = Params(2, 1.0, 0.0, InitMode.KORTCHEMSKI)  # conversion off
         for seed in range(10):
             state = _colored_state(g, red=(0,), blue=(1, 2))
-            event, _ = graph_jump(state, g, p, make_rng(seed))
+            event, _ = state.step(g, p, *make_rng(seed).random(3))
             assert event is EventKind.CHASE
 
     def test_isolated_red_component_must_convert(self):
@@ -160,21 +180,21 @@ class TestRates:
         p = Params(1, 1.0, 2.0)
         for seed in range(10):
             state = _colored_state(g, red=(0, 1))
-            event, _ = graph_jump(state, g, p, make_rng(seed))
+            event, _ = state.step(g, p, *make_rng(seed).random(3))
             assert event is EventKind.CONVERT
 
     def test_no_red_raises(self):
         g = complete_graph(3)
         state = _colored_state(g, blue=(0,))
         with pytest.raises(NoTransitionError):
-            graph_jump(state, g, Params(2, 1.0, 1.0), make_rng(0))
+            state.step(g, Params(2, 1.0, 1.0), *make_rng(0).random(3))
 
     def test_zero_total_rate_raises(self):
         g = parse_edge_list(["0 1"])
         p = Params(1, 1.0, 0.0, InitMode.KORTCHEMSKI)
         state = _colored_state(g, red=(0, 1))  # no white, no blue, no conversion
         with pytest.raises(NoTransitionError):
-            graph_jump(state, g, p, make_rng(0))
+            state.step(g, p, *make_rng(0).random(3))
 
 
 def _assert_consistent(state, g):
@@ -183,9 +203,9 @@ def _assert_consistent(state, g):
     assert state.recount(g) == (len(state.red), len(state.rw), len(state.rb))
     tails = np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
     colors = np.array(state.colors)
-    assert np.all(colors[state.red] == VertexColor.RED)
-    for items, head_color in ((state.rw, VertexColor.WHITE), (state.rb, VertexColor.BLUE)):
-        assert np.all(colors[tails[items]] == VertexColor.RED)
+    assert np.all(colors[state.red] == _RED)
+    for items, head_color in ((state.rw, _WHITE), (state.rb, _BLUE)):
+        assert np.all(colors[tails[items]] == _RED)
         assert np.all(colors[g.indices[items]] == head_color)
     for items, pos in (
         (state.red, state.vertex_pos), (state.rw, state.edge_pos), (state.rb, state.edge_pos)
@@ -199,20 +219,20 @@ class TestBookkeeping:
         for g in (complete_graph(12), _path_graph(12)):
             for trial in range(20):
                 rng = make_rng(stream_seed(21, trial))
-                state = GraphState.initial(g, p)
+                state = GraphState(g, p)
                 while len(state.red) > 0:
-                    graph_jump(state, g, p, rng)
+                    state.step(g, p, *rng.random(3))
                     _assert_consistent(state, g)
 
     def test_blue_is_terminal(self):
         g = complete_graph(10)
         p = Params(9, 1.0, 1.5)
         rng = make_rng(31)
-        state = GraphState.initial(g, p)
+        state = GraphState(g, p)
         ever_blue = set()
         while len(state.red) > 0:
-            graph_jump(state, g, p, rng)
-            now_blue = {v for v, c in enumerate(state.colors) if c == VertexColor.BLUE}
+            state.step(g, p, *rng.random(3))
+            now_blue = {v for v, c in enumerate(state.colors) if c == _BLUE}
             assert ever_blue <= now_blue
             ever_blue = now_blue
 
@@ -224,9 +244,9 @@ def _path_graph(m):
 def test_initial_refuses_a_graph_of_the_wrong_size():
     # K_{n+2} is the kortchemski graph, one vertex too many for the standard start
     with pytest.raises(ParameterError, match="12 vertices"):
-        GraphState.initial(complete_graph(12), Params(10, 1.0, 1.0))
+        GraphState(complete_graph(12), Params(10, 1.0, 1.0))
     with pytest.raises(ParameterError, match="11 vertices"):
-        GraphState.initial(complete_graph(11), Params(10, 1.0, 0.0, InitMode.KORTCHEMSKI))
+        GraphState(complete_graph(11), Params(10, 1.0, 0.0, InitMode.KORTCHEMSKI))
 
 
 @pytest.mark.parametrize("mode", list(InitMode))
@@ -237,15 +257,15 @@ def test_jump_count_is_the_number_of_graph_jumps(mode):
         p = Params(n, 1.3, 0.7, mode)
         for g in (complete_graph(p.total_vertices), _path_graph(p.total_vertices)):
             for seed in range(25):
-                state = GraphState.initial(g, p)
+                state = GraphState(g, p)
                 rng = make_rng(stream_seed(24, seed))
                 jumps = 0
                 while len(state.red) > 0:
-                    graph_jump(state, g, p, rng)
+                    state.step(g, p, *rng.random(3))
                     jumps += 1
                 res = run_graph_to_fixation(g, p, make_rng(stream_seed(24, seed)))
                 assert res.jump_count == jumps
-                assert res.white_survivors == state.colors.count(VertexColor.WHITE)
+                assert res.white_survivors == state.colors.count(_WHITE)
 
 
 @given(seed=st.integers(0, 2**32), n=st.integers(2, 12))
@@ -285,10 +305,10 @@ class TestLawAgreement:
     def test_kortchemski_initial_coloring(self):
         g = complete_graph(7)
         p = Params(5, 1.0, 0.0, InitMode.KORTCHEMSKI)
-        state = GraphState.initial(g, p)
-        assert state.colors[0] == VertexColor.RED
-        assert state.colors[1] == VertexColor.BLUE
-        assert state.colors.count(VertexColor.WHITE) == 5
+        state = GraphState(g, p)
+        assert state.colors[0] == _RED
+        assert state.colors[1] == _BLUE
+        assert state.colors.count(_WHITE) == 5
 
     def test_determinism(self):
         g = complete_graph(15)

@@ -22,7 +22,8 @@ from chasescape import (
     run_experiment,
     stream_seed,
 )
-from chasescape import chain, harness
+from chasescape import birth_death, chain, harness
+from chasescape.birth_death import coupling_block
 from chasescape.chain import (
     TRAJECTORY_FIELDS,
     check_trajectory,
@@ -30,8 +31,9 @@ from chasescape.chain import (
     run_to_fixation,
     write_trajectory_csv,
 )
-from chasescape.harness import canonical_json, run_trials
-from chasescape.rng import fill_windows, splitmix64, stream_seeds, trial_rngs
+from chasescape.graph import complete_graph, graph_block, run_graph_to_fixation
+from chasescape.harness import canonical_json, run_block, run_trials
+from chasescape.rng import fill_windows, splitmix64, stream_seeds, streams
 
 
 class TestStreamSeeding:
@@ -59,12 +61,15 @@ class TestStreamSeeding:
         assert [int(s) for s in seeds] == [stream_seed(master, i) for i in range(start, start + 5)]
 
     @pytest.mark.parametrize("master", [0, 2**64 - 1])
-    def test_trial_rngs_match_make_rng(self, master):
+    @pytest.mark.parametrize("offset", range(8))
+    def test_streams_match_make_rng(self, master, offset):
         # draw sizes 1, 3 and 6 end off Philox's 4-value buffer boundary, so
         # a re-keyed generator must also drop the previous trial's leftovers
         start, stop = 5, 30
-        for i, rng in zip(range(start, stop), trial_rngs(master, start, stop), strict=True):
+        seeds = stream_seeds(master, start, stop)
+        for i, rng in zip(range(start, stop), streams(seeds, offset), strict=True):
             ref = make_rng(stream_seed(master, i))
+            ref.random(offset)
             for size in (1, 3, 6):
                 assert rng.random(size).tolist() == ref.random(size).tolist()
             assert rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() == ref.integers(
@@ -75,7 +80,8 @@ class TestStreamSeeding:
 
 class TestWindowFill:
     @pytest.mark.parametrize("master", [0, 2**64 - 1])
-    @pytest.mark.parametrize("offset", [0, 4, 256, 2**16 + 4])
+    # every offset within a Philox counter step, and windows across one
+    @pytest.mark.parametrize("offset", [*range(8), 256, 258, 2**16 + 4, 2**16 + 5])
     def test_window_is_a_slice_of_the_stream(self, master, offset):
         width = 36
         seeds = stream_seeds(master, 7, 12)
@@ -84,13 +90,6 @@ class TestWindowFill:
         for row, i in zip(out, range(7, 12)):
             ref = make_rng(stream_seed(master, i)).random(offset + width)[offset:]
             assert row.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("offset", [-4, 2, 6, 258])
-    def test_offset_off_a_counter_step_is_refused_before_any_draw(self, offset):
-        out = np.full((3, 8), -1.0)
-        with pytest.raises(ValueError, match="multiple of 4"):
-            fill_windows(stream_seeds(0, 0, 3), offset, out)
-        assert (out == -1.0).all()
 
 
 class TestConfigValidation:
@@ -236,15 +235,15 @@ class TestCouplingBlock:
     def test_block_matches_per_trial_kernel(self, n, mode):
         # a non-zero start and one trial more than a chunk holds
         params = Params(n, 1.0, 2.0, mode)
-        rows = max(1, harness._COUPLING_CHUNK_UNIFORMS // (3 * n + 2))
+        rows = max(1, birth_death._CHUNK_UNIFORMS // (3 * n + 2))
         start, stop = 11, 11 + rows + 1
-        w, c, tau = harness.ENGINE_KERNELS[Engine.COUPLING](params, None, 2**64 - 1, start, stop)
+        w, c, tau = coupling_block(params, stream_seeds(2**64 - 1, start, stop))
         for k, i in enumerate(range(start, stop)):
             res = run_coupling(params, make_rng(stream_seed(2**64 - 1, i)))
             assert (w[k], c[k], tau[k]) == (res.white_survivors, res.conversions, res.fixation_time)
 
     def test_empty_block(self):
-        w, c, tau = harness.ENGINE_KERNELS[Engine.COUPLING](Params(5, 1.0, 1.0), None, 0, 3, 3)
+        w, c, tau = coupling_block(Params(5, 1.0, 1.0), stream_seeds(0, 3, 3))
         assert w.size == c.size == tau.size == 0
 
 
@@ -267,14 +266,33 @@ class TestChainBlock:
             monkeypatch.setattr(chain, "_LOCKSTEP_MIN_LIVE", min_live)
         params = Params(n, 1.0, 2.0, mode)
         seed = 1003
-        w, c, tau = harness.ENGINE_KERNELS[Engine.CHAIN](params, None, seed, start, stop)
+        w, c, tau = run_block(_config(params=params, seed=seed), start, stop)
         ref = [run_to_fixation(params, make_rng(stream_seed(seed, i))) for i in range(start, stop)]
         assert w.tolist() == [res.white_survivors for res in ref]
         assert c.tolist() == [res.conversions for res in ref]
         assert tau.tobytes() == np.array([res.fixation_time for res in ref]).tobytes()
 
     def test_empty_block(self):
-        w, c, tau = harness.ENGINE_KERNELS[Engine.CHAIN](Params(5, 1.0, 1.0), None, 0, 3, 3)
+        w, c, tau = run_block(_config(params=Params(5, 1.0, 1.0), seed=0), 3, 3)
+        assert w.size == c.size == tau.size == 0
+
+
+class TestGraphBlock:
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_block_matches_per_trial_kernel(self, mode):
+        params = Params(12, 1.0, 2.0, mode)
+        g = complete_graph(params.total_vertices)
+        start, stop = 4, 44
+        config = _config(params=params, engine=Engine.GRAPH, seed=1005)
+        w, c, tau = run_block(config, start, stop)
+        rngs = (make_rng(stream_seed(1005, i)) for i in range(start, stop))
+        ref = [run_graph_to_fixation(g, params, rng) for rng in rngs]
+        assert w.tolist() == [res.white_survivors for res in ref]
+        assert c.tolist() == [res.conversions for res in ref]
+        assert tau.tobytes() == np.array([res.fixation_time for res in ref]).tobytes()
+
+    def test_empty_block(self):
+        w, c, tau = graph_block(complete_graph(6), Params(5, 1.0, 1.0), stream_seeds(0, 3, 3))
         assert w.size == c.size == tau.size == 0
 
 

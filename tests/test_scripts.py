@@ -55,6 +55,16 @@ def test_trajectory_batch_refuses_a_negative_seed_base():
     assert "Traceback" not in proc.stderr
 
 
+def test_trajectory_batch_refuses_a_trajectory_over_the_cap(tmp_path):
+    dump = tmp_path / "first.csv"
+    proc = run_script(
+        "scripts/trajectory_batch.py", "--n", "100000000", "--seeds", "1",
+        "--dump-first", str(dump), returncode=2,
+    )
+    assert "over the cap" in proc.stderr and "Traceback" not in proc.stderr
+    assert not dump.exists()
+
+
 def test_trend_sweep_refuses_a_bad_parameter():
     proc = run_script(
         "scripts/trend_sweep.py", "--ns", "1", "--estimator", "conversion_over_log_n", returncode=2
