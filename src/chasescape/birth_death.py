@@ -16,6 +16,7 @@ Three independent samplers for the Gamma terminal value live here.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -34,30 +35,23 @@ from .rng import streams
 # beyond 2^53 the integer count is no longer exact in a double
 POPULATION_CAP = float(1 << 53)
 
-# cap on the uniforms one coupling trial draws (3n + 2 of them, 32 MiB of
-# doubles), so a huge n is refused before any allocation
+# cap on the uniforms one coupling trial draws (3n + 2), checked before any
+# allocation: at the cap a one-trial block peaks at 76.8 MiB (tracemalloc), the
+# 32 MiB row plus the 21 MiB rate vector and 21 MiB scratch of its kernel
 MAX_COUPLING_UNIFORMS = 1 << 22
 # uniforms per chunk of a coupling block: ~100 trials at n = 50, and one
 # trial per chunk from n = 5461 up
 _CHUNK_UNIFORMS = 1 << 14
 
 
-def _death_clock(u: np.ndarray, lam: float) -> np.ndarray:
-    """Death times along the last axis of ``u``; spacing i is Exp(lam * (n - i))."""
-    rates = lam * np.arange(u.shape[-1], 0, -1, dtype=np.float64)
-    return np.cumsum(-np.log1p(-u) / rates, axis=-1)
-
-
-def _birth_clock(u: np.ndarray, offset: float) -> np.ndarray:
-    """Birth times along the last axis of ``u``; spacing i is Exp(i + offset)."""
-    idx = np.arange(u.shape[-1], dtype=np.float64)
-    return np.cumsum(-np.log1p(-u) / (idx + offset), axis=-1)
-
-
-def _defective_flags(u: np.ndarray, a: float, offset: float) -> np.ndarray:
-    """Whether birth i came from the progenitor: probability a / (i + offset)."""
-    idx = np.arange(u.shape[-1], dtype=np.float64)
-    return u < a / (idx + offset)
+def _clock(u: np.ndarray, neg_rates: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Event times along the last axis of ``u``, computed in ``out`` (by
+    default a new array): spacing i is Exp(-neg_rates[i]), drawn as
+    log1p(-u) / neg_rates[i], which is -log1p(-u) / rate to the bit."""
+    out = np.negative(u, out=out)
+    np.log1p(out, out=out)
+    np.divide(out, neg_rates, out=out)
+    return np.cumsum(out, axis=-1, out=out)
 
 
 def simulate_death_times(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
@@ -66,7 +60,7 @@ def simulate_death_times(n: int, lam: float, rng: np.random.Generator) -> np.nda
     if not is_integer(n) or n < 1:
         raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     require_positive("lambda", lam)
-    return _death_clock(rng.random(n), lam)
+    return _clock(rng.random(n), lam * np.arange(-n, 0.0))
 
 
 def simulate_birth_times(
@@ -82,8 +76,8 @@ def simulate_birth_times(
     require_positive("alpha", alpha)
     if not is_integer(k) or k < 1:
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
-    times = _birth_clock(rng.random(k), alpha)
-    return times, _defective_flags(rng.random(k), alpha, alpha)
+    rates = np.arange(k, dtype=np.float64) + alpha
+    return _clock(rng.random(k), -rates), rng.random(k) < alpha / rates
 
 
 def coupling_uniforms(params: Params) -> int:
@@ -112,44 +106,57 @@ def coupling_block(
     rows = max(1, _CHUNK_UNIFORMS // width)
     white, conversions, times = empty_block(len(seeds))
     uniforms = np.empty((min(rows, len(seeds)), width))
+    kernel = _coupling_kernel(params, len(uniforms))
     rngs = streams(seeds)  # one re-keyed Philox for the whole block
     for lo in range(0, len(seeds), rows):
         chunk = slice(lo, lo + rows)
         window = uniforms[: len(seeds[chunk])]
         for row, rng in zip(window, rngs):
             rng.random(out=row)
-        white[chunk], conversions[chunk], times[chunk] = _coupling_rows(params, window)
+        white[chunk], conversions[chunk], times[chunk] = kernel(window)
     return white, conversions, times
 
 
-def _coupling_rows(
-    params: Params, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row (W, C, tau) of coupling trials.
+def _coupling_kernel(params: Params, rows: int) -> Callable[[np.ndarray], tuple]:
+    """Per-row (W, C, tau) of up to ``rows`` trials at a time, from one vector of
+    2n + 1 negated clock rates and one (rows, 2n + 1) scratch buffer for the clocks.
 
-    Row r of ``uniforms`` holds one trial's 3n + 2 uniforms in draw order:
-    n for the death spacings, n + 1 for the birth spacings, n + 1 for the
-    defective flags.  The red count hits zero at the first birth index m
-    with beta[m-1] <= delta[m-1]; if the deaths stay ahead through all n
-    of them the (n+1)-th birth finishes the process.  Exactly m - 1 deaths
-    come before that birth, so W = n + 1 - m.  A floating-point tie
-    between a birth and a death is broken in favor of the birth, declaring
-    extinction; ties have probability zero in exact arithmetic so any fixed
-    rule leaves the law unchanged.
+    Row r of the kernel's argument holds one trial's 3n + 2 uniforms in
+    draw order: n for the death spacings, n + 1 for the birth spacings,
+    n + 1 for the defective flags.  The red count hits zero at the first
+    birth index m with beta[m-1] <= delta[m-1]; if the deaths stay ahead
+    through all n of them the (n+1)-th birth finishes the process.  Exactly
+    m - 1 deaths come before that birth, so W = n + 1 - m.  A floating-point
+    tie between a birth and a death is broken in favor of the birth,
+    declaring extinction; ties have probability zero in exact arithmetic so
+    any fixed rule leaves the law unchanged.
     """
     n = params.n
     a = params.conversion_rate
     # before birth i there are b0 + i blue, and each red turns blue at
     # rate b0 + i + a
     offset = params.initial_red_blue[1] + a
-    delta = _death_clock(uniforms[:, :n], params.lam)
-    beta = _birth_clock(uniforms[:, n : 2 * n + 1], offset)
-    ahead = beta[:, :n] <= delta
-    m = np.where(ahead.any(axis=1), ahead.argmax(axis=1) + 1, n + 1)
-    tau = beta[np.arange(beta.shape[0]), m - 1]
-    flags = _defective_flags(uniforms[:, 2 * n + 1 :], a, offset)
-    conversions = np.count_nonzero(flags & (np.arange(n + 1) < m[:, None]), axis=1)
-    return n + 1 - m, conversions, tau
+    neg_rates = np.concatenate((params.lam * np.arange(-n, 0.0), -(np.arange(n + 1.0) + offset)))
+    scratch = np.empty((rows, 2 * n + 1))
+
+    def kernel(uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        clocks = scratch[: len(uniforms)]
+        delta = _clock(uniforms[:, :n], neg_rates[:n], clocks[:, :n])
+        beta = _clock(uniforms[:, n : 2 * n + 1], neg_rates[n:], clocks[:, n:])
+        r = np.arange(len(uniforms))
+        first = (beta[:, :n] <= delta).argmax(axis=1)  # 0 if no birth comes first
+        m = np.where(beta[r, first] <= delta[r, first], first + 1, n + 1)
+        tau = beta[r, m - 1]
+        # birth i converts with probability a / (i + offset); the thresholds reuse the scratch
+        thresholds = np.divide(-a, neg_rates[n:], out=clocks[:, : n + 1])
+        if len(uniforms) == 1:  # only the births before m count
+            k = int(m[0])
+            hits = uniforms[:, 2 * n + 1 : 2 * n + 1 + k] < thresholds[:, :k]
+        else:
+            hits = (uniforms[:, 2 * n + 1 :] < thresholds) & (np.arange(n + 1) < m[:, None])
+        return n + 1 - m, np.count_nonzero(hits, axis=1), tau
+
+    return kernel
 
 
 def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
@@ -169,7 +176,7 @@ def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
     """
     uniforms = np.empty((1, coupling_uniforms(params)))
     rng.random(out=uniforms[0])
-    w, c, tau = _coupling_rows(params, uniforms)
+    w, c, tau = _coupling_kernel(params, 1)(uniforms)
     return FixationResult.at_fixation(params, int(w[0]), int(c[0]), float(tau[0]))
 
 

@@ -120,9 +120,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _not_utf8(flag: str, path: str, exc: UnicodeDecodeError) -> ParameterError:
+    where = f"byte 0x{exc.object[exc.start]:02x} at position {exc.start}"
+    return ParameterError(f"{flag} {path}: not UTF-8 ({where})")
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        overrides = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            overrides = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("--config", args.config, exc) from None
     if not isinstance(overrides, dict):
         raise ParameterError("config file must hold a JSON object")
     unknown = set(overrides) - _CONFIG_KEYS
@@ -148,7 +156,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
         graph_file=args.graph_file,
     )
-    summary = run_experiment(config)
+    try:
+        summary = run_experiment(config)
+    except UnicodeDecodeError as exc:  # only the graph file is decoded
+        raise _not_utf8("--graph-file", args.graph_file, exc) from None
     _write_output(summary.to_json(), args.output)
     return 0
 
@@ -186,9 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (
-        ParameterError, ResourceLimitError, OSError, json.JSONDecodeError, UnicodeDecodeError
-    ) as exc:
+    except (ParameterError, ResourceLimitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,12 +70,12 @@ def complete_graph(m: int) -> Graph:
     return Graph(indptr, indices.ravel(), reverse.ravel())
 
 
-def parse_edge_list(lines: Iterable[str]) -> Graph:
+def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Graph:
     """Build a graph from "u v" pairs of 0-based vertex indices.
 
     Each line is one undirected edge; blank lines are skipped.  Rejects
-    self-loops, repeated edges (in either orientation), and disconnected
-    graphs.
+    self-loops, repeated edges (in either orientation), disconnected graphs,
+    and, before building anything, a vertex count other than ``vertex_count``.
     """
     pairs = []
     max_vertex = -1
@@ -98,6 +98,8 @@ def parse_edge_list(lines: Iterable[str]) -> Graph:
         max_vertex = max(max_vertex, u, v)
     if not pairs:
         raise ParameterError("edge list is empty")
+    if vertex_count is not None and max_vertex + 1 != vertex_count:
+        raise ParameterError(f"graph has {max_vertex + 1} vertices, expected {vertex_count}")
     # m edges connect at most m + 1 vertices, so this refuses before allocating
     if max_vertex > len(pairs):
         raise ParameterError("graph is not connected")
@@ -122,9 +124,10 @@ def parse_edge_list(lines: Iterable[str]) -> Graph:
     return Graph(np.cumsum([0, *degrees], dtype=np.int32), indices, reverse.astype(np.int32))
 
 
-def load_edge_list(path: str) -> Graph:
+def load_edge_list(path: str, vertex_count: int | None = None) -> Graph:
+    # one read decodes the whole file, so a decoding error gives an offset in the file
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh)
+        return parse_edge_list(fh.read().split("\n"), vertex_count)
 
 
 class GraphState:
@@ -249,11 +252,11 @@ def _pick(items: list[int], u: float) -> int:
     return items[min(int(u * n), n - 1)]
 
 
-def _uniform_triples(rng: np.random.Generator) -> Iterator[tuple[float, float, float]]:
-    """Consecutive triples of ``rng``'s uniforms, read in windows: the same
-    doubles in the same order as three ``rng.random()`` calls per triple."""
-    while True:
-        u = rng.random(3 * _WINDOW_JUMPS).tolist()
+def _uniform_triples(rng: np.random.Generator, count: int) -> Iterator[tuple[float, float, float]]:
+    """``count`` consecutive triples of ``rng``'s uniforms, read in windows: the
+    same doubles in the same order as three ``rng.random()`` calls per triple."""
+    for start in range(0, count, _WINDOW_JUMPS):
+        u = rng.random(3 * min(_WINDOW_JUMPS, count - start)).tolist()
         yield from zip(u[0::3], u[1::3], u[2::3])
 
 
@@ -268,7 +271,8 @@ def run_graph_to_fixation(
     as the count-chain engine.
     """
     state = GraphState(graph, params)
-    triples = _uniform_triples(rng)
+    # every jump lowers 2 * white + red by one, so no more jumps remain
+    triples = _uniform_triples(rng, 2 * state.colors.count(_WHITE) + len(state.red))
     fixation_time = 0.0
     conversions = 0
     while state.red:

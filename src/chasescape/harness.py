@@ -118,7 +118,7 @@ def run_block(
     if config.graph_file is None:
         graph = complete_graph(params.total_vertices)
     else:
-        graph = load_edge_list(config.graph_file)
+        graph = load_edge_list(config.graph_file, params.total_vertices)
     return graph_block(graph, params, seeds)
 
 

@@ -76,11 +76,11 @@ def streams(seeds: np.ndarray, offset: int = 0) -> Iterator[np.random.Generator]
     """
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
+    key = [0, 0]  # the state in Python ints, so that its setter reads no numpy scalars
     state = bit_generator.state
-    state["state"]["counter"][0] = offset // 4
-    key = state["state"]["key"]
+    state["state"], state["buffer"] = {"counter": [offset // 4, 0, 0, 0], "key": key}, [0] * 4
     skip = offset % 4
-    for seed in seeds:
+    for seed in seeds.tolist():
         key[0] = seed
         bit_generator.state = state
         if skip:

@@ -20,6 +20,7 @@ from chasescape import (
 )
 from chasescape.analytics import chi_square_gof
 from chasescape.birth_death import (
+    MAX_COUPLING_UNIFORMS,
     coupling_block,
     sample_limit_sum,
     sample_terminal_gamma_process,
@@ -216,6 +217,19 @@ class TestCoupling:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_one_trial_at_the_cap_peaks_under_2_5_rows(self):
+        # the largest accepted n: the row of 3n + 2 doubles is 32 MiB, and the
+        # kernel adds one rate vector and one scratch buffer of 2n + 1 doubles
+        n = (MAX_COUPLING_UNIFORMS - 2) // 3
+        params = Params(n, 1.0, 2.0)
+        tracemalloc.start()
+        try:
+            coupling_block(params, stream_seeds(0, 0, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * MAX_COUPLING_UNIFORMS
 
     def test_kortchemski_coupling_matches_oracle(self):
         n = 20

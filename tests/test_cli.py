@@ -108,18 +108,28 @@ class TestEstimate:
         config.write_bytes(b'\xff{"n": 5}')
         code, out, err = run_cli("estimate", "--config", str(config))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "codec" in err
+        assert err == f"error: --config {config}: not UTF-8 (byte 0xff at position 0)\n"
 
     @pytest.mark.parametrize("parallelism", ["1", "2"])
     def test_graph_file_that_is_not_utf8_exits_2(self, tmp_path, parallelism):
+        # at parallelism 2 the file is decoded in a worker; the bad byte
+        # lies past the first 8 KiB that a line-by-line read decodes
         edges = tmp_path / "edges.txt"
-        edges.write_bytes(b"\xff0 1\n")
+        edges.write_bytes(b"0 1\n" * 3000 + b"\xfe")
         code, out, err = run_cli(
             "estimate", "--n", "1", "--engine", "graph", "--graph-file", str(edges),
             "--trials", "10", "--parallelism", parallelism,
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "codec" in err
+        assert err == f"error: --graph-file {edges}: not UTF-8 (byte 0xfe at position 12000)\n"
+
+    def test_config_and_graph_file_errors_name_their_flag(self, tmp_path):
+        config, edges = tmp_path / "exp.json", tmp_path / "edges.txt"
+        config.write_text(json.dumps({"n": 1, "engine": "graph", "trials": 10}))
+        edges.write_bytes(b"0 1\xff\n")
+        code, out, err = run_cli("estimate", "--config", str(config), "--graph-file", str(edges))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --graph-file {edges}: not UTF-8 (byte 0xff at position 3)")
 
     def test_config_rejects_unknown_keys(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -173,7 +183,7 @@ class TestEstimate:
             "--estimator", "w_histogram", "--trials", "5",
         )
         assert code == 2 and out == ""
-        assert "4 vertices" in err and "Traceback" not in err
+        assert err == "error: graph has 4 vertices, expected 101\n"
 
     def test_coupling_resource_cap_exits_2(self):
         code, out, err = run_cli(

@@ -134,6 +134,21 @@ class TestEdgeListFormat:
         # m edges may still reach index m
         assert parse_edge_list(["0 2", "2 1"]).vertex_count == 3
 
+    def test_vertex_count_mismatch_refused_before_building(self):
+        # the loader refuses once it knows the largest index: no adjacency
+        # set and no CSR table is built
+        lines = [f"{v} {v + 1}" for v in range(20000)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="graph has 20001 vertices, expected 31"):
+                parse_edge_list(lines, vertex_count=31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the parsed pairs peak at about 3 MiB, building this graph at about 10
+        assert peak < 5 << 20
+        assert parse_edge_list(["0 1", "1 2"], vertex_count=3).vertex_count == 3
+
     def test_rejects_garbage(self):
         with pytest.raises(ParameterError):
             parse_edge_list(["0 1 2"])
@@ -247,6 +262,21 @@ def test_initial_refuses_a_graph_of_the_wrong_size():
         GraphState(complete_graph(12), Params(10, 1.0, 1.0))
     with pytest.raises(ParameterError, match="11 vertices"):
         GraphState(complete_graph(11), Params(10, 1.0, 0.0, InitMode.KORTCHEMSKI))
+
+
+@pytest.mark.parametrize("mode", list(InitMode))
+def test_a_trial_reads_no_more_triples_than_jumps_can_remain(mode):
+    # every jump lowers 2 * white + red by one, so a K_51 trial needs at most
+    # 2n + 1 triples; whole windows of 64 triples would read 384 doubles
+    p = Params(50, 1.0, 2.0, mode)
+    g = complete_graph(p.total_vertices)
+    limit = 3 * (2 * p.n + 1)  # both starts have n white and one red
+    for seed in range(40):
+        rng = make_rng(stream_seed(25, seed))
+        res = run_graph_to_fixation(g, p, rng)
+        stream = make_rng(stream_seed(25, seed)).random(limit + 1)
+        (position,) = np.flatnonzero(stream == rng.random())
+        assert 3 * res.jump_count <= position <= limit
 
 
 @pytest.mark.parametrize("mode", list(InitMode))
