@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,19 @@ class TestStreamSeeding:
                 0, 2**32, 3, dtype=np.uint32
             ).tolist()
             assert rng.standard_gamma(0.5) == ref.standard_gamma(0.5)
+
+    def test_streams_turn_seeds_into_python_ints_a_chunk_at_a_time(self):
+        # 10^5 seeds as one list of Python ints would take about 4 MiB
+        seeds = stream_seeds(9, 0, 10**5)
+        tracemalloc.start()
+        try:
+            for j, rng in enumerate(streams(seeds)):
+                if j in (0, 1023, 1024, 10**5 - 1):
+                    assert rng.random() == make_rng(stream_seed(9, j)).random()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestWindowFill:
