@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import replace
 
 from .analytics import exact_distribution_W
 from .chain import (
@@ -21,6 +22,7 @@ from .chain import (
     trajectory_rows,
     write_trajectory_csv,
 )
+from .graph import parse_edge_list
 from .harness import (
     Engine,
     Estimator,
@@ -120,17 +122,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _not_utf8(flag: str, path: str, exc: UnicodeDecodeError) -> ParameterError:
-    where = f"byte 0x{exc.object[exc.start]:02x} at position {exc.start}"
-    return ParameterError(f"{flag} {path}: not UTF-8 ({where})")
+def _read_input(flag: str, path, parse):
+    """``parse`` of the UTF-8 text of the file at ``path``; each error names
+    the flag and the file.  One read decodes the whole file, so a bad byte's
+    position is its offset in the file."""
+    if not isinstance(path, str):  # open(5) would open file descriptor 5
+        raise ParameterError(f"{flag} must be a path string, got {path!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:
+        where = f"byte 0x{exc.object[exc.start]:02x} at position {exc.start}"
+        raise ParameterError(f"{flag} {path}: not UTF-8 ({where})") from None
+    except (ParameterError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"{flag} {path}: {exc}") from None
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8("--config", args.config, exc) from None
+    overrides = _read_input("--config", args.config, json.loads)
     if not isinstance(overrides, dict):
         raise ParameterError("config file must hold a JSON object")
     unknown = set(overrides) - _CONFIG_KEYS
@@ -147,20 +156,20 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.config is not None:
         _apply_config_file(args)
+    params = _params_from_args(args)
     config = ExperimentConfig(
-        params=_params_from_args(args),
+        params=params,
         trials=args.trials,
         seed=args.seed,
         estimator=Estimator(args.estimator),
         engine=Engine(args.engine),
         parallelism=args.parallelism,
-        graph_file=args.graph_file,
     )
-    try:
-        summary = run_experiment(config)
-    except UnicodeDecodeError as exc:  # only the graph file is decoded
-        raise _not_utf8("--graph-file", args.graph_file, exc) from None
-    _write_output(summary.to_json(), args.output)
+    if args.graph_file is not None:  # parsed once, after the checks above, before any worker
+        graph = _read_input("--graph-file", args.graph_file,
+                            lambda text: parse_edge_list(text.split("\n"), params.total_vertices))
+        config = replace(config, graph=graph)
+    _write_output(run_experiment(config).to_json(), args.output)
     return 0
 
 

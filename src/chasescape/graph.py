@@ -124,12 +124,6 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Gr
     return Graph(np.cumsum([0, *degrees], dtype=np.int32), indices, reverse.astype(np.int32))
 
 
-def load_edge_list(path: str, vertex_count: int | None = None) -> Graph:
-    # one read decodes the whole file, so a decoding error gives an offset in the file
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read().split("\n"), vertex_count)
-
-
 class GraphState:
     """Vertex colors plus array-backed sets of the three rate classes.
 

@@ -22,7 +22,7 @@ import numpy as np
 from .analytics import _Z975, stats_wilson_ci
 from .birth_death import coupling_block
 from .chain import chain_block
-from .graph import complete_graph, graph_block, load_edge_list
+from .graph import Graph, complete_graph, graph_block
 from .params import ParameterError, Params, is_integer, require_seed
 from .rng import stream_seeds
 
@@ -51,7 +51,7 @@ class ExperimentConfig:
     estimator: Estimator
     engine: Engine = Engine.CHAIN
     parallelism: int = 1
-    graph_file: str | None = None
+    graph: Graph | None = None  # None: the complete graph that params imply
 
     def __post_init__(self) -> None:
         if not is_integer(self.trials) or self.trials < 1:
@@ -61,10 +61,8 @@ class ExperimentConfig:
             raise ParameterError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         if self.estimator in _LOG_N_ESTIMATORS and self.params.n < 2:
             raise ParameterError("log-n estimators need n >= 2 (log 1 = 0)")
-        if self.graph_file is not None and not isinstance(self.graph_file, str):
-            raise ParameterError(f"graph_file must be a path string, got {self.graph_file!r}")
-        if self.graph_file is not None and self.engine is not Engine.GRAPH:
-            raise ParameterError("graph_file only applies to the graph engine")
+        if self.graph is not None and self.engine is not Engine.GRAPH:
+            raise ParameterError("a graph only applies to the graph engine")
 
 
 @dataclass(frozen=True)
@@ -109,16 +107,14 @@ def run_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, C, tau) arrays of trials [start, stop), trial i drawn from its own
     stream ``stream_seed(config.seed, i)`` however the trials are split into
-    blocks.  The graph engine builds its graph once per block."""
+    blocks.  The graph engine builds the complete graph once per block
+    unless the config holds a graph."""
     params, seeds = config.params, stream_seeds(config.seed, start, stop)
     if config.engine is Engine.CHAIN:
         return chain_block(params, seeds)
     if config.engine is Engine.COUPLING:
         return coupling_block(params, seeds)
-    if config.graph_file is None:
-        graph = complete_graph(params.total_vertices)
-    else:
-        graph = load_edge_list(config.graph_file, params.total_vertices)
+    graph = complete_graph(params.total_vertices) if config.graph is None else config.graph
     return graph_block(graph, params, seeds)
 
 

@@ -138,10 +138,8 @@ class TestCoupling:
         n, lam, alpha = 40, 2.0, 1.0
         target = alpha / (lam * n + alpha)
         trials = 40000
-        hits = sum(
-            run_coupling(Params(n, lam, alpha), make_rng(stream_seed(33, i))).white_survivors == n
-            for i in range(trials)
-        )
+        w, _, _ = coupling_block(Params(n, lam, alpha), stream_seeds(33, 0, trials))
+        hits = int(np.count_nonzero(w == n))
         se = math.sqrt(target * (1 - target) / trials)
         assert abs(hits / trials - target) <= 3 * se
 
@@ -236,11 +234,9 @@ class TestCoupling:
         trials = 40000
         exact = exact_distribution_W(n, 1.0, 0.0, InitMode.KORTCHEMSKI)
         params = Params(n, 1.0, 0.0, InitMode.KORTCHEMSKI)
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for i in range(trials):
-            res = run_coupling(params, make_rng(stream_seed(36, i)))
-            assert res.conversions == 0
-            counts[res.white_survivors] += 1
+        w, c, _ = coupling_block(params, stream_seeds(36, 0, trials))
+        assert not c.any()
+        counts = np.bincount(w, minlength=n + 1)
         chi = chi_square_gof(counts, exact.probabilities)
         assert chi.pvalue > 0.001
 

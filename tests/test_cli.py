@@ -1,12 +1,17 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from chasescape import cli, graph
 from chasescape.cli import main
 from chasescape.chain import check_trajectory, read_trajectory_csv
 from chasescape.params import Params
+
+
+SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
 
 
 def run_cli(*argv):
@@ -112,7 +117,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("parallelism", ["1", "2"])
     def test_graph_file_that_is_not_utf8_exits_2(self, tmp_path, parallelism):
-        # at parallelism 2 the file is decoded in a worker; the bad byte
+        # the file is decoded once, before any worker starts; the bad byte
         # lies past the first 8 KiB that a line-by-line read decodes
         edges = tmp_path / "edges.txt"
         edges.write_bytes(b"0 1\n" * 3000 + b"\xfe")
@@ -130,6 +135,78 @@ class TestEstimate:
         code, out, err = run_cli("estimate", "--config", str(config), "--graph-file", str(edges))
         assert code == 2 and out == ""
         assert err.startswith(f"error: --graph-file {edges}: not UTF-8 (byte 0xff at position 3)")
+
+    def test_malformed_config_names_its_flag_and_file(self, tmp_path):
+        # with both files given, "line 1" alone could belong to either
+        config = tmp_path / "exp.json"
+        config.write_text('{"n": 5,}')
+        code, out, err = run_cli(
+            "estimate", "--engine", "graph", "--graph-file", str(SPARSE_EDGE_LIST),
+            "--config", str(config),
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: --config {config}: Expecting property name enclosed in double quotes: "
+            "line 1 column 9 (char 8)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "n, text, message",
+        [
+            (1, "0 1 2\n", "line 1: expected 'u v', got '0 1 2'"),
+            (1, "a b\n", "line 1: vertex indices must be integers"),
+            (1, "0 -1\n", "line 1: vertex indices must be >= 0"),
+            (1, "0 1\n1 1\n", "line 2: self-loop at vertex 1"),
+            (1, "0 1\n1 0\n", "line 2: duplicate edge 1 0"),
+            (4, "0 1\n2 3\n2 4\n3 4\n", "graph is not connected"),
+            (1, "\n\n", "edge list is empty"),
+            (100, "0 1\n1 2\n2 3\n3 0\n", "graph has 4 vertices, expected 101"),
+        ],
+        ids=["fields", "integers", "negative", "self-loop", "duplicate", "disconnected",
+             "empty", "vertex-count"],
+    )
+    def test_graph_file_errors_name_the_flag_and_file(self, tmp_path, n, text, message):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(text)
+        code, out, err = run_cli(
+            "estimate", "--n", str(n), "--engine", "graph", "--graph-file", str(edges),
+            "--trials", "10",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --graph-file {edges}: {message}\n"
+
+    def test_graph_file_parsed_once_and_refused_before_the_pool(
+        self, tmp_path, inline_pools, monkeypatch
+    ):
+        calls, parse = [], graph.parse_edge_list
+
+        def counting_parse(lines, vertex_count=None):
+            calls.append(vertex_count)
+            return parse(lines, vertex_count)
+
+        # every caller's name is wrapped, so a parse anywhere is counted
+        monkeypatch.setattr(graph, "parse_edge_list", counting_parse)
+        monkeypatch.setattr(cli, "parse_edge_list", counting_parse)
+        argv = ("estimate", "--engine", "graph", "--trials", "10", "--parallelism", "2")
+        code, out, _ = run_cli(*argv, "--n", "20", "--graph-file", str(SPARSE_EDGE_LIST))
+        assert code == 0 and json.loads(out)["trials"] == 10
+        assert calls == [21]
+        assert [pool.blocks for pool in inline_pools] == [2]
+
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 1\n")
+        inline_pools.clear()
+        code, out, err = run_cli(*argv, "--n", "1", "--graph-file", str(edges))
+        assert code == 2 and out == "" and "self-loop" in err
+        assert inline_pools == []
+
+    def test_bad_trials_refused_before_the_graph_file_is_read(self, tmp_path):
+        missing = tmp_path / "missing.edges"
+        code, out, err = run_cli(
+            "estimate", "--engine", "graph", "--trials", "0", "--graph-file", str(missing)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: trials must be an integer >= 1")
 
     def test_config_rejects_unknown_keys(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -183,7 +260,7 @@ class TestEstimate:
             "--estimator", "w_histogram", "--trials", "5",
         )
         assert code == 2 and out == ""
-        assert err == "error: graph has 4 vertices, expected 101\n"
+        assert err == f"error: --graph-file {edges}: graph has 4 vertices, expected 101\n"
 
     def test_coupling_resource_cap_exits_2(self):
         code, out, err = run_cli(

@@ -104,7 +104,7 @@ class TestEdgeListFormat:
             assert np.array_equal(getattr(h, table), getattr(g, table))
 
     def test_sparse_graph_tables(self):
-        g = graph.load_edge_list(str(SPARSE_EDGE_LIST))
+        g = parse_edge_list(SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n"))
         assert g.vertex_count == 21 and len(g.indices) == 2 * 50
         _assert_csr_tables(g)
 

@@ -32,7 +32,7 @@ from chasescape.chain import (
     run_to_fixation,
     write_trajectory_csv,
 )
-from chasescape.graph import complete_graph, graph_block, run_graph_to_fixation
+from chasescape.graph import complete_graph, graph_block, parse_edge_list, run_graph_to_fixation
 from chasescape.harness import canonical_json, run_block, run_trials
 from chasescape.rng import fill_windows, splitmix64, stream_seeds, streams
 
@@ -128,7 +128,7 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             ExperimentConfig(
                 p, trials=10, seed=0, estimator=Estimator.EXPECTED_W,
-                engine=Engine.CHAIN, graph_file="edges.txt",
+                engine=Engine.CHAIN, graph=parse_edge_list(["0 1"]),
             )
 
 
@@ -196,33 +196,6 @@ class TestParallelism:
         assert np.array_equal(w1, w2)
         assert np.array_equal(c1, c2)
         assert np.array_equal(t1, t2)
-
-
-@pytest.fixture
-def inline_pools(monkeypatch):
-    """Replace the process pool by one that runs each block inline and
-    records how it was opened; no worker process is spawned."""
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.blocks = 0
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            results = [fn(*args) for args in zip(*iterables)]
-            self.blocks += len(results)
-            return iter(results)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-    return pools
 
 
 class TestWorkerPool:
@@ -320,14 +293,12 @@ class TestEngineSummaries:
             assert summary.trials == 50
             assert summary.engine == engine.value
 
-    def test_graph_engine_accepts_edge_list_file(self, tmp_path):
-        path = tmp_path / "triangle_plus.txt"
-        path.write_text("0 1\n1 2\n2 0\n2 3\n")
+    def test_graph_engine_accepts_edge_list_file(self):
         summary = run_experiment(
             _config(
                 params=Params(3, 1.0, 1.0),
                 engine=Engine.GRAPH,
-                graph_file=str(path),
+                graph=parse_edge_list(["0 1", "1 2", "2 0", "2 3"]),
                 trials=100,
             )
         )
@@ -336,11 +307,10 @@ class TestEngineSummaries:
 
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_edge_list_vertex_count_must_match(self, tmp_path, inline_pools, parallelism):
-        path = tmp_path / "square.txt"
-        path.write_text("0 1\n1 2\n2 3\n3 0\n")
+    def test_edge_list_vertex_count_must_match(self, inline_pools, parallelism):
+        square = parse_edge_list(["0 1", "1 2", "2 3", "3 0"])
         config = _config(
-            params=Params(100, 1.0, 1.0), engine=Engine.GRAPH, graph_file=str(path),
+            params=Params(100, 1.0, 1.0), engine=Engine.GRAPH, graph=square,
             trials=10, parallelism=parallelism,
         )
         with pytest.raises(ParameterError, match="4 vertices"):
