@@ -60,7 +60,7 @@ def expected_excess_closed(alpha: float) -> float:
     return alpha - 1.0 + 2.0 ** -alpha
 
 
-def _integrate_halfline(f: Callable[[float], float], abs_tol: float = QUADRATURE_ABS_TOL) -> float:
+def _integrate_halfline(f: Callable[[float], float]) -> float:
     """Adaptive quadrature of f over [0, inf) via the map u = x / (1 + x).
 
     The substitution gives a finite interval; the Gauss-Kronrod rule never
@@ -75,9 +75,10 @@ def _integrate_halfline(f: Callable[[float], float], abs_tol: float = QUADRATURE
         return f(x) / (1.0 - u) ** 2
 
     value, abserr, *_ = quad(
-        transformed, 0.0, 1.0, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200, full_output=1
+        transformed, 0.0, 1.0, epsabs=QUADRATURE_ABS_TOL * 1e-2, epsrel=1e-12, limit=200,
+        full_output=1,
     )
-    if not math.isfinite(value) or abserr > abs_tol:
+    if not math.isfinite(value) or abserr > QUADRATURE_ABS_TOL:
         raise QuadratureError(f"quadrature failed: value={value!r}, error estimate={abserr:.3g}")
     return float(value)
 

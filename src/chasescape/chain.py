@@ -17,13 +17,12 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from .params import ParameterError, Params, ResourceLimitError
-from .rng import fill_windows, streams
+from .rng import fill_windows, streams, uniform_tuples
 
 # cap on the jumps a recorded run may make (2n + 1 at most), refused before
 # the first jump: at about 272 bytes per JumpRecord, 2^19 jumps is 136 MiB
 MAX_RECORDED_JUMPS = 1 << 19
 
-_BUFFER_CHUNK = 1 << 16  # even, so paired draws never straddle a refill
 # uniforms per row of a lockstep window (128 jumps)
 _WINDOW = 256
 # fewest live trials a lockstep step serves; with fewer, the scalar loop is cheaper
@@ -91,11 +90,11 @@ def run_to_fixation(
     """Simulate until no red vertices remain.
 
     Each jump consumes exactly two uniforms in fixed order (event pick, then
-    holding time), drawn from the generator in blocks for speed, so the
-    result is a pure function of the generator state.  The holding time is
-    Exp(r * (lambda*w + b + alpha)) of the state being left.  When
-    ``records`` is a list, every jump is appended to it as a
-    :class:`JumpRecord`: that list is the trajectory, and
+    holding time), read through :func:`rng.uniform_tuples` in windows capped
+    by the jumps that can remain, so the result is a pure function of the
+    generator state.  The holding time is Exp(r * (lambda*w + b + alpha)) of
+    the state being left.  When ``records`` is a list, every jump is appended
+    to it as a :class:`JumpRecord`: that list is the trajectory, and
     :func:`initial_state` is where it starts.  A recorded run that could
     make more than MAX_RECORDED_JUMPS jumps raises ResourceLimitError first.
     """
@@ -121,20 +120,12 @@ def _run_from(
     lam = params.lam
     a = params.conversion_rate
     r, b, w = state
-    total = params.total_vertices
     log1p = math.log1p
     grow, chase, convert = EventKind.GROW, EventKind.CHASE, EventKind.CONVERT
-    buf = rng.random(min(4 * total, _BUFFER_CHUNK))
-    j = 0
-    size = buf.size
+    # every jump lowers 2 * w + r by one, so no more jumps remain
+    pairs = uniform_tuples(rng, 2, 2 * w + r)
     while r > 0:
-        if j >= size:
-            buf = rng.random(_BUFFER_CHUNK)
-            size = buf.size
-            j = 0
-        u_event = buf[j]
-        u_hold = buf[j + 1]
-        j += 2
+        u_event, u_hold = next(pairs)
         denom = lam * w + b + a
         fixation_time += -log1p(-u_hold) / (r * denom)
         p_grow = lam * w / denom
@@ -152,7 +143,7 @@ def _run_from(
             b += 1
         if records is not None:
             records.append(JumpRecord(fixation_time, PopulationState(r, b, w), event))
-    return FixationResult.at_fixation(params, w, conversions, float(fixation_time))
+    return FixationResult.at_fixation(params, w, conversions, fixation_time)
 
 
 def chain_block(

@@ -138,24 +138,26 @@ def _read_input(flag: str, path, parse):
         raise ParameterError(f"{flag} {path}: {exc}") from None
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    overrides = _read_input("--config", args.config, json.loads)
+def _parse_config(text: str) -> dict:
+    """The overrides a ``--config`` file holds, refused unless they form a
+    JSON object of known keys whose enum values are valid choices."""
+    overrides = json.loads(text)
     if not isinstance(overrides, dict):
-        raise ParameterError("config file must hold a JSON object")
+        raise ParameterError("must hold a JSON object")
     unknown = set(overrides) - _CONFIG_KEYS
     if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    mapping = {"lambda": "lam"}
+        raise ParameterError(f"unknown keys: {sorted(unknown)}")
     for key, value in overrides.items():
         choices = _CHOICES.get(key)
         if choices is not None and value not in choices:
-            raise ParameterError(f"config {key}: invalid choice {value!r} (choose from {choices})")
-        setattr(args, mapping.get(key, key), value)
+            raise ParameterError(f"{key}: invalid choice {value!r} (choose from {choices})")
+    return overrides
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.config is not None:
-        _apply_config_file(args)
+        for key, value in _read_input("--config", args.config, _parse_config).items():
+            setattr(args, "lam" if key == "lambda" else key, value)
     params = _params_from_args(args)
     config = ExperimentConfig(
         params=params,
@@ -166,6 +168,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
     )
     if args.graph_file is not None:  # parsed once, after the checks above, before any worker
+        if config.engine is not Engine.GRAPH:  # ExperimentConfig's refusal, before the read
+            raise ParameterError("a graph only applies to the graph engine")
         graph = _read_input("--graph-file", args.graph_file,
                             lambda text: parse_edge_list(text.split("\n"), params.total_vertices))
         config = replace(config, graph=graph)

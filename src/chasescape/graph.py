@@ -12,21 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .chain import EventKind, FixationResult, empty_block
 from .params import NoTransitionError, ParameterError, Params, ResourceLimitError, is_integer
-from .rng import streams
+from .rng import streams, uniform_tuples
 
 # cap on the m(m - 1) adjacency entries of complete_graph, each an int32
 # head plus an int32 reverse id; 2^24 is about K_4097, 128 MiB of tables
 MAX_COMPLETE_GRAPH_ENTRIES = 1 << 24
-
-# jumps whose uniforms run_graph_to_fixation reads from its stream at once
-_WINDOW_JUMPS = 64
-
 
 _WHITE, _RED, _BLUE = 0, 1, 2  # the vertex colours GraphState stores; blue is terminal
 
@@ -246,14 +242,6 @@ def _pick(items: list[int], u: float) -> int:
     return items[min(int(u * n), n - 1)]
 
 
-def _uniform_triples(rng: np.random.Generator, count: int) -> Iterator[tuple[float, float, float]]:
-    """``count`` consecutive triples of ``rng``'s uniforms, read in windows: the
-    same doubles in the same order as three ``rng.random()`` calls per triple."""
-    for start in range(0, count, _WINDOW_JUMPS):
-        u = rng.random(3 * min(_WINDOW_JUMPS, count - start)).tolist()
-        yield from zip(u[0::3], u[1::3], u[2::3])
-
-
 def run_graph_to_fixation(
     graph: Graph, params: Params, rng: np.random.Generator
 ) -> FixationResult:
@@ -266,7 +254,7 @@ def run_graph_to_fixation(
     """
     state = GraphState(graph, params)
     # every jump lowers 2 * white + red by one, so no more jumps remain
-    triples = _uniform_triples(rng, 2 * state.colors.count(_WHITE) + len(state.red))
+    triples = uniform_tuples(rng, 3, 2 * state.colors.count(_WHITE) + len(state.red))
     fixation_time = 0.0
     conversions = 0
     while state.red:

@@ -176,7 +176,7 @@ class TestRunToFixation:
         assert a == b
 
     def test_recorded_and_unrecorded_runs_agree(self):
-        # n = 20000 outruns the first block of uniforms and refills it
+        # n = 20000 reads hundreds of windows of uniforms
         for mode in InitMode:
             for n, seeds in ((30, (0, 5, 123)), (20000, (7,))):
                 p = Params(n, 1.2, 0.9, mode)
@@ -184,6 +184,19 @@ class TestRunToFixation:
                     plain = run_to_fixation(p, make_rng(seed))
                     recorded = run_to_fixation(p, make_rng(seed), [])
                     assert plain == recorded
+
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_a_trial_reads_no_more_pairs_than_jumps_can_remain(self, mode):
+        # every jump lowers 2 * w + r by one, so a trial at n = 20000 needs at
+        # most 2n + 1 pairs; a buffer of 2^16 uniforms would overshoot them
+        p = Params(20000, 1.0, 2.0, mode)
+        limit = 2 * (2 * p.n + 1)  # both starts have n white and one red
+        for seed in range(3):
+            rng = make_rng(stream_seed(26, seed))
+            res = run_to_fixation(p, rng)
+            stream = make_rng(stream_seed(26, seed)).random(limit + 1)
+            (position,) = np.flatnonzero(stream == rng.random())
+            assert 2 * res.jump_count <= position <= limit
 
     @pytest.mark.parametrize("mode", list(InitMode))
     def test_first_jump_uses_the_embedded_law_and_total_rate(self, mode):

@@ -8,7 +8,8 @@ import pytest
 from chasescape import cli, graph
 from chasescape.cli import main
 from chasescape.chain import check_trajectory, read_trajectory_csv
-from chasescape.params import Params
+from chasescape.harness import Engine, Estimator, ExperimentConfig
+from chasescape.params import ParameterError, Params
 
 
 SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
@@ -207,6 +208,37 @@ class TestEstimate:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: trials must be an integer >= 1")
+
+    def test_graph_file_with_another_engine_is_refused_before_it_is_read(self, tmp_path):
+        missing = tmp_path / "missing.edges"
+        with pytest.raises(ParameterError) as refused:
+            ExperimentConfig(
+                Params(1, 1.0, 1.0), trials=1, seed=0, estimator=Estimator.EXPECTED_W,
+                engine=Engine.CHAIN, graph=graph.complete_graph(2),
+            )
+        code, out, err = run_cli(
+            "estimate", "--n", "1", "--engine", "chain", "--graph-file", str(missing)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {refused.value}\n"
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ([1], "must hold a JSON object"),
+            ({"bogus": 1}, "unknown keys: ['bogus']"),
+            (
+                {"engine": "nope"},
+                f"engine: invalid choice 'nope' (choose from {cli._CHOICES['engine']})",
+            ),
+        ],
+    )
+    def test_config_shape_errors_name_the_flag_and_file(self, tmp_path, override, message):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(override))
+        code, out, err = run_cli("estimate", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: --config {config}: {message}\n"
 
     def test_config_rejects_unknown_keys(self, tmp_path):
         config = tmp_path / "bad.json"

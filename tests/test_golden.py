@@ -86,8 +86,8 @@ def run_cli(argv) -> str:
     return out.getvalue()
 
 
-# (engine, n, trials); at n = 20000 the chain outruns its first block of
-# uniforms (4 * total_vertices > 2**16) and has to refill it
+# (engine, n, trials); at n = 20000 a chain trial reads its uniforms in
+# hundreds of windows
 FIXATION_CASES = (
     ("chain", 20, 40),
     ("graph", 20, 40),

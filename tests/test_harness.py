@@ -34,7 +34,7 @@ from chasescape.chain import (
 )
 from chasescape.graph import complete_graph, graph_block, parse_edge_list, run_graph_to_fixation
 from chasescape.harness import canonical_json, run_block, run_trials
-from chasescape.rng import fill_windows, splitmix64, stream_seeds, streams
+from chasescape.rng import fill_windows, splitmix64, stream_seeds, streams, uniform_tuples
 
 
 class TestStreamSeeding:
@@ -104,6 +104,18 @@ class TestWindowFill:
         for row, i in zip(out, range(7, 12)):
             ref = make_rng(stream_seed(master, i)).random(offset + width)[offset:]
             assert row.tobytes() == ref.tobytes()
+
+
+class TestUniformTuples:
+    @pytest.mark.parametrize("width", [2, 3])
+    # empty, one tuple, one whole window, a window and one, several windows
+    @pytest.mark.parametrize("count", [0, 1, 64, 65, 200])
+    def test_tuples_are_the_stream_in_order(self, width, count):
+        tuples = list(uniform_tuples(make_rng(stream_seed(8, count)), width, count))
+        ref = make_rng(stream_seed(8, count)).random(width * count)
+        assert len(tuples) == count
+        assert all(len(t) == width and all(type(u) is float for u in t) for t in tuples)
+        assert [u for t in tuples for u in t] == ref.tolist()
 
 
 class TestConfigValidation:
