@@ -12,9 +12,10 @@ import argparse
 import sys
 from collections import Counter
 
-import numpy as np
-
 from chasescape import (
+    Engine,
+    Estimator,
+    ExperimentConfig,
     ParameterError,
     Params,
     ResourceLimitError,
@@ -23,6 +24,7 @@ from chasescape import (
     stream_seed,
 )
 from chasescape.chain import write_trajectory_csv
+from chasescape.harness import run_trials
 from chasescape.params import require_seed
 
 
@@ -43,25 +45,26 @@ def main() -> int:
         require_seed("--seed-base", args.seed_base)
     except ParameterError as exc:
         parser.error(str(exc))
-    w_samples = []
-    for i in range(args.seeds):
-        records = [] if i == 0 and args.dump_first else None
+    if args.dump_first:  # first, so a trajectory over the cap is refused before any trial runs
+        records = []
         try:
-            result = run_to_fixation(params, make_rng(stream_seed(args.seed_base, i)), records)
+            run_to_fixation(params, make_rng(stream_seed(args.seed_base, 0)), records)
         except ResourceLimitError as exc:  # a recorded run too long to hold, before any jump
             parser.error(str(exc))
-        w_samples.append(result.white_survivors)
-        if records is not None:
-            with open(args.dump_first, "w", encoding="utf-8") as fh:
-                write_trajectory_csv(records, fh)
-
-    w = np.array(w_samples)
+        with open(args.dump_first, "w", encoding="utf-8") as fh:
+            write_trajectory_csv(records, fh)
+    # trial i runs on stream_seed(seed_base, i), as the recorded run does
+    config = ExperimentConfig(
+        params, trials=args.seeds, seed=args.seed_base, estimator=Estimator.EXPECTED_W,
+        engine=Engine.CHAIN,
+    )
+    w, _, _ = run_trials(config)
     print(f"config: n={args.n} lambda={args.lam} alpha={args.alpha} seeds={args.seeds}")
     # a sample sd needs two samples
     sd = f" sd={w.std(ddof=1):.3f}" if w.size > 1 else ""
     print(f"W mean={w.mean():.3f}{sd} min={w.min()} max={w.max()}")
     print(f"extinctions (W=0): {int((w == 0).sum())}")
-    counts = Counter(w_samples)
+    counts = Counter(w.tolist())
     head = ", ".join(f"W={k}:{counts[k]}" for k in sorted(counts)[:8])
     print(f"smallest outcomes: {head}")
     return 0

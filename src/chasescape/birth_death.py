@@ -16,7 +16,7 @@ Three independent samplers for the Gamma terminal value live here.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -80,83 +80,75 @@ def simulate_birth_times(
     return _clock(rng.random(k), -rates), rng.random(k) < alpha / rates
 
 
-def coupling_uniforms(params: Params) -> int:
-    """Uniforms one coupling trial draws: n deaths, n + 1 births, n + 1 flags.
-
-    Raises ResourceLimitError when they exceed MAX_COUPLING_UNIFORMS.
-    """
-    count = 3 * params.n + 2
-    if count > MAX_COUPLING_UNIFORMS:
-        raise ResourceLimitError(
-            f"a coupling trial at n = {params.n} needs {count} uniforms, "
-            f"over the cap of {MAX_COUPLING_UNIFORMS}"
-        )
-    return count
-
-
 def coupling_block(
     params: Params, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (W, C, tau) of coupling trials: trial j gives the bytes of
-    ``run_coupling(params, make_rng(seeds[j]))``.  The trials' rows of 3n + 2
-    uniforms are drawn in chunks of at most ``_CHUNK_UNIFORMS`` (one row when
-    a trial needs more), and each chunk runs through one vectorised kernel.
+    ``run_coupling(params, make_rng(seeds[j]))``.  The trials run through one
+    kernel in chunks of at most ``_CHUNK_UNIFORMS`` uniforms (one trial when
+    a trial needs more), drawn from one ``streams`` iterator.
     """
-    width = coupling_uniforms(params)
-    rows = max(1, _CHUNK_UNIFORMS // width)
+    rows, kernel = _coupling_kernel(params, len(seeds))
     white, conversions, times = empty_block(len(seeds))
-    uniforms = np.empty((min(rows, len(seeds)), width))
-    kernel = _coupling_kernel(params, len(uniforms))
     rngs = streams(seeds)  # one re-keyed Philox for the whole block
-    for lo in range(0, len(seeds), rows):
+    for lo in range(0, len(seeds), max(1, rows)):
         chunk = slice(lo, lo + rows)
-        window = uniforms[: len(seeds[chunk])]
-        for row, rng in zip(window, rngs):
-            rng.random(out=row)
-        white[chunk], conversions[chunk], times[chunk] = kernel(window)
+        white[chunk], conversions[chunk], times[chunk] = kernel(rngs, len(seeds[chunk]))
     return white, conversions, times
 
 
-def _coupling_kernel(params: Params, rows: int) -> Callable[[np.ndarray], tuple]:
-    """Per-row (W, C, tau) of up to ``rows`` trials at a time, from one vector of
-    2n + 1 negated clock rates and one (rows, 2n + 1) scratch buffer for the clocks.
+def _coupling_kernel(params: Params, count: int) -> tuple[int, Callable[..., tuple]]:
+    """The trials per chunk (at most ``count``), and a kernel giving (W, C, tau)
+    of the trials of the next ``size`` generators of an iterator.  Refuses a
+    trial over MAX_COUPLING_UNIFORMS before it allocates; then holds a (rows,
+    3n + 2) row buffer, a (rows, 2n + 1) clock scratch and 2n + 1 negated rates.
 
-    Row r of the kernel's argument holds one trial's 3n + 2 uniforms in
-    draw order: n for the death spacings, n + 1 for the birth spacings,
-    n + 1 for the defective flags.  The red count hits zero at the first
-    birth index m with beta[m-1] <= delta[m-1]; if the deaths stay ahead
-    through all n of them the (n+1)-th birth finishes the process.  Exactly
-    m - 1 deaths come before that birth, so W = n + 1 - m.  A floating-point
-    tie between a birth and a death is broken in favor of the birth,
-    declaring extinction; ties have probability zero in exact arithmetic so
-    any fixed rule leaves the law unchanged.
+    Row r holds its trial's 3n + 2 uniforms, drawn by one ``random(out=row)``:
+    n for the death spacings, n + 1 for the birth spacings, n + 1 for the
+    defective flags.  The red count hits zero at the first birth index m
+    with beta[m-1] <= delta[m-1]; if the deaths stay ahead through all n of
+    them the (n+1)-th birth finishes the process.  Exactly m - 1 deaths come
+    before that birth, so W = n + 1 - m.  A floating-point tie between a
+    birth and a death is broken in favor of the birth, declaring extinction;
+    ties have probability zero in exact arithmetic so any fixed rule leaves
+    the law unchanged.
     """
     n = params.n
+    width = 3 * n + 2
+    if width > MAX_COUPLING_UNIFORMS:
+        raise ResourceLimitError(
+            f"a coupling trial at n = {n} needs {width} uniforms, "
+            f"over the cap of {MAX_COUPLING_UNIFORMS}"
+        )
+    rows = min(count, max(1, _CHUNK_UNIFORMS // width))
     a = params.conversion_rate
     # before birth i there are b0 + i blue, and each red turns blue at
     # rate b0 + i + a
     offset = params.initial_red_blue[1] + a
+    buffer = np.empty((rows, width))
     neg_rates = np.concatenate((params.lam * np.arange(-n, 0.0), -(np.arange(n + 1.0) + offset)))
     scratch = np.empty((rows, 2 * n + 1))
 
-    def kernel(uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        clocks = scratch[: len(uniforms)]
+    def kernel(rngs: Iterable[np.random.Generator], size: int) -> tuple[np.ndarray, ...]:
+        uniforms, clocks = buffer[:size], scratch[:size]
+        for row, rng in zip(uniforms, rngs):
+            rng.random(out=row)
         delta = _clock(uniforms[:, :n], neg_rates[:n], clocks[:, :n])
         beta = _clock(uniforms[:, n : 2 * n + 1], neg_rates[n:], clocks[:, n:])
-        r = np.arange(len(uniforms))
+        r = np.arange(size)
         first = (beta[:, :n] <= delta).argmax(axis=1)  # 0 if no birth comes first
         m = np.where(beta[r, first] <= delta[r, first], first + 1, n + 1)
         tau = beta[r, m - 1]
         # birth i converts with probability a / (i + offset); the thresholds reuse the scratch
         thresholds = np.divide(-a, neg_rates[n:], out=clocks[:, : n + 1])
-        if len(uniforms) == 1:  # only the births before m count
+        if size == 1:  # only the births before m count
             k = int(m[0])
             hits = uniforms[:, 2 * n + 1 : 2 * n + 1 + k] < thresholds[:, :k]
         else:
             hits = (uniforms[:, 2 * n + 1 :] < thresholds) & (np.arange(n + 1) < m[:, None])
         return n + 1 - m, np.count_nonzero(hits, axis=1), tau
 
-    return kernel
+    return rows, kernel
 
 
 def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
@@ -171,12 +163,11 @@ def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
     a / (i + b0 + a); in kortchemski mode b0 = 1 and a = 0, so no birth is
     a conversion.  fixation_time is measured on the birth/death clock,
     whose scale differs from the count chain's continuous time; its mean
-    over log n tends to 1 at lambda = 1.  This is the one-row case of
-    :func:`coupling_block`.
+    over log n tends to 1 at lambda = 1.  This is one call of the kernel of
+    :func:`coupling_block` on ``rng``.
     """
-    uniforms = np.empty((1, coupling_uniforms(params)))
-    rng.random(out=uniforms[0])
-    w, c, tau = _coupling_kernel(params, 1)(uniforms)
+    _, kernel = _coupling_kernel(params, 1)
+    w, c, tau = kernel((rng,), 1)
     return FixationResult.at_fixation(params, int(w[0]), int(c[0]), float(tau[0]))
 
 

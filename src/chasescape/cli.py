@@ -136,6 +136,8 @@ def _read_input(flag: str, path, parse):
         raise ParameterError(f"{flag} {path}: not UTF-8 ({where})") from None
     except (ParameterError, json.JSONDecodeError) as exc:
         raise ParameterError(f"{flag} {path}: {exc}") from None
+    except OSError as exc:
+        raise ParameterError(f"{flag} {path}: {exc.strerror}") from None
 
 
 def _parse_config(text: str) -> dict:
@@ -154,24 +156,33 @@ def _parse_config(text: str) -> dict:
     return overrides
 
 
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    return ExperimentConfig(
+        _params_from_args(args), trials=args.trials, seed=args.seed, parallelism=args.parallelism,
+        estimator=Estimator(args.estimator), engine=Engine(args.engine),
+    )
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    flags = argparse.Namespace(**vars(args))
     if args.config is not None:
         for key, value in _read_input("--config", args.config, _parse_config).items():
             setattr(args, "lam" if key == "lambda" else key, value)
-    params = _params_from_args(args)
-    config = ExperimentConfig(
-        params=params,
-        trials=args.trials,
-        seed=args.seed,
-        estimator=Estimator(args.estimator),
-        engine=Engine(args.engine),
-        parallelism=args.parallelism,
-    )
+    try:
+        config = _experiment_config(args)
+    except ParameterError as exc:  # the config file's fault unless the flags alone fail alike
+        try:
+            _experiment_config(flags)
+        except ParameterError as flag_exc:
+            if str(flag_exc) == str(exc):
+                raise
+        raise ParameterError(f"--config {args.config}: {exc}") from None
     if args.graph_file is not None:  # parsed once, after the checks above, before any worker
         if config.engine is not Engine.GRAPH:  # ExperimentConfig's refusal, before the read
             raise ParameterError("a graph only applies to the graph engine")
+        vertices = config.params.total_vertices
         graph = _read_input("--graph-file", args.graph_file,
-                            lambda text: parse_edge_list(text.split("\n"), params.total_vertices))
+                            lambda text: parse_edge_list(text.split("\n"), vertices))
         config = replace(config, graph=graph)
     _write_output(run_experiment(config).to_json(), args.output)
     return 0
@@ -210,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParameterError, ResourceLimitError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,8 +96,8 @@ def canonical_json(obj) -> str:
 def params_as_dict(params: Params) -> dict:
     return {
         "n": params.n,
-        "lambda": params.lam,
-        "alpha": params.alpha,
+        "lambda": float(params.lam),
+        "alpha": float(params.alpha),
         "init": params.init_mode.value,
     }
 
@@ -136,10 +136,7 @@ def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _mean_summary(values: np.ndarray) -> tuple[float, float, tuple[float, float]]:
     estimate = float(np.mean(values))
-    if values.size > 1:
-        se = float(np.std(values, ddof=1) / math.sqrt(values.size))
-    else:
-        se = 0.0
+    se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return estimate, se, (estimate - _Z975 * se, estimate + _Z975 * se)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -36,6 +36,7 @@ from .chain import (
     write_trajectory_csv,
 )
 from .harness import Engine, Estimator, ExperimentConfig, run_block, run_experiment, run_trials
+from .harness import summarize
 from .params import InitMode, Params
 from .rng import make_rng, stream_seed
 
@@ -125,10 +126,10 @@ def _engine_agreement(
     config = ExperimentConfig(
         params=params, trials=trials, seed=seed, estimator=Estimator.W_HISTOGRAM, engine=engine
     )
-    w, _, _ = run_trials(config)
-    counts = np.bincount(w, minlength=n + 1)
+    w, c, tau = run_trials(config)
+    counts = summarize(config, w, c, tau).histogram
+    p_hat = summarize(replace(config, estimator=Estimator.EXTINCTION_PROB), w, c, tau).estimate
     p_exact = exact.extinction_probability
-    p_hat = float(counts[0]) / trials
     se = math.sqrt(p_exact * (1.0 - p_exact) / trials)
     chi = chi_square_gof(counts, exact.probabilities)
     return {
@@ -231,14 +232,14 @@ def check_conversion_trend() -> tuple[bool, dict]:
             estimator=Estimator.CONVERSION_OVER_LOG_N,
             engine=Engine.COUPLING,
         )
-        _, c, _ = run_trials(config)
-        scaled = c / math.log(n)
+        w, c, tau = run_trials(config)
+        mean = summarize(config, w, c, tau).estimate
         rows.append(
             {
                 "n": n,
-                "mean": float(scaled.mean()),
-                "gap": abs(float(scaled.mean()) - target),
-                "fraction_outside_band": float(np.mean(np.abs(scaled - target) > 1.0)),
+                "mean": mean,
+                "gap": abs(mean - target),
+                "fraction_outside_band": float(np.mean(np.abs(c / math.log(n) - target) > 1.0)),
             }
         )
     mean_decreasing = _strictly_decreasing(rows)
@@ -262,8 +263,7 @@ def check_fixation_time_scaling() -> tuple[bool, dict]:
         estimator=Estimator.TAU_OVER_LOG_N,
         engine=Engine.COUPLING,
     )
-    _, _, tau = run_trials(config)
-    mean = float(np.mean(tau / math.log(n)))
+    mean = run_experiment(config).estimate
     ok = 0.85 <= mean <= 1.15
     return ok, {"measured": mean, "band": [0.85, 1.15], "limit": 1.0, "n": n, "trials": 10**3}
 

@@ -193,24 +193,29 @@ class TestCoupling:
             assert res.fixation_time == births[m - 1]
             assert res.jump_count == deaths + m
 
-    def test_standard_start_draws_3n_plus_2_uniforms(self):
-        # n deaths, then n + 1 birth spacings, then n + 1 defective flags
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_each_mode_draws_3n_plus_2_uniforms(self, mode):
+        # n deaths, then n + 1 birth spacings, then n + 1 defective flags;
+        # kortchemski mode draws the flags too, though none can convert
         n = 30
         for seed in range(5):
             stream = make_rng(seed).random(3 * n + 3)
             rng = make_rng(seed)
-            run_coupling(Params(n, 1.0, 1.5), rng)
+            run_coupling(Params(n, 1.0, 1.5, mode), rng)
             assert rng.random() == stream[3 * n + 2]
 
     def test_n_at_max_n_is_refused_before_allocating(self):
-        # 3 * MAX_N + 2 doubles would be 2.4 GB
+        # 3 * MAX_N + 2 doubles would be 2.4 GB; a block of 10^6 seeds is
+        # refused before its 24 MB of result arrays
         params = Params(MAX_N, 1.0, 1.0)
+        seeds = stream_seeds(0, 0, 10**6)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
                 run_coupling(params, make_rng(0))
-            with pytest.raises(ResourceLimitError):
-                coupling_block(params, stream_seeds(0, 0, 1))
+            for block in (seeds[:1], seeds):
+                with pytest.raises(ResourceLimitError):
+                    coupling_block(params, block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

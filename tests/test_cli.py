@@ -240,6 +240,43 @@ class TestEstimate:
         assert code == 2 and out == ""
         assert err == f"error: --config {config}: {message}\n"
 
+    @pytest.mark.parametrize("flag", ["--config", "--graph-file"])
+    def test_missing_input_file_names_its_flag(self, tmp_path, flag):
+        missing = tmp_path / "missing"
+        code, out, err = run_cli(
+            "estimate", "--n", "1", "--engine", "graph", "--trials", "10", flag, str(missing)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} {missing}: No such file or directory\n"
+
+    def test_config_value_errors_name_the_flag_and_file(self, tmp_path):
+        config = tmp_path / "exp.json"
+        for override, message in [
+            ({"n": "abc"}, "n must be an integer, got 'abc'"),
+            ({"trials": 0}, "trials must be an integer >= 1, got 0"),
+        ]:
+            config.write_text(json.dumps(override))
+            assert run_cli("estimate", "--config", str(config)) == (
+                2, "", f"error: --config {config}: {message}\n"
+            )
+        # refused alike without the config, so the flag is at fault
+        config.write_text(json.dumps({"n": 10}))
+        alone = run_cli("estimate", "--trials", "0")
+        assert alone == (2, "", "error: trials must be an integer >= 1, got 0\n")
+        assert run_cli("estimate", "--trials", "0", "--config", str(config)) == alone
+        # a config value may mend a bad flag
+        config.write_text(json.dumps({"n": 5}))
+        code, out, _ = run_cli("estimate", "--n", "0", "--trials", "10", "--config", str(config))
+        assert code == 0 and json.loads(out)["params"]["n"] == 5
+
+    def test_integer_rates_in_a_config_give_the_bytes_of_the_flags(self, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"lambda": 1, "alpha": 2}))
+        argv = ("estimate", "--n", "10", "--trials", "50", "--seed", "3")
+        from_config = run_cli(*argv, "--config", str(config))
+        assert from_config == run_cli(*argv, "--lambda", "1", "--alpha", "2")
+        assert '"lambda": 1.0,' in from_config[1]
+
     def test_config_rejects_unknown_keys(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"bogus": 1}))
