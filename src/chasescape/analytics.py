@@ -22,6 +22,9 @@ DP_MAX_N = 5000  # the layered state space is O(n^2)
 
 QUADRATURE_ABS_TOL = 1e-10
 
+# fewest expected counts a chi-square group holds after pooling
+CHI_SQUARE_MIN_EXPECTED = 5.0
+
 # two-sided 95% normal quantile, scipy.special.ndtri(0.975) to the last bit
 _Z975 = 1.959963984540054
 
@@ -201,13 +204,11 @@ class ChiSquareResult:
     pvalue: float
 
 
-def chi_square_gof(
-    observed: Sequence[int], expected_probs: Sequence[float], min_expected: float = 5.0
-) -> ChiSquareResult:
+def chi_square_gof(observed: Sequence[int], expected_probs: Sequence[float]) -> ChiSquareResult:
     """Chi-square goodness of fit with pooling of sparse bins.
 
     Consecutive bins are merged until each group's expected count reaches
-    ``min_expected``; a trailing underweight group is folded into its
+    CHI_SQUARE_MIN_EXPECTED; a trailing underweight group is folded into its
     predecessor.
     """
     from scipy.special import gammaincc
@@ -226,7 +227,7 @@ def chi_square_gof(
     for o, e in zip(obs, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= CHI_SQUARE_MIN_EXPECTED:
             grouped_obs.append(acc_o)
             grouped_exp.append(acc_e)
             acc_o = acc_e = 0.0

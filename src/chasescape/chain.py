@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from .params import ParameterError, Params, ResourceLimitError
-from .rng import fill_windows, streams, uniform_tuples
+from .rng import streams, uniform_tuples
 
 # cap on the jumps a recorded run may make (2n + 1 at most), refused before
 # the first jump: at about 272 bytes per JumpRecord, 2^19 jumps is 136 MiB
@@ -25,9 +25,10 @@ MAX_RECORDED_JUMPS = 1 << 19
 
 # uniforms per row of a lockstep window (128 jumps)
 _WINDOW = 256
-# fewest live trials a lockstep step serves; with fewer, the scalar loop is cheaper
+# fewest trials a chunk runs in lockstep: a numpy step costs about as much as
+# 32 scalar jumps, so a smaller chunk runs the scalar loop once per trial
 _LOCKSTEP_MIN_LIVE = 32
-# trials per lockstep chunk; with windows of at most _WINDOW uniforms a
+# trials per chunk of a block; with windows of at most _WINDOW uniforms a
 # chunk holds at most 2^16 of them (512 KiB) at any n
 _CHUNK_TRIALS = 256
 
@@ -103,23 +104,10 @@ def run_to_fixation(
             f"a trajectory at n = {params.n} can make {2 * params.n + 1} jumps, "
             f"over the cap of {MAX_RECORDED_JUMPS} recorded jumps"
         )
-    return _run_from(params, rng, initial_state(params), 0.0, 0, records)
-
-
-def _run_from(
-    params: Params,
-    rng: np.random.Generator,
-    state: PopulationState,
-    fixation_time: float,
-    conversions: int,
-    records: list[JumpRecord] | None = None,
-) -> FixationResult:
-    """:func:`run_to_fixation` from ``state``, with the clock at
-    ``fixation_time`` and ``conversions`` already made, reading the next
-    jump's uniforms from ``rng``."""
     lam = params.lam
     a = params.conversion_rate
-    r, b, w = state
+    r, b, w = initial_state(params)
+    fixation_time, conversions = 0.0, 0
     log1p = math.log1p
     grow, chase, convert = EventKind.GROW, EventKind.CHASE, EventKind.CONVERT
     # every jump lowers 2 * w + r by one, so no more jumps remain
@@ -149,33 +137,38 @@ def _run_from(
 def chain_block(
     params: Params, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial (W, C, tau) of count-chain trials run in lockstep.
+    """Per-trial (W, C, tau) of count-chain trials, in chunks of ``_CHUNK_TRIALS``.
 
     Trial j draws from the stream keyed by ``seeds[j]`` and gives the same
-    bytes as ``run_to_fixation(params, make_rng(seeds[j]))``.  The trials
-    run in chunks of ``_CHUNK_TRIALS``; within a chunk every live trial
-    makes its t-th jump in the same numpy step, reading uniforms 2t (event)
-    and 2t + 1 (holding time) of its own stream through the scalar loop's
-    IEEE expressions; the holding times go through ``math.log1p``, which
-    ``np.log1p`` differs from in the last bit.  The uniforms are read in
-    windows of at most ``_WINDOW`` columns, so a trial holds O(_WINDOW)
-    doubles however long it runs.  A trial leaves the step arrays at
-    fixation, so no arithmetic runs on a row with no red.  A numpy step
-    costs about as much as ``_LOCKSTEP_MIN_LIVE`` scalar jumps, so once
-    fewer trials are live the scalar loop finishes each of them from where
-    its stream stands.
+    bytes as ``run_to_fixation(params, make_rng(seeds[j]))``.  A chunk of
+    fewer than ``_LOCKSTEP_MIN_LIVE`` trials runs :func:`run_to_fixation` per
+    trial; any other runs in lockstep until every trial has fixated.
+    There every live trial makes its t-th jump in the same numpy step,
+    reading uniforms 2t (event) and 2t + 1 (holding time) of its own stream
+    through the scalar loop's IEEE expressions; the holding times go through
+    ``math.log1p``, which ``np.log1p`` differs from in the last bit.  The
+    uniforms are read in windows of at most ``_WINDOW`` columns, so a trial
+    holds O(_WINDOW) doubles however long it runs.  A trial leaves the step
+    arrays at fixation, so no arithmetic runs on a row with no red.
     """
     white, conversions, times = empty_block(len(seeds))
     for lo in range(0, len(seeds), _CHUNK_TRIALS):
         chunk = slice(lo, lo + _CHUNK_TRIALS)
-        _lockstep(params, seeds[chunk], white[chunk], conversions[chunk], times[chunk])
+        if seeds[chunk].size >= _LOCKSTEP_MIN_LIVE:
+            _lockstep(params, seeds[chunk], white[chunk], conversions[chunk], times[chunk])
+        else:
+            for i, rng in enumerate(streams(seeds[chunk]), lo):
+                res = run_to_fixation(params, rng)
+                white[i], conversions[i], times[i] = (
+                    res.white_survivors, res.conversions, res.fixation_time
+                )
     return white, conversions, times
 
 
 def _lockstep(
     params: Params, seeds: np.ndarray, white: np.ndarray, conversions: np.ndarray, times: np.ndarray
 ) -> None:
-    """One chunk of :func:`chain_block`, written into its output views."""
+    """One chunk of :func:`chain_block` to its end, into its output views."""
     lam = params.lam
     a = params.conversion_rate
     total = params.total_vertices
@@ -192,11 +185,12 @@ def _lockstep(
     layer = r0 + 2 * b0
     position = 0  # in every live trial's stream, of the next jump's uniforms
     log1p = math.log1p
-    while trial.size >= _LOCKSTEP_MIN_LIVE:
+    while trial.size:
         live = trial.size
         col = position % width
         if col == 0:
-            fill_windows(seeds[trial], position, window[:live])
+            for row, rng in zip(window[:live], streams(seeds[trial], position)):
+                rng.random(out=row)
         u = window[:live, col]
         log_hold = np.fromiter(map(log1p, (-window[:live, col + 1]).tolist()), np.float64, live)
         position += 2
@@ -223,12 +217,6 @@ def _lockstep(
                 keep = ~done
                 trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
                 window[: trial.size, col + 2 :] = window[:live][keep, col + 2 :]
-    rngs = streams(seeds[trial], position)
-    for i, blue, made, clock, rng in zip(trial.tolist(), b.tolist(), c.tolist(), t.tolist(), rngs):
-        blue = int(blue)
-        state = PopulationState(layer - 2 * blue, blue, (total - layer) + blue)
-        res = _run_from(params, rng, state, clock, made)
-        white[i], conversions[i], times[i] = res.white_survivors, res.conversions, res.fixation_time
 
 
 def check_trajectory(

@@ -165,23 +165,26 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     flags = argparse.Namespace(**vars(args))
-    if args.config is not None:
-        for key, value in _read_input("--config", args.config, _parse_config).items():
-            setattr(args, "lam" if key == "lambda" else key, value)
+    overrides = {} if args.config is None else _read_input("--config", args.config, _parse_config)
+    for key, value in overrides.items():
+        setattr(args, "lam" if key == "lambda" else key, value)
     try:
         config = _experiment_config(args)
-    except ParameterError as exc:  # the config file's fault unless the flags alone fail alike
+    except (ParameterError, ResourceLimitError) as exc:
+        # the config file's fault unless the flags alone fail alike
         try:
             _experiment_config(flags)
-        except ParameterError as flag_exc:
+        except (ParameterError, ResourceLimitError) as flag_exc:
             if str(flag_exc) == str(exc):
                 raise
-        raise ParameterError(f"--config {args.config}: {exc}") from None
+        raise type(exc)(f"--config {args.config}: {exc}") from None
     if args.graph_file is not None:  # parsed once, after the checks above, before any worker
+        # a path from the config file is that file's fault, not the flag's
+        blame = f"--config {args.config}: " if "graph_file" in overrides else ""
         if config.engine is not Engine.GRAPH:  # ExperimentConfig's refusal, before the read
-            raise ParameterError("a graph only applies to the graph engine")
+            raise ParameterError(f"{blame}a graph only applies to the graph engine")
         vertices = config.params.total_vertices
-        graph = _read_input("--graph-file", args.graph_file,
+        graph = _read_input(f"{blame}graph_file" if blame else "--graph-file", args.graph_file,
                             lambda text: parse_edge_list(text.split("\n"), vertices))
         config = replace(config, graph=graph)
     _write_output(run_experiment(config).to_json(), args.output)

@@ -9,9 +9,9 @@ how trials are distributed across workers.
 The mixing function is SplitMix64: ``stream_seed(s, i)`` is the ``i``-th
 output of a SplitMix64 sequence seeded with ``s``.  ``stream_seeds`` computes
 a range of them at once.  ``streams`` hands out their generators from any
-uniform on, and ``fill_windows`` fills rows with a window of each, from one
-Philox re-keyed per trial, as a counter-based generator allows: 0.48 us a re-key
-(1.17 us from uint64 state arrays) against 10 us a new ``make_rng``, on 2 x86-64 CPUs.
+uniform on, from one Philox re-keyed per trial, as a counter-based generator
+allows: 0.48 us a re-key (1.17 us from uint64 state arrays) against 10 us a
+new ``make_rng``, on 2 x86-64 CPUs.
 ``uniform_tuples`` reads one stream for the scalar engines, as Python floats.
 """
 
@@ -87,14 +87,6 @@ def streams(seeds: np.ndarray, offset: int = 0) -> Iterator[np.random.Generator]
             if skip:
                 rng.random(skip)
             yield rng
-
-
-def fill_windows(seeds: np.ndarray, offset: int, out: np.ndarray) -> None:
-    """Fill row j of ``out`` with uniforms [offset, offset + width) of the
-    stream keyed by ``seeds[j]``, that is with
-    ``make_rng(seeds[j]).random(offset + width)[offset:]``."""
-    for row, rng in zip(out, streams(seeds, offset)):
-        rng.random(out=row)
 
 
 def uniform_tuples(rng: np.random.Generator, width: int, count: int) -> Iterator[tuple[float, ...]]:

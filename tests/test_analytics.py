@@ -184,7 +184,7 @@ class TestChiSquare:
     def test_pvalue_matches_scipy(self):
         observed = [30, 50, 20, 10, 5]
         probs = [0.3, 0.4, 0.15, 0.1, 0.05]
-        res = chi_square_gof(observed, probs, min_expected=0.0)
+        res = chi_square_gof(observed, probs)
         expected = np.array(probs) * 115
         ref_stat = float(np.sum((np.array(observed) - expected) ** 2 / expected))
         assert res.statistic == pytest.approx(ref_stat, abs=1e-12)
@@ -195,14 +195,14 @@ class TestChiSquare:
     def test_pools_sparse_bins(self):
         observed = [500, 480, 15, 3, 1, 1]
         probs = [0.5, 0.48, 0.012, 0.004, 0.002, 0.002]
-        res = chi_square_gof(observed, probs, min_expected=5.0)
+        res = chi_square_gof(observed, probs)
         assert res.dof + 1 < len(observed)
         assert res.pvalue > 0.001
 
     def test_detects_wrong_distribution(self):
         observed = [900, 100]
         probs = [0.5, 0.5]
-        assert chi_square_gof(observed, probs, min_expected=0.0).pvalue < 1e-10
+        assert chi_square_gof(observed, probs).pvalue < 1e-10
 
     def test_degenerate_rejected(self):
         with pytest.raises(ParameterError):

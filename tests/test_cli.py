@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chasescape import cli, graph
+from chasescape import cli, graph, harness
 from chasescape.cli import main
 from chasescape.chain import check_trajectory, read_trajectory_csv
 from chasescape.harness import Engine, Estimator, ExperimentConfig
@@ -248,6 +248,38 @@ class TestEstimate:
         )
         assert code == 2 and out == ""
         assert err == f"error: {flag} {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "engine, path, message",
+        [
+            ("graph", "missing.edges", "graph_file {path}: No such file or directory"),
+            ("graph", 5, "graph_file must be a path string, got 5"),
+            ("graph", "loop.edges", "graph_file {path}: line 2: self-loop at vertex 1"),
+            ("chain", "missing.edges", "a graph only applies to the graph engine"),
+        ],
+        ids=["missing", "not-a-path", "self-loop", "other-engine"],
+    )
+    def test_graph_file_key_errors_name_the_config(self, tmp_path, engine, path, message):
+        # the path came from the config file, so no error may blame the flag
+        (tmp_path / "loop.edges").write_text("0 1\n1 1\n")
+        if isinstance(path, str):
+            path = str(tmp_path / path)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"engine": engine, "n": 1, "graph_file": path}))
+        code, out, err = run_cli("estimate", "--trials", "10", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: --config {config}: {message.format(path=path)}\n"
+
+    def test_trials_over_the_cap_exit_2_before_allocating(self, tmp_path):
+        refusal = f"{10**12} trials are over the cap of {harness.MAX_TRIALS}"
+        assert run_cli("estimate", "--n", "1", "--trials", str(10**12)) == (
+            2, "", f"error: {refusal}\n"
+        )
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"trials": 10**12}))
+        assert run_cli("estimate", "--n", "1", "--config", str(config)) == (
+            2, "", f"error: --config {config}: {refusal}\n"
+        )
 
     def test_config_value_errors_name_the_flag_and_file(self, tmp_path):
         config = tmp_path / "exp.json"

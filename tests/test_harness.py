@@ -17,6 +17,7 @@ from chasescape import (
     InitMode,
     ParameterError,
     Params,
+    ResourceLimitError,
     exact_distribution_W,
     make_rng,
     run_coupling,
@@ -34,7 +35,7 @@ from chasescape.chain import (
 )
 from chasescape.graph import complete_graph, graph_block, parse_edge_list, run_graph_to_fixation
 from chasescape.harness import canonical_json, run_block, run_trials
-from chasescape.rng import fill_windows, splitmix64, stream_seeds, streams, uniform_tuples
+from chasescape.rng import splitmix64, stream_seeds, streams, uniform_tuples
 
 
 class TestStreamSeeding:
@@ -100,7 +101,8 @@ class TestWindowFill:
         width = 36
         seeds = stream_seeds(master, 7, 12)
         out = np.empty((seeds.size, width))
-        fill_windows(seeds, offset, out)
+        for row, rng in zip(out, streams(seeds, offset)):
+            rng.random(out=row)
         for row, i in zip(out, range(7, 12)):
             ref = make_rng(stream_seed(master, i)).random(offset + width)[offset:]
             assert row.tobytes() == ref.tobytes()
@@ -141,6 +143,14 @@ class TestConfigValidation:
             ExperimentConfig(
                 p, trials=10, seed=0, estimator=Estimator.EXPECTED_W,
                 engine=Engine.CHAIN, graph=parse_edge_list(["0 1"]),
+            )
+
+    def test_trials_over_the_cap_are_refused(self):
+        p = Params(10, 1.0, 1.0)
+        ExperimentConfig(p, trials=harness.MAX_TRIALS, seed=0, estimator=Estimator.EXPECTED_W)
+        with pytest.raises(ResourceLimitError, match="over the cap"):
+            ExperimentConfig(
+                p, trials=harness.MAX_TRIALS + 1, seed=0, estimator=Estimator.EXPECTED_W
             )
 
 
@@ -249,21 +259,30 @@ class TestCouplingBlock:
 class TestChainBlock:
     @pytest.mark.parametrize("mode", list(InitMode))
     @pytest.mark.parametrize(
-        "n, start, stop, min_live",
+        "n, start, stop, min_live, lam",
         [
             # n = 100 runs past the first 128-jump window, and 296 trials
-            # fill one chunk and start a second, which ends in the scalar loop
-            (100, 5, 301, None),
-            # rows far wider than one window and than run_to_fixation's
-            # 2^16-uniform buffer, in lockstep to the end and in the scalar loop
-            (20000, 3, 6, 1),
-            (20000, 3, 6, None),
+            # fill one chunk and start a second, whose 40 trials run the
+            # lockstep to the end
+            pytest.param(100, 5, 301, None, 1.0, id="100-5-301-None"),
+            # rows far wider than one window, in lockstep to the end and in
+            # the scalar loop
+            pytest.param(20000, 3, 6, 1, 1.0, id="20000-3-6-1"),
+            pytest.param(20000, 3, 6, None, 1.0, id="20000-3-6-None"),
+            # at lambda = 0.5 trials fixate at staggered times, so the
+            # lockstep compacts its window again and again down to no live trial
+            pytest.param(300, 2, 66, None, 0.5, id="300-2-66-None-0.5"),
+            # 256 + 14 trials: the last chunk is too small for the lockstep
+            # and runs the scalar loop
+            pytest.param(100, 0, 270, None, 1.0, id="100-0-270-None"),
         ],
     )
-    def test_block_matches_per_trial_kernel(self, mode, n, start, stop, min_live, monkeypatch):
+    def test_block_matches_per_trial_kernel(
+        self, mode, n, start, stop, min_live, lam, monkeypatch
+    ):
         if min_live is not None:
             monkeypatch.setattr(chain, "_LOCKSTEP_MIN_LIVE", min_live)
-        params = Params(n, 1.0, 2.0, mode)
+        params = Params(n, lam, 2.0, mode)
         seed = 1003
         w, c, tau = run_block(_config(params=params, seed=seed), start, stop)
         ref = [run_to_fixation(params, make_rng(stream_seed(seed, i))) for i in range(start, stop)]
