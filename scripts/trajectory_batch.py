@@ -43,7 +43,12 @@ def main() -> int:
     try:
         params = Params(n=args.n, lam=args.lam, alpha=args.alpha)
         require_seed("--seed-base", args.seed_base)
-    except ParameterError as exc:
+        # trial i runs on stream_seed(seed_base, i), as the recorded run does
+        config = ExperimentConfig(
+            params, trials=args.seeds, seed=args.seed_base, estimator=Estimator.EXPECTED_W,
+            engine=Engine.CHAIN,
+        )
+    except (ParameterError, ResourceLimitError) as exc:  # before any trial or file
         parser.error(str(exc))
     if args.dump_first:  # first, so a trajectory over the cap is refused before any trial runs
         records = []
@@ -53,11 +58,6 @@ def main() -> int:
             parser.error(str(exc))
         with open(args.dump_first, "w", encoding="utf-8") as fh:
             write_trajectory_csv(records, fh)
-    # trial i runs on stream_seed(seed_base, i), as the recorded run does
-    config = ExperimentConfig(
-        params, trials=args.seeds, seed=args.seed_base, estimator=Estimator.EXPECTED_W,
-        engine=Engine.CHAIN,
-    )
     w, _, _ = run_trials(config)
     print(f"config: n={args.n} lambda={args.lam} alpha={args.alpha} seeds={args.seeds}")
     # a sample sd needs two samples

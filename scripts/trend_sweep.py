@@ -12,7 +12,15 @@ tau_over_log_n -> 1.  Example:
 import argparse
 import sys
 
-from chasescape import Engine, Estimator, ExperimentConfig, ParameterError, Params, run_experiment
+from chasescape import (
+    Engine,
+    Estimator,
+    ExperimentConfig,
+    ParameterError,
+    Params,
+    ResourceLimitError,
+    run_experiment,
+)
 
 
 def main() -> int:
@@ -43,7 +51,7 @@ def main() -> int:
             )
             for i, n in enumerate(args.ns)
         ]
-    except ParameterError as exc:
+    except (ParameterError, ResourceLimitError) as exc:
         parser.error(str(exc))
 
     print("n,estimate,std_error,ci_lo,ci_hi,trials")

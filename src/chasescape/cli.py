@@ -136,6 +136,8 @@ def _read_input(flag: str, path, parse):
         raise ParameterError(f"{flag} {path}: not UTF-8 ({where})") from None
     except (ParameterError, json.JSONDecodeError) as exc:
         raise ParameterError(f"{flag} {path}: {exc}") from None
+    except ResourceLimitError as exc:  # a graph over the cap, before it is built
+        raise ResourceLimitError(f"{flag} {path}: {exc}") from None
     except OSError as exc:
         raise ParameterError(f"{flag} {path}: {exc.strerror}") from None
 

@@ -5,13 +5,15 @@ population process has exactly the law of the count chain in
 :mod:`chasescape.chain`, which makes this module an independent oracle for
 it.  A graph is a CSR table in which every directed edge (u, v) has an
 integer id.  Rates are tracked incrementally (O(degree) per event) through
-array-backed sets of red vertices, red-white edge ids and red-blue edge ids.
+array-backed sets of red vertices, red-white edge ids and red-blue edge ids,
+walking per-vertex rows of Python tuples that a graph builds on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -20,9 +22,11 @@ from .chain import EventKind, FixationResult, empty_block
 from .params import NoTransitionError, ParameterError, Params, ResourceLimitError, is_integer
 from .rng import streams, uniform_tuples
 
-# cap on the m(m - 1) adjacency entries of complete_graph, each an int32
-# head plus an int32 reverse id; 2^24 is about K_4097, 128 MiB of tables
-MAX_COMPLETE_GRAPH_ENTRIES = 1 << 24
+# cap on the adjacency entries (directed edges) of any graph, checked by
+# complete_graph and parse_edge_list before they allocate: each entry takes
+# 8 bytes of int32 tables and about 160 more of rows once a trial runs, so
+# K_1025, the largest complete graph under the cap, takes about 180 MB
+MAX_GRAPH_ENTRIES = (1 << 20) + (1 << 10)
 
 _WHITE, _RED, _BLUE = 0, 1, 2  # the vertex colours GraphState stores; blue is terminal
 
@@ -34,6 +38,10 @@ class Graph:
     The edges out of u have ids ``indptr[u]`` to ``indptr[u + 1] - 1`` and
     edge e ends at ``indices[e]``, ascending within each u.  ``reverse[e]``
     is the id of e's opposite edge: (v, u) when e is (u, v).
+
+    ``edges`` and ``rows`` restate the tables as Python tuples for the
+    per-event loops.  Each is built on first use, and a pickled graph
+    leaves them behind, so a worker builds its own.
     """
 
     indptr: np.ndarray
@@ -44,19 +52,32 @@ class Graph:
     def vertex_count(self) -> int:
         return len(self.indptr) - 1
 
+    @cached_property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """``(e, indices[e], reverse[e])`` for every edge id e."""
+        return list(zip(range(len(self.indices)), self.indices.tolist(), self.reverse.tolist()))
+
+    @cached_property
+    def rows(self) -> list[list[tuple[int, int, int]]]:
+        """``rows[u]``: the ``edges`` out of u, in id order."""
+        edges, bounds = self.edges, self.indptr.tolist()
+        return [edges[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def __getstate__(self) -> dict:
+        return {name: self.__dict__[name] for name in ("indptr", "indices", "reverse")}
+
 
 def complete_graph(m: int) -> Graph:
     """K_m; requires m >= 2.
 
     Raises ResourceLimitError, before allocating, when its m(m - 1)
-    adjacency entries exceed MAX_COMPLETE_GRAPH_ENTRIES.
+    adjacency entries exceed MAX_GRAPH_ENTRIES.
     """
     if not is_integer(m) or m < 2:
         raise ParameterError(f"complete graph needs an integer vertex count >= 2, got {m!r}")
-    if m * (m - 1) > MAX_COMPLETE_GRAPH_ENTRIES:
+    if m * (m - 1) > MAX_GRAPH_ENTRIES:
         raise ResourceLimitError(
-            f"K_{m} has {m * (m - 1)} adjacency entries, over the cap of "
-            f"{MAX_COMPLETE_GRAPH_ENTRIES}"
+            f"K_{m} has {m * (m - 1)} adjacency entries, over the cap of {MAX_GRAPH_ENTRIES}"
         )
     tails, heads = np.arange(m, dtype=np.int32)[:, None], np.arange(m - 1, dtype=np.int32)
     indices = heads + (heads >= tails)  # row u is every vertex but u, ascending
@@ -72,6 +93,8 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Gr
     Each line is one undirected edge; blank lines are skipped.  Rejects
     self-loops, repeated edges (in either orientation), disconnected graphs,
     and, before building anything, a vertex count other than ``vertex_count``.
+    Raises ResourceLimitError at the first edge past MAX_GRAPH_ENTRIES / 2,
+    before any adjacency set or table is built.
     """
     pairs = []
     max_vertex = -1
@@ -79,6 +102,11 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Gr
         line = raw.strip()
         if not line:
             continue
+        if 2 * (len(pairs) + 1) > MAX_GRAPH_ENTRIES:
+            raise ResourceLimitError(
+                f"line {lineno}: more than {len(pairs)} edges, over the cap of "
+                f"{MAX_GRAPH_ENTRIES} adjacency entries"
+            )
         fields = line.split()
         if len(fields) != 2:
             raise ParameterError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -159,9 +187,7 @@ class GraphState:
         colors[v] = _RED
         self.vertex_pos[v] = len(self.red)
         self.red.append(v)
-        lo, hi = graph.indptr[v : v + 2].tolist()
-        heads, backs = graph.indices[lo:hi].tolist(), graph.reverse[lo:hi].tolist()
-        for e, x, back in zip(range(lo, hi), heads, backs):
+        for e, x, back in graph.rows[v]:
             c = colors[x]
             if c == _WHITE:
                 pos[e] = len(rw)
@@ -183,9 +209,7 @@ class GraphState:
         if last != v:
             self.vertex_pos[last] = i = self.vertex_pos[v]
             self.red[i] = last
-        lo, hi = graph.indptr[v : v + 2].tolist()
-        heads, backs = graph.indices[lo:hi].tolist(), graph.reverse[lo:hi].tolist()
-        for e, x, back in zip(range(lo, hi), heads, backs):
+        for e, x, back in graph.rows[v]:
             c = colors[x]
             if c == _WHITE:  # remove (v, x) from rw
                 last = rw.pop()
@@ -218,10 +242,11 @@ class GraphState:
             raise NoTransitionError("total jump rate is zero in this state")
         x = u_class * total
         if x < rate_grow:
-            self.paint_red(graph, int(graph.indices[_pick(rw, u_member)]))
+            self.paint_red(graph, graph.edges[_pick(rw, u_member)][1])
             event = EventKind.GROW
-        elif x < rate_grow + rate_chase:
-            self.paint_blue(graph, int(graph.indices[graph.reverse[_pick(rb, u_member)]]))
+        elif x < rate_grow + rate_chase:  # the red tail of a red-blue edge turns blue
+            edges = graph.edges
+            self.paint_blue(graph, edges[edges[_pick(rb, u_member)][2]][1])
             event = EventKind.CHASE
         else:
             self.paint_blue(graph, _pick(red, u_member))

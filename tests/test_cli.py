@@ -201,6 +201,22 @@ class TestEstimate:
         assert code == 2 and out == "" and "self-loop" in err
         assert inline_pools == []
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_graph_file_over_the_cap_exits_2_before_the_pool(
+        self, inline_pools, monkeypatch, parallelism
+    ):
+        # sparse21.edges has 50 edges, 100 adjacency entries
+        monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 99)
+        code, out, err = run_cli(
+            "estimate", "--n", "20", "--engine", "graph", "--graph-file", str(SPARSE_EDGE_LIST),
+            "--trials", "10", "--parallelism", str(parallelism),
+        )
+        assert code == 2 and out == "" and inline_pools == []
+        assert err == (
+            f"error: --graph-file {SPARSE_EDGE_LIST}: line 50: more than 49 edges, "
+            "over the cap of 99 adjacency entries\n"
+        )
+
     def test_bad_trials_refused_before_the_graph_file_is_read(self, tmp_path):
         missing = tmp_path / "missing.edges"
         code, out, err = run_cli(

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -81,10 +82,54 @@ class TestGraphConstruction:
         assert peak < 16 * m * (m - 1)
 
     def test_cap_counts_adjacency_entries(self, monkeypatch):
-        monkeypatch.setattr(graph, "MAX_COMPLETE_GRAPH_ENTRIES", 20)
+        monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 20)
         assert complete_graph(5).vertex_count == 5  # 5 * 4 = 20 entries
         with pytest.raises(ResourceLimitError):
             complete_graph(6)
+
+    def test_cap_admits_k1025_and_refuses_k1026_before_allocating(self):
+        # K_1026's tables would take 8 MiB, and its rows about 160 MiB
+        assert 1025 * 1024 <= graph.MAX_GRAPH_ENTRIES < 1026 * 1025
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="K_1026"):
+                complete_graph(1026)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+
+def _assert_rows_restate_the_tables(g):
+    assert len(g.rows) == g.vertex_count
+    for u, row in enumerate(g.rows):
+        lo, hi = g.indptr[u], g.indptr[u + 1]
+        assert [e for e, _, _ in row] == list(range(lo, hi))
+        assert [x for _, x, _ in row] == g.indices[lo:hi].tolist()
+        assert [back for _, _, back in row] == g.reverse[lo:hi].tolist()
+        assert all(g.edges[e] is entry for entry, e in zip(row, range(lo, hi)))
+
+
+class TestRows:
+    def test_rows_restate_the_complete_graph_tables(self):
+        _assert_rows_restate_the_tables(complete_graph(7))
+
+    def test_rows_restate_the_edge_list_tables(self):
+        _assert_rows_restate_the_tables(
+            parse_edge_list(SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n"))
+        )
+
+    def test_rows_are_built_on_first_use_and_not_pickled(self):
+        g = complete_graph(7)
+        assert "rows" not in vars(g) and "edges" not in vars(g)
+        rows = g.rows
+        assert "rows" in vars(g) and g.rows is rows
+        copy = pickle.loads(pickle.dumps(g))
+        assert "rows" not in vars(copy) and "edges" not in vars(copy)
+        for table in ("indptr", "indices", "reverse"):
+            assert np.array_equal(getattr(copy, table), getattr(g, table))
+        assert copy.rows == rows
+        assert len(pickle.dumps(g)) == len(pickle.dumps(complete_graph(7)))
 
 
 class TestEdgeListFormat:
@@ -148,6 +193,27 @@ class TestEdgeListFormat:
         # the parsed pairs peak at about 3 MiB, building this graph at about 10
         assert peak < 5 << 20
         assert parse_edge_list(["0 1", "1 2"], vertex_count=3).vertex_count == 3
+
+    def test_cap_counts_both_directions_of_each_edge(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 20)
+        path = [f"{v} {v + 1}" for v in range(11)]
+        assert parse_edge_list(path[:10]).vertex_count == 11  # 2 * 10 = 20 entries
+        with pytest.raises(ResourceLimitError, match="line 11: more than 10 edges"):
+            parse_edge_list(path)
+
+    def test_over_the_cap_refused_before_allocating(self, monkeypatch):
+        # 20000 edges: their adjacency sets and tables would peak at about
+        # 10 MiB; the loader stops at the 501st edge and holds only 500 pairs
+        monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 1000)
+        lines = [f"{v} {v + 1}" for v in range(20000)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="over the cap of 1000"):
+                parse_edge_list(lines)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
 
     def test_rejects_garbage(self):
         with pytest.raises(ParameterError):

@@ -154,6 +154,9 @@ class TestConfigValidation:
             )
 
 
+SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
+
+
 def _config(**kw):
     defaults = dict(
         params=Params(10, 1.0, 1.0),
@@ -298,16 +301,30 @@ class TestChainBlock:
 class TestGraphBlock:
     @pytest.mark.parametrize("mode", list(InitMode))
     def test_block_matches_per_trial_kernel(self, mode):
-        params = Params(12, 1.0, 2.0, mode)
-        g = complete_graph(params.total_vertices)
-        start, stop = 4, 44
-        config = _config(params=params, engine=Engine.GRAPH, seed=1005)
-        w, c, tau = run_block(config, start, stop)
-        rngs = (make_rng(stream_seed(1005, i)) for i in range(start, stop))
-        ref = [run_graph_to_fixation(g, params, rng) for rng in rngs]
-        assert w.tolist() == [res.white_survivors for res in ref]
-        assert c.tolist() == [res.conversions for res in ref]
-        assert tau.tobytes() == np.array([res.fixation_time for res in ref]).tobytes()
+        # on the complete graph the config implies, and on the 21-vertex edge
+        # list (n = 20 standard, n = 19 kortchemski); each reference trial
+        # runs on a fresh graph, so no trial reuses the block's rows
+        sparse = SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n")
+        sparse_n = 20 if mode is InitMode.STANDARD else 19
+        for n, graph in ((12, None), (sparse_n, sparse)):
+            params = Params(n, 1.0, 2.0, mode)
+            start, stop = 4, 44
+            config = _config(
+                params=params, engine=Engine.GRAPH, seed=1005,
+                graph=None if graph is None else parse_edge_list(graph),
+            )
+            w, c, tau = run_block(config, start, stop)
+            fresh = (
+                complete_graph(params.total_vertices) if graph is None else parse_edge_list(graph)
+                for _ in range(start, stop)
+            )
+            ref = [
+                run_graph_to_fixation(g, params, make_rng(stream_seed(1005, i)))
+                for g, i in zip(fresh, range(start, stop))
+            ]
+            assert w.tolist() == [res.white_survivors for res in ref]
+            assert c.tolist() == [res.conversions for res in ref]
+            assert tau.tobytes() == np.array([res.fixation_time for res in ref]).tobytes()
 
     def test_empty_block(self):
         w, c, tau = graph_block(complete_graph(6), Params(5, 1.0, 1.0), stream_seeds(0, 3, 3))

@@ -91,3 +91,20 @@ def test_trend_sweep_refuses_a_negative_seed():
     proc = run_script("scripts/trend_sweep.py", "--ns", "10", "--seed", "-1", returncode=2)
     assert "seed must be a 64-bit unsigned integer" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_trend_sweep_refuses_trials_over_the_cap():
+    proc = run_script("scripts/trend_sweep.py", "--ns", "10", "--trials", "1000000000000",
+                      returncode=2)
+    assert "trials are over the cap" in proc.stderr and "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_trajectory_batch_refuses_seeds_over_the_cap(tmp_path):
+    # refused before the first seed's trajectory is written
+    dump = tmp_path / "first.csv"
+    proc = run_script("scripts/trajectory_batch.py", "--seeds", "1000000000000",
+                      "--dump-first", str(dump), returncode=2)
+    assert "trials are over the cap" in proc.stderr and "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not dump.exists()
