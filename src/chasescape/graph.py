@@ -24,8 +24,9 @@ from .rng import streams, uniform_tuples
 
 # cap on the adjacency entries (directed edges) of any graph, checked by
 # complete_graph and parse_edge_list before they allocate: each entry takes
-# 8 bytes of int32 tables and about 160 more of rows once a trial runs, so
-# K_1025, the largest complete graph under the cap, takes about 180 MB
+# 8 bytes of int32 tables and about 160 more of rows once a trial runs, so a
+# one-trial block on K_1025, the largest complete graph under the cap, peaks
+# at about 199 MiB (tracemalloc)
 MAX_GRAPH_ENTRIES = (1 << 20) + (1 << 10)
 
 _WHITE, _RED, _BLUE = 0, 1, 2  # the vertex colours GraphState stores; blue is terminal
