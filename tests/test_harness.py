@@ -305,22 +305,22 @@ class TestGraphBlock:
         # list (n = 20 standard, n = 19 kortchemski); each reference trial
         # runs on a fresh graph, so no trial reuses the block's rows
         sparse = SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n")
-        sparse_n = 20 if mode is InitMode.STANDARD else 19
-        for n, graph in ((12, None), (sparse_n, sparse)):
+        for n, lines in ((12, None), (20 if mode is InitMode.STANDARD else 19, sparse)):
             params = Params(n, 1.0, 2.0, mode)
-            start, stop = 4, 44
+
+            def load():
+                if lines is None:
+                    return complete_graph(params.total_vertices)
+                return parse_edge_list(lines)
+
             config = _config(
                 params=params, engine=Engine.GRAPH, seed=1005,
-                graph=None if graph is None else parse_edge_list(graph),
+                graph=None if lines is None else load(),
             )
-            w, c, tau = run_block(config, start, stop)
-            fresh = (
-                complete_graph(params.total_vertices) if graph is None else parse_edge_list(graph)
-                for _ in range(start, stop)
-            )
+            w, c, tau = run_block(config, 4, 44)
             ref = [
-                run_graph_to_fixation(g, params, make_rng(stream_seed(1005, i)))
-                for g, i in zip(fresh, range(start, stop))
+                run_graph_to_fixation(load(), params, make_rng(stream_seed(1005, i)))
+                for i in range(4, 44)
             ]
             assert w.tolist() == [res.white_survivors for res in ref]
             assert c.tolist() == [res.conversions for res in ref]
