@@ -56,7 +56,10 @@ def main() -> int:
 
     print("n,estimate,std_error,ci_lo,ci_hi,trials")
     for n, config in zip(args.ns, configs):
-        s = run_experiment(config)
+        try:  # an engine's cap (the complete graph, a coupling trial) is checked at run time
+            s = run_experiment(config)
+        except ResourceLimitError as exc:
+            parser.error(str(exc))
         print(f"{n},{s.estimate!r},{s.std_error!r},{s.ci95[0]!r},{s.ci95[1]!r},{s.trials}")
     return 0
 

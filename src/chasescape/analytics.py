@@ -209,7 +209,8 @@ def chi_square_gof(observed: Sequence[int], expected_probs: Sequence[float]) -> 
 
     Consecutive bins are merged until each group's expected count reaches
     CHI_SQUARE_MIN_EXPECTED; a trailing underweight group is folded into its
-    predecessor.
+    predecessor.  Any observation in a bin of probability zero gives statistic
+    inf and p-value 0.
     """
     from scipy.special import gammaincc
 
@@ -231,18 +232,16 @@ def chi_square_gof(observed: Sequence[int], expected_probs: Sequence[float]) -> 
             grouped_obs.append(acc_o)
             grouped_exp.append(acc_e)
             acc_o = acc_e = 0.0
-    if acc_e > 0.0:
-        if grouped_exp:
-            grouped_obs[-1] += acc_o
-            grouped_exp[-1] += acc_e
-        else:
-            grouped_obs.append(acc_o)
-            grouped_exp.append(acc_e)
+    if acc_e > 0.0 and grouped_exp:
+        grouped_obs[-1] += acc_o
+        grouped_exp[-1] += acc_e
     if len(grouped_exp) < 2:
         raise ParameterError("fewer than two groups after pooling; test is degenerate")
     go = np.array(grouped_obs)
     ge = np.array(grouped_exp)
-    statistic = float(np.sum((go - ge) ** 2 / ge))
+    # pooling would hide an observation in a bin the law gives no mass
+    impossible = obs[probs == 0.0].any()
+    statistic = math.inf if impossible else float(np.sum((go - ge) ** 2 / ge))
     dof = len(ge) - 1
     pvalue = float(gammaincc(dof / 2.0, statistic / 2.0))
     return ChiSquareResult(statistic=statistic, dof=dof, pvalue=pvalue)

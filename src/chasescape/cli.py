@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -79,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument("--trials", type=int, default=1000)
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--parallelism", type=int, default=1)
+    est.add_argument(
+        "--parallelism", type=int, default=1,
+        help="worker processes, at most one per CPU; each runs one block of the trials",
+    )
     est.add_argument("--graph-file", dest="graph_file", default=None, help="edge list for the graph engine")
     est.add_argument("--config", default=None, help="JSON config; its values override flags")
     est.add_argument("--output", default=None)
@@ -92,6 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--level", choices=["fast", "full"], default="fast")
     ver.add_argument("--output", default=None)
     return parser
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse an ``--output`` path that cannot be opened for writing, before
+    any work.  An existing file keeps its bytes; a file the check creates is
+    removed, so a refused run leaves no file behind."""
+    if path is None:
+        return
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ParameterError(f"--output {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -225,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        _check_output(args.output)
         return handlers[args.command](args)
     except (ParameterError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

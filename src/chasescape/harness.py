@@ -126,16 +126,16 @@ def run_block(
 
 
 def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All trials of an experiment, assembled in trial order.
-
-    The trials split into ``parallelism`` blocks whatever the machine; the
-    pool runs them on at most one worker process per CPU.
+    """All trials of an experiment in trial order: one block on each of
+    min(parallelism, CPUs) worker processes, or one block in this process,
+    with no pool, for one worker or fewer than two trials per worker.  The
+    empty block refuses a request over an engine's cap before any worker starts.
     """
-    trials = config.trials
-    if config.parallelism == 1 or trials < 2 * config.parallelism:
+    trials, workers = config.trials, min(config.parallelism, os.cpu_count() or 1)
+    if workers == 1 or trials < 2 * workers:
         return run_block(config, 0, trials)
-    bounds = np.linspace(0, trials, config.parallelism + 1).astype(int).tolist()
-    workers = min(config.parallelism, os.cpu_count() or 1)
+    run_block(config, 0, 0)
+    bounds = np.linspace(0, trials, workers + 1).astype(int).tolist()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(partial(run_block, config), bounds[:-1], bounds[1:]))
     return tuple(np.concatenate(column) for column in zip(*blocks))

@@ -28,3 +28,14 @@ def inline_pools(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     return pools
+
+
+@pytest.fixture
+def pin_cpu_count(monkeypatch):
+    """Call with a count to make the harness see that many CPUs for the rest
+    of the test, so a test of the pool path covers it on any host."""
+
+    def pin(count):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
+
+    return pin

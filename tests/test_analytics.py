@@ -1,3 +1,4 @@
+import math
 import mpmath
 import numpy as np
 import pytest
@@ -203,6 +204,24 @@ class TestChiSquare:
         observed = [900, 100]
         probs = [0.5, 0.5]
         assert chi_square_gof(observed, probs).pvalue < 1e-10
+
+    @pytest.mark.parametrize(
+        "observed, probs",
+        [
+            # alone past the last group, pooled into a group, and first
+            ([10, 10, 5], [0.5, 0.5, 0.0]),
+            ([10, 1, 10], [0.5, 0.0, 0.5]),
+            ([1, 30, 30], [0.0, 0.5, 0.5]),
+        ],
+    )
+    def test_observation_the_law_forbids_fails(self, observed, probs):
+        res = chi_square_gof(observed, probs)
+        assert (res.statistic, res.pvalue) == (math.inf, 0.0)
+
+    def test_empty_zero_probability_bin_changes_nothing(self):
+        observed, probs = [30, 50, 20, 10, 5], [0.3, 0.4, 0.15, 0.1, 0.05]
+        with_empty_bin = chi_square_gof([*observed, 0], [*probs, 0.0])
+        assert with_empty_bin == chi_square_gof(observed, probs)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ParameterError):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chasescape import cli, graph, harness
+from chasescape import cli, graph, harness, verify
 from chasescape.cli import main
 from chasescape.chain import check_trajectory, read_trajectory_csv
 from chasescape.harness import Engine, Estimator, ExperimentConfig
@@ -177,8 +177,9 @@ class TestEstimate:
         assert err == f"error: --graph-file {edges}: {message}\n"
 
     def test_graph_file_parsed_once_and_refused_before_the_pool(
-        self, tmp_path, inline_pools, monkeypatch
+        self, tmp_path, inline_pools, pin_cpu_count, monkeypatch
     ):
+        pin_cpu_count(2)
         calls, parse = [], graph.parse_edge_list
 
         def counting_parse(lines, vertex_count=None):
@@ -203,8 +204,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_graph_file_over_the_cap_exits_2_before_the_pool(
-        self, inline_pools, monkeypatch, parallelism
+        self, inline_pools, pin_cpu_count, monkeypatch, parallelism
     ):
+        pin_cpu_count(2)
         # sparse21.edges has 50 edges, 100 adjacency entries
         monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 99)
         code, out, err = run_cli(
@@ -216,6 +218,40 @@ class TestEstimate:
             f"error: --graph-file {SPARSE_EDGE_LIST}: line 50: more than 49 edges, "
             "over the cap of 99 adjacency entries\n"
         )
+
+    @pytest.mark.parametrize(
+        "engine, n, message",
+        [
+            ("graph", "2000", "K_2001 has 4002000 adjacency entries, over the cap of 1049600"),
+            ("coupling", "2000000",
+             "a coupling trial at n = 2000000 needs 6000002 uniforms, over the cap of 4194304"),
+        ],
+        ids=["graph", "coupling"],
+    )
+    def test_request_over_an_engines_cap_exits_2_before_the_pool(
+        self, inline_pools, pin_cpu_count, engine, n, message
+    ):
+        pin_cpu_count(2)
+        code, out, err = run_cli(
+            "estimate", "--engine", engine, "--n", n, "--trials", "10", "--parallelism", "2"
+        )
+        assert code == 2 and out == "" and inline_pools == []
+        assert err == f"error: {message}\n"
+
+    def test_sparse_graph_file_over_the_complete_graph_cap_runs(
+        self, tmp_path, inline_pools, pin_cpu_count
+    ):
+        # K_1100 is over the cap, but the cap check runs on the graph the
+        # run uses: a 1100-vertex cycle
+        pin_cpu_count(2)
+        edges = tmp_path / "cycle.edges"
+        edges.write_text("".join(f"{v} {(v + 1) % 1100}\n" for v in range(1100)))
+        code, out, _ = run_cli(
+            "estimate", "--n", "1099", "--engine", "graph", "--graph-file", str(edges),
+            "--trials", "4", "--parallelism", "2",
+        )
+        assert code == 0 and json.loads(out)["trials"] == 4
+        assert [pool.blocks for pool in inline_pools] == [2]
 
     def test_bad_trials_refused_before_the_graph_file_is_read(self, tmp_path):
         missing = tmp_path / "missing.edges"
@@ -450,3 +486,49 @@ class TestVerify:
         by_id = {c["id"]: c for c in report["criteria"]}
         assert "worst_abs_diff" in by_id[1]["details"]
         assert "measured" in by_id[10]["details"]
+
+
+class TestOutput:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Make each subcommand's work fail the test if it starts."""
+
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for module, name in (
+            (cli, "run_to_fixation"), (cli, "run_experiment"), (cli, "exact_distribution_W"),
+            (verify, "run_verification"),
+        ):
+            monkeypatch.setattr(module, name, started)
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "exact", "verify"])
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing/out.json", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_output_is_refused_before_any_work(
+        self, tmp_path, no_work, command, where, reason
+    ):
+        path = tmp_path / where
+        code, out, err = run_cli(command, "--output", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: --output {path}: {reason}\n"
+
+    def test_refused_run_leaves_the_output_as_it_was(self, tmp_path):
+        existing, missing = tmp_path / "old.json", tmp_path / "new.json"
+        existing.write_text("old bytes")
+        for path in (existing, missing):
+            code, out, err = run_cli("estimate", "--trials", "0", "--output", str(path))
+            assert code == 2 and out == "" and err.startswith("error: trials must be")
+        assert existing.read_text() == "old bytes"
+        assert not missing.exists()
+
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path):
+        argv = ("estimate", "--n", "8", "--trials", "30", "--engine", "coupling")
+        path = tmp_path / "out.json"
+        path.write_text("old bytes, longer than nothing")
+        code, out, _ = run_cli(*argv)
+        assert run_cli(*argv, "--output", str(path)) == (0, "", "")
+        assert code == 0 and path.read_text(encoding="utf-8") == out

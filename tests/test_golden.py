@@ -130,6 +130,14 @@ def test_cli_output_matches_golden(name):
     assert run_cli(CLI_GOLDENS[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted(k for k, v in CLI_GOLDENS.items() if v[0] == "estimate"))
+def test_estimate_golden_holds_on_two_workers(name, pin_cpu_count):
+    # a real pool of two worker processes, one block each, on any host
+    pin_cpu_count(2)
+    expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert run_cli((*CLI_GOLDENS[name], "--parallelism", "2")) == expected
+
+
 @pytest.mark.parametrize("mode", ["standard", "kortchemski"])
 def test_simulate_json_and_csv_rows_carry_the_same_values(mode):
     """Both trajectory formats of one seeded run hold the same jumps."""

@@ -208,13 +208,16 @@ class TestEstimators:
 
 
 class TestParallelism:
-    def test_merged_estimate_is_parallelism_invariant(self):
+    # a real pool of up to 4 worker processes, whatever the host's CPU count
+    def test_merged_estimate_is_parallelism_invariant(self, pin_cpu_count):
+        pin_cpu_count(4)
         base = dict(trials=1200, seed=99, estimator=Estimator.W_HISTOGRAM)
         serial = run_experiment(_config(parallelism=1, **base))
         quad = run_experiment(_config(parallelism=4, **base))
         assert serial.to_json() == quad.to_json()
 
-    def test_trials_assemble_in_trial_order(self):
+    def test_trials_assemble_in_trial_order(self, pin_cpu_count):
+        pin_cpu_count(4)
         config = _config(trials=64, parallelism=3)
         w1, c1, t1 = run_trials(config)
         w2, c2, t2 = run_trials(_config(trials=64, parallelism=1))
@@ -224,21 +227,39 @@ class TestParallelism:
 
 
 class TestWorkerPool:
-    def test_workers_clamped_to_cpu_count(self, inline_pools, monkeypatch):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    def test_workers_clamped_to_cpu_count(self, inline_pools, pin_cpu_count):
+        pin_cpu_count(2)
         base = dict(params=Params(2, 1.0, 1.0), trials=8192)
         pooled = run_trials(_config(parallelism=4096, **base))
-        assert [pool.max_workers for pool in inline_pools] == [2]
-        # blocks still follow parallelism, so the merged trials are unchanged
-        assert inline_pools[0].blocks == 4096
+        # one block per worker, so the blocks are clamped with the workers
+        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(2, 2)]
         serial = run_trials(_config(parallelism=1, **base))
         for a, b in zip(pooled, serial):
             assert np.array_equal(a, b)
 
-    def test_unknown_cpu_count_means_one_worker(self, inline_pools, monkeypatch):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        run_trials(_config(trials=40, parallelism=4))
-        assert [pool.max_workers for pool in inline_pools] == [1]
+    def test_one_block_per_worker_merges_in_trial_order(self, inline_pools, pin_cpu_count):
+        pin_cpu_count(4096)
+        base = dict(params=Params(2, 1.0, 1.0), trials=8192)
+        pooled = run_trials(_config(parallelism=4096, **base))
+        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(4096, 4096)]
+        serial = run_trials(_config(parallelism=1, **base))
+        for a, b in zip(pooled, serial):
+            assert np.array_equal(a, b)
+
+    def test_unknown_cpu_count_means_one_worker(self, inline_pools, pin_cpu_count):
+        pin_cpu_count(None)
+        pooled = run_trials(_config(trials=40, parallelism=4))
+        assert inline_pools == []
+        serial = run_trials(_config(trials=40, parallelism=1))
+        for a, b in zip(pooled, serial):
+            assert np.array_equal(a, b)
+
+    def test_parallelism_far_over_the_cpus_submits_one_block_per_worker(
+        self, inline_pools, pin_cpu_count
+    ):
+        pin_cpu_count(3)
+        run_trials(_config(params=Params(2, 1.0, 1.0), trials=100, parallelism=10**6))
+        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(3, 3)]
 
 
 class TestCouplingBlock:
@@ -355,7 +376,8 @@ class TestEngineSummaries:
 
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_edge_list_vertex_count_must_match(self, inline_pools, parallelism):
+    def test_edge_list_vertex_count_must_match(self, inline_pools, pin_cpu_count, parallelism):
+        pin_cpu_count(2)
         square = parse_edge_list(["0 1", "1 2", "2 3", "3 0"])
         config = _config(
             params=Params(100, 1.0, 1.0), engine=Engine.GRAPH, graph=square,

@@ -108,3 +108,19 @@ def test_trajectory_batch_refuses_seeds_over_the_cap(tmp_path):
     assert "trials are over the cap" in proc.stderr and "error:" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not dump.exists()
+
+
+def test_trend_sweep_refuses_a_graph_over_the_cap():
+    proc = run_script("scripts/trend_sweep.py", "--engine", "graph", "--ns", "2000",
+                      "--trials", "2", returncode=2)
+    assert proc.stderr.count("error:") == 1
+    assert "K_2001 has 4002000 adjacency entries, over the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_trend_sweep_refuses_a_coupling_trial_over_the_cap():
+    proc = run_script("scripts/trend_sweep.py", "--engine", "coupling", "--ns", "2000000",
+                      "--trials", "2", returncode=2)
+    assert proc.stderr.count("error:") == 1
+    assert "a coupling trial at n = 2000000 needs 6000002 uniforms" in proc.stderr
+    assert "Traceback" not in proc.stderr
