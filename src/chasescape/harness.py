@@ -126,18 +126,20 @@ def run_block(
 
 
 def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All trials of an experiment in trial order: one block on each of
-    min(parallelism, CPUs) worker processes, or one block in this process,
-    with no pool, for one worker or fewer than two trials per worker.  The
-    empty block refuses a request over an engine's cap before any worker starts.
-    """
-    trials, workers = config.trials, min(config.parallelism, os.cpu_count() or 1)
+    """All trials of an experiment in trial order, in w = min(parallelism,
+    usable CPUs) blocks: this process runs block 0 while a pool of w - 1
+    workers runs the rest, one block each.  One worker, or fewer than two
+    trials per worker, runs one block here with no pool.  The empty block
+    refuses a request over an engine's cap before any worker starts."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    trials, workers = config.trials, min(config.parallelism, cpus or 1)
     if workers == 1 or trials < 2 * workers:
         return run_block(config, 0, trials)
     run_block(config, 0, 0)
     bounds = np.linspace(0, trials, workers + 1).astype(int).tolist()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(partial(run_block, config), bounds[:-1], bounds[1:]))
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(partial(run_block, config), bounds[1:-1], bounds[2:])
+        blocks = [run_block(config, 0, bounds[1]), *rest]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 

@@ -32,10 +32,16 @@ def inline_pools(monkeypatch):
 
 @pytest.fixture
 def pin_cpu_count(monkeypatch):
-    """Call with a count to make the harness see that many CPUs for the rest
-    of the test, so a test of the pool path covers it on any host."""
+    """Call with a count to make the harness see that many usable CPUs for
+    the rest of the test, so a test of the pool path covers it on any host.
+    None means a platform with no CPU affinity and an unknown CPU count."""
 
     def pin(count):
+        if count is None:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        else:
+            affinity = set(range(count))
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
 
     return pin

@@ -193,7 +193,7 @@ class TestEstimate:
         code, out, _ = run_cli(*argv, "--n", "20", "--graph-file", str(SPARSE_EDGE_LIST))
         assert code == 0 and json.loads(out)["trials"] == 10
         assert calls == [21]
-        assert [pool.blocks for pool in inline_pools] == [2]
+        assert [pool.blocks for pool in inline_pools] == [1]
 
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 1\n")
@@ -251,7 +251,7 @@ class TestEstimate:
             "--trials", "4", "--parallelism", "2",
         )
         assert code == 0 and json.loads(out)["trials"] == 4
-        assert [pool.blocks for pool in inline_pools] == [2]
+        assert [pool.blocks for pool in inline_pools] == [1]
 
     def test_bad_trials_refused_before_the_graph_file_is_read(self, tmp_path):
         missing = tmp_path / "missing.edges"

@@ -232,7 +232,7 @@ class TestWorkerPool:
         base = dict(params=Params(2, 1.0, 1.0), trials=8192)
         pooled = run_trials(_config(parallelism=4096, **base))
         # one block per worker, so the blocks are clamped with the workers
-        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(2, 2)]
+        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(1, 1)]
         serial = run_trials(_config(parallelism=1, **base))
         for a, b in zip(pooled, serial):
             assert np.array_equal(a, b)
@@ -241,7 +241,7 @@ class TestWorkerPool:
         pin_cpu_count(4096)
         base = dict(params=Params(2, 1.0, 1.0), trials=8192)
         pooled = run_trials(_config(parallelism=4096, **base))
-        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(4096, 4096)]
+        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(4095, 4095)]
         serial = run_trials(_config(parallelism=1, **base))
         for a, b in zip(pooled, serial):
             assert np.array_equal(a, b)
@@ -259,7 +259,7 @@ class TestWorkerPool:
     ):
         pin_cpu_count(3)
         run_trials(_config(params=Params(2, 1.0, 1.0), trials=100, parallelism=10**6))
-        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(3, 3)]
+        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(2, 2)]
 
 
 class TestCouplingBlock:
