@@ -21,6 +21,7 @@ from chasescape import (
     ResourceLimitError,
     run_experiment,
 )
+from chasescape.harness import run_block
 
 
 def main() -> int:
@@ -51,15 +52,16 @@ def main() -> int:
             )
             for i, n in enumerate(args.ns)
         ]
+        # the empty block meets an engine's cap (the complete graph, a
+        # coupling trial), so an n over it is refused before the first row
+        for config in configs:
+            run_block(config, 0, 0)
     except (ParameterError, ResourceLimitError) as exc:
         parser.error(str(exc))
 
     print("n,estimate,std_error,ci_lo,ci_hi,trials")
     for n, config in zip(args.ns, configs):
-        try:  # an engine's cap (the complete graph, a coupling trial) is checked at run time
-            s = run_experiment(config)
-        except ResourceLimitError as exc:
-            parser.error(str(exc))
+        s = run_experiment(config)
         print(f"{n},{s.estimate!r},{s.std_error!r},{s.ci95[0]!r},{s.ci95[1]!r},{s.trials}")
     return 0
 

@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument(
         "--parallelism", type=int, default=1,
-        help="worker processes, at most one per CPU; each runs one block of the trials",
+        help="blocks, at most one per usable CPU; block 0 runs here and a pool runs the rest",
     )
     est.add_argument("--graph-file", dest="graph_file", default=None, help="edge list for the graph engine")
     est.add_argument("--config", default=None, help="JSON config; its values override flags")

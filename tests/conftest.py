@@ -6,23 +6,29 @@ from chasescape import harness
 @pytest.fixture
 def inline_pools(monkeypatch):
     """Replace the process pool by one that runs each block inline and
-    records how it was opened; no worker process is spawned."""
+    records how it was opened, whether it is inside a ``map`` call and the
+    exception it was shut down with; no worker process is spawned."""
     pools = []
 
     class InlinePool:
         def __init__(self, max_workers):
             self.max_workers = max_workers
             self.blocks = 0
+            self.mapping = False
+            self.shut_down_with = None
             pools.append(self)
 
         def __enter__(self):
             return self
 
-        def __exit__(self, *exc):
+        def __exit__(self, exc_type, *exc):
+            self.shut_down_with = exc_type
             return False
 
         def map(self, fn, *iterables):
+            self.mapping = True
             results = [fn(*args) for args in zip(*iterables)]
+            self.mapping = False
             self.blocks += len(results)
             return iter(results)
 
@@ -40,8 +46,8 @@ def pin_cpu_count(monkeypatch):
         if count is None:
             monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         else:
-            affinity = set(range(count))
-            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            cpus = set(range(count))
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
 
     return pin

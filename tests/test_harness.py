@@ -262,6 +262,56 @@ class TestWorkerPool:
         assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(2, 2)]
 
 
+    def test_one_usable_cpu_opens_no_pool(self, inline_pools, monkeypatch):
+        # two CPUs on the host, but an affinity of one
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pooled = run_trials(_config(trials=40, parallelism=2))
+        assert inline_pools == []
+        serial = run_trials(_config(trials=40, parallelism=1))
+        for a, b in zip(pooled, serial):
+            assert np.array_equal(a, b)
+
+    def test_parent_runs_block_0_and_the_pool_the_rest(
+        self, inline_pools, pin_cpu_count, monkeypatch
+    ):
+        pin_cpu_count(4)
+        calls, block = [], harness.run_block
+
+        def recording_block(config, start, stop):
+            in_pool = bool(inline_pools) and inline_pools[-1].mapping
+            calls.append((start, stop, "pool" if in_pool else "parent"))
+            return block(config, start, stop)
+
+        monkeypatch.setattr(harness, "run_block", recording_block)
+        pooled = run_trials(_config(trials=100, parallelism=4))
+        assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(3, 3)]
+        # the empty block before the pool, then blocks 1..3 submitted, then block 0
+        assert calls == [
+            (0, 0, "parent"),
+            (25, 50, "pool"), (50, 75, "pool"), (75, 100, "pool"),
+            (0, 25, "parent"),
+        ]
+        serial = run_trials(_config(trials=100, parallelism=1))
+        for a, b in zip(pooled, serial):
+            assert np.array_equal(a, b)
+
+    def test_error_in_the_parents_block_propagates_after_the_pool_shuts_down(
+        self, inline_pools, pin_cpu_count, monkeypatch
+    ):
+        pin_cpu_count(2)
+        block = harness.run_block
+
+        def failing_block_0(config, start, stop):
+            if start == 0 and stop > 0:
+                raise RuntimeError("block 0 failed")
+            return block(config, start, stop)
+
+        monkeypatch.setattr(harness, "run_block", failing_block_0)
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            run_trials(_config(trials=100, parallelism=2))
+        assert [(pool.blocks, pool.shut_down_with) for pool in inline_pools] == [(1, RuntimeError)]
+
 class TestCouplingBlock:
     @pytest.mark.parametrize("mode", list(InitMode))
     @pytest.mark.parametrize("n", [1, 2, 50, 5000])
