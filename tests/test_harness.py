@@ -261,7 +261,6 @@ class TestWorkerPool:
         run_trials(_config(params=Params(2, 1.0, 1.0), trials=100, parallelism=10**6))
         assert [(pool.max_workers, pool.blocks) for pool in inline_pools] == [(2, 2)]
 
-
     def test_one_usable_cpu_opens_no_pool(self, inline_pools, monkeypatch):
         # two CPUs on the host, but an affinity of one
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
@@ -311,6 +310,7 @@ class TestWorkerPool:
         with pytest.raises(RuntimeError, match="block 0 failed"):
             run_trials(_config(trials=100, parallelism=2))
         assert [(pool.blocks, pool.shut_down_with) for pool in inline_pools] == [(1, RuntimeError)]
+
 
 class TestCouplingBlock:
     @pytest.mark.parametrize("mode", list(InitMode))

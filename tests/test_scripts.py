@@ -126,6 +126,7 @@ def test_trend_sweep_refuses_a_later_n_over_the_cap_before_any_row():
     assert "K_2001 has 4002000 adjacency entries, over the cap" in proc.stderr
     assert "Traceback" not in proc.stderr
 
+
 def test_trend_sweep_refuses_a_coupling_trial_over_the_cap():
     proc = run_script("scripts/trend_sweep.py", "--engine", "coupling", "--ns", "2000000",
                       "--trials", "2", returncode=2)
