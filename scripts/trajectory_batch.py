@@ -24,6 +24,7 @@ from chasescape import (
     stream_seed,
 )
 from chasescape.chain import write_trajectory_csv
+from chasescape.cli import check_writable
 from chasescape.harness import run_trials
 from chasescape.params import require_seed
 
@@ -48,6 +49,7 @@ def main() -> int:
             params, trials=args.seeds, seed=args.seed_base, estimator=Estimator.EXPECTED_W,
             engine=Engine.CHAIN,
         )
+        check_writable("--dump-first", args.dump_first)
     except (ParameterError, ResourceLimitError) as exc:  # before any trial or file
         parser.error(str(exc))
     if args.dump_first:  # first, so a trajectory over the cap is refused before any trial runs

@@ -36,22 +36,21 @@ from .rng import streams
 POPULATION_CAP = float(1 << 53)
 
 # cap on the uniforms one coupling trial draws (3n + 2), checked before any
-# allocation: at the cap a one-trial block peaks at 76.8 MiB (tracemalloc), the
-# 32 MiB row plus the 21 MiB rate vector and 21 MiB scratch of its kernel
+# allocation: at the cap a one-trial block peaks at 67.5 MiB (tracemalloc), the
+# 32 MiB row plus the 21 MiB rate vector and 11 MiB flag thresholds of its kernel
 MAX_COUPLING_UNIFORMS = 1 << 22
 # uniforms per chunk of a coupling block: ~100 trials at n = 50, and one
 # trial per chunk from n = 5461 up
 _CHUNK_UNIFORMS = 1 << 14
 
 
-def _clock(u: np.ndarray, neg_rates: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Event times along the last axis of ``u``, computed in ``out`` (by
-    default a new array): spacing i is Exp(-neg_rates[i]), drawn as
+def _spacings(u: np.ndarray, neg_rates: np.ndarray) -> np.ndarray:
+    """Overwrite the uniforms ``u`` with spacings along their last axis, and
+    return ``u``: spacing i is Exp(-neg_rates[i]), drawn as
     log1p(-u) / neg_rates[i], which is -log1p(-u) / rate to the bit."""
-    out = np.negative(u, out=out)
-    np.log1p(out, out=out)
-    np.divide(out, neg_rates, out=out)
-    return np.cumsum(out, axis=-1, out=out)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.divide(u, neg_rates, out=u)
 
 
 def simulate_death_times(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
@@ -60,7 +59,7 @@ def simulate_death_times(n: int, lam: float, rng: np.random.Generator) -> np.nda
     if not is_integer(n) or n < 1:
         raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     require_positive("lambda", lam)
-    return _clock(rng.random(n), lam * np.arange(-n, 0.0))
+    return _spacings(rng.random(n), lam * np.arange(-n, 0.0)).cumsum()
 
 
 def simulate_birth_times(
@@ -77,7 +76,7 @@ def simulate_birth_times(
     if not is_integer(k) or k < 1:
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
     rates = np.arange(k, dtype=np.float64) + alpha
-    return _clock(rng.random(k), -rates), rng.random(k) < alpha / rates
+    return _spacings(rng.random(k), -rates).cumsum(), rng.random(k) < alpha / rates
 
 
 def coupling_block(
@@ -100,18 +99,20 @@ def coupling_block(
 def _coupling_kernel(params: Params, count: int) -> tuple[int, Callable[..., tuple]]:
     """The trials per chunk (at most ``count``), and a kernel giving (W, C, tau)
     of the trials of the next ``size`` generators of an iterator.  Refuses a
-    trial over MAX_COUPLING_UNIFORMS before it allocates; then holds a (rows,
-    3n + 2) row buffer, a (rows, 2n + 1) clock scratch and 2n + 1 negated rates.
+    trial over MAX_COUPLING_UNIFORMS before it allocates; then holds 2n + 1
+    negated rates, n + 1 flag thresholds and a (rows, 3n + 2) row buffer, in
+    which each chunk computes both clocks in place.
 
     Row r holds its trial's 3n + 2 uniforms, drawn by one ``random(out=row)``:
     n for the death spacings, n + 1 for the birth spacings, n + 1 for the
-    defective flags.  The red count hits zero at the first birth index m
-    with beta[m-1] <= delta[m-1]; if the deaths stay ahead through all n of
-    them the (n+1)-th birth finishes the process.  Exactly m - 1 deaths come
-    before that birth, so W = n + 1 - m.  A floating-point tie between a
-    birth and a death is broken in favor of the birth, declaring extinction;
-    ties have probability zero in exact arithmetic so any fixed rule leaves
-    the law unchanged.
+    defective flags.  The first 2n + 1 become the spacings, and then the death
+    clock delta and the birth clock beta.  The red count hits zero at the
+    first birth index m with beta[m-1] <= delta[m-1]; if the deaths stay ahead
+    through all n of them the (n+1)-th birth finishes the process.  Exactly
+    m - 1 deaths come before that birth, so W = n + 1 - m.  A floating-point
+    tie between a birth and a death is broken in favor of the birth,
+    declaring extinction; ties have probability zero in exact arithmetic so
+    any fixed rule leaves the law unchanged.
     """
     n = params.n
     width = 3 * n + 2
@@ -125,27 +126,30 @@ def _coupling_kernel(params: Params, count: int) -> tuple[int, Callable[..., tup
     # before birth i there are b0 + i blue, and each red turns blue at
     # rate b0 + i + a
     offset = params.initial_red_blue[1] + a
-    buffer = np.empty((rows, width))
     neg_rates = np.concatenate((params.lam * np.arange(-n, 0.0), -(np.arange(n + 1.0) + offset)))
-    scratch = np.empty((rows, 2 * n + 1))
+    # birth i converts with probability a / (i + offset)
+    thresholds = np.divide(-a, neg_rates[n:])
+    buffer = np.empty((rows, width))  # after the rates, whose temporaries are freed
+    row_views, index = list(buffer), np.arange(rows)
 
     def kernel(rngs: Iterable[np.random.Generator], size: int) -> tuple[np.ndarray, ...]:
-        uniforms, clocks = buffer[:size], scratch[:size]
-        for row, rng in zip(uniforms, rngs):
+        uniforms = buffer[:size]
+        for row, rng in zip(row_views[:size], rngs):
             rng.random(out=row)
-        delta = _clock(uniforms[:, :n], neg_rates[:n], clocks[:, :n])
-        beta = _clock(uniforms[:, n : 2 * n + 1], neg_rates[n:], clocks[:, n:])
-        r = np.arange(size)
-        first = (beta[:, :n] <= delta).argmax(axis=1)  # 0 if no birth comes first
-        m = np.where(beta[r, first] <= delta[r, first], first + 1, n + 1)
+        clocks = _spacings(uniforms[:, : 2 * n + 1], neg_rates)
+        delta, beta, flags = clocks[:, :n], clocks[:, n:], uniforms[:, 2 * n + 1 :]
+        np.cumsum(delta, axis=1, out=delta)
+        np.cumsum(beta, axis=1, out=beta)
+        r = index[:size]
+        before = beta[:, :n] <= delta
+        first = before.argmax(axis=1)  # 0 if no birth comes first
+        m = np.where(before[r, first], first + 1, n + 1)
         tau = beta[r, m - 1]
-        # birth i converts with probability a / (i + offset); the thresholds reuse the scratch
-        thresholds = np.divide(-a, neg_rates[n:], out=clocks[:, : n + 1])
         if size == 1:  # only the births before m count
             k = int(m[0])
-            hits = uniforms[:, 2 * n + 1 : 2 * n + 1 + k] < thresholds[:, :k]
+            hits = flags[:, :k] < thresholds[:k]
         else:
-            hits = (uniforms[:, 2 * n + 1 :] < thresholds) & (np.arange(n + 1) < m[:, None])
+            hits = (flags < thresholds) & (np.arange(n + 1) < m[:, None])
         return n + 1 - m, np.count_nonzero(hits, axis=1), tau
 
     return rows, kernel

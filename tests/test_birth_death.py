@@ -19,6 +19,7 @@ from chasescape import (
     stream_seed,
 )
 from chasescape.analytics import chi_square_gof
+from chasescape.chain import FixationResult
 from chasescape.birth_death import (
     MAX_COUPLING_UNIFORMS,
     coupling_block,
@@ -173,9 +174,12 @@ class TestCoupling:
         "n, lam, alpha", [(1, 1.0, 2.0), (2, 0.5, 1.0), (7, 2.0, 0.3), (60, 1.0, 4.0)]
     )
     def test_matches_event_by_event_replay(self, n, lam, alpha, mode):
-        # reference: walk the merged death/birth streams one event at a time
+        # reference: walk the merged death/birth streams one event at a time;
+        # both run_coupling (one row) and coupling_block must give its bytes,
+        # the block in two chunks of up to 90 rows at n = 60
         params = Params(n, lam, alpha, mode)
         kortchemski = mode is InitMode.KORTCHEMSKI
+        block = coupling_block(params, stream_seeds(39, 0, 150))
         for seed in range(150):
             rng = make_rng(stream_seed(39, seed))
             delta = simulate_death_times(n, lam, rng)
@@ -187,11 +191,13 @@ class TestCoupling:
                 else:  # a tie goes to the birth
                     red, m = red - 1, m + 1
             conversions = 0 if kortchemski else int(flags[:m].sum())
-            res = run_coupling(params, make_rng(stream_seed(39, seed)))
-            assert res.white_survivors == n - deaths
-            assert res.conversions == conversions
-            assert res.fixation_time == births[m - 1]
-            assert res.jump_count == deaths + m
+            alone = run_coupling(params, make_rng(stream_seed(39, seed)))
+            w, c, tau = (int(block[0][seed]), int(block[1][seed]), float(block[2][seed]))
+            for res in (alone, FixationResult.at_fixation(params, w, c, tau)):
+                assert res.white_survivors == n - deaths
+                assert res.conversions == conversions
+                assert res.fixation_time == births[m - 1]
+                assert res.jump_count == deaths + m
 
     @pytest.mark.parametrize("mode", list(InitMode))
     def test_each_mode_draws_3n_plus_2_uniforms(self, mode):
@@ -223,7 +229,7 @@ class TestCoupling:
 
     def test_one_trial_at_the_cap_peaks_under_2_5_rows(self):
         # the largest accepted n: the row of 3n + 2 doubles is 32 MiB, and the
-        # kernel adds one rate vector and one scratch buffer of 2n + 1 doubles
+        # kernel adds one rate vector of 2n + 1 doubles and n + 1 thresholds
         n = (MAX_COUPLING_UNIFORMS - 2) // 3
         params = Params(n, 1.0, 2.0)
         tracemalloc.start()
@@ -232,7 +238,7 @@ class TestCoupling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * MAX_COUPLING_UNIFORMS
+        assert peak < 2.25 * 8 * MAX_COUPLING_UNIFORMS
 
     def test_kortchemski_coupling_matches_oracle(self):
         n = 20

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from chasescape.chain import check_trajectory, read_trajectory_csv
 from chasescape.params import Params
 
@@ -63,6 +65,20 @@ def test_trajectory_batch_refuses_a_trajectory_over_the_cap(tmp_path):
     )
     assert "over the cap" in proc.stderr and "Traceback" not in proc.stderr
     assert not dump.exists()
+
+
+@pytest.mark.parametrize(
+    "where, reason", [("missing/first.csv", "No such file or directory"), (".", "Is a directory")]
+)
+def test_trajectory_batch_refuses_an_unwritable_dump_before_any_trial(tmp_path, where, reason):
+    dump = tmp_path / where
+    proc = run_script(
+        "scripts/trajectory_batch.py", "--seeds", "2", "--dump-first", str(dump), returncode=2
+    )
+    assert proc.stderr.count("error:") == 1
+    assert f"error: --dump-first {dump}: {reason}" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert [path.name for path in tmp_path.iterdir()] == []
 
 
 def test_trend_sweep_refuses_a_bad_parameter():
