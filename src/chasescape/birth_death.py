@@ -130,11 +130,11 @@ def _coupling_kernel(params: Params, count: int) -> tuple[int, Callable[..., tup
     # birth i converts with probability a / (i + offset)
     thresholds = np.divide(-a, neg_rates[n:])
     buffer = np.empty((rows, width))  # after the rates, whose temporaries are freed
-    row_views, index = list(buffer), np.arange(rows)
+    row_views, index = list(buffer), np.arange(rows)  # once per kernel, not per chunk
 
     def kernel(rngs: Iterable[np.random.Generator], size: int) -> tuple[np.ndarray, ...]:
         uniforms = buffer[:size]
-        for row, rng in zip(row_views[:size], rngs):
+        for row, rng in zip(row_views[:size], rngs):  # rows first: no generator past the chunk
             rng.random(out=row)
         clocks = _spacings(uniforms[:, : 2 * n + 1], neg_rates)
         delta, beta, flags = clocks[:, :n], clocks[:, n:], uniforms[:, 2 * n + 1 :]

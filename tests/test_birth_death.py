@@ -19,7 +19,6 @@ from chasescape import (
     stream_seed,
 )
 from chasescape.analytics import chi_square_gof
-from chasescape.chain import FixationResult
 from chasescape.birth_death import (
     MAX_COUPLING_UNIFORMS,
     coupling_block,
@@ -28,6 +27,7 @@ from chasescape.birth_death import (
     simulate_birth_times,
     simulate_death_times,
 )
+from chasescape.chain import FixationResult
 from chasescape.params import MAX_N
 from chasescape.rng import stream_seeds
 
@@ -192,7 +192,7 @@ class TestCoupling:
                     red, m = red - 1, m + 1
             conversions = 0 if kortchemski else int(flags[:m].sum())
             alone = run_coupling(params, make_rng(stream_seed(39, seed)))
-            w, c, tau = (int(block[0][seed]), int(block[1][seed]), float(block[2][seed]))
+            w, c, tau = int(block[0][seed]), int(block[1][seed]), float(block[2][seed])
             for res in (alone, FixationResult.at_fixation(params, w, c, tau)):
                 assert res.white_survivors == n - deaths
                 assert res.conversions == conversions
