@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
@@ -125,12 +124,22 @@ def run_block(
     return graph_block(graph, params, seeds)
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """The pool ``run_trials`` opens.  ``concurrent.futures`` and the
+    ``multiprocessing`` stack load on the first call, so a serial run never
+    imports them; tests replace this name with an inline pool."""
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+
+
 def run_trials(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All trials of an experiment in trial order, in w = min(parallelism,
     usable CPUs) blocks: this process runs block 0 while a pool of w - 1
     workers runs the rest, one block each.  One worker, or fewer than two
-    trials per worker, runs one block here with no pool.  The empty block
-    refuses a request over an engine's cap before any worker starts."""
+    trials per worker, runs one block here with no pool and imports no pool
+    module.  The empty block refuses a request over an engine's cap before
+    any worker starts."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     trials, workers = config.trials, min(config.parallelism, cpus or 1)
     if workers == 1 or trials < 2 * workers:
