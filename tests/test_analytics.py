@@ -141,6 +141,18 @@ class TestExactDistribution:
             float(np.arange(n + 1) @ dist.probabilities), abs=1e-12
         )
 
+    @pytest.mark.parametrize("n,alpha", [(50, 2.0), (1000, 2.0), (5000, 4.0)])
+    def test_expected_c_is_a_mixture_over_w_of_the_conversion_flags(self, n, alpha):
+        # red decrease i (i = 0, 1, ...) converts with probability
+        # alpha / (i + alpha) whatever the path, and a run that ends at W = w
+        # makes n + 1 - w decreases, so E[C | W = w] is a partial sum
+        dist = exact_distribution_W(n, 1.0, alpha)
+        given_w = np.cumsum(alpha / (np.arange(n + 1) + alpha))[::-1]
+        assert float(dist.probabilities @ given_w) == pytest.approx(dist.expected_c, rel=1e-12)
+
+    def test_kortchemski_mode_never_converts(self):
+        assert exact_distribution_W(50, 1.0, 0.0, InitMode.KORTCHEMSKI).expected_c == 0.0
+
     def test_rejects_oversized_and_invalid(self):
         with pytest.raises(ParameterError):
             exact_distribution_W(5001, 1.0, 1.0)

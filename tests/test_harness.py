@@ -466,6 +466,55 @@ def test_extinction_estimate_does_not_load_scipy():
     assert proc.stderr.strip() == "0 False"
 
 
+def test_serial_runs_do_not_load_the_pool_stack():
+    # concurrent.futures brings in multiprocessing, socket, subprocess and
+    # logging; only a run that opens a pool imports it
+    code = (
+        "import sys\n"
+        "def loaded(stage):\n"
+        "    pool = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "    print(stage, pool, file=sys.stderr)\n"
+        "import chasescape, chasescape.cli\n"
+        "loaded('import')\n"
+        "for engine in ('chain', 'graph', 'coupling'):\n"
+        "    assert chasescape.cli.main(['estimate', '--n', '20', '--engine', engine,"
+        " '--trials', '50', '--parallelism', '1']) == 0\n"
+        "    loaded(engine)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
+    )
+    assert proc.stderr.splitlines() == ["import []", "chain []", "graph []", "coupling []"]
+
+
+def test_a_pooled_run_opens_a_real_pool_through_the_seam():
+    # two usable CPUs whatever the host, so parallelism 2 starts one worker
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from chasescape import Engine, Estimator, ExperimentConfig, Params, harness\n"
+        "for engine in Engine:\n"
+        "    base = dict(params=Params(20, 1.0, 2.0), trials=64, seed=7,"
+        " estimator=Estimator.EXPECTED_W, engine=engine)\n"
+        "    serial = harness.run_trials(ExperimentConfig(parallelism=1, **base))\n"
+        "    before = 'concurrent.futures.process' in sys.modules\n"
+        "    pooled = harness.run_trials(ExperimentConfig(parallelism=2, **base))\n"
+        "    after = 'concurrent.futures.process' in sys.modules\n"
+        "    same = all(a.dtype == b.dtype and a.tobytes() == b.tobytes()"
+        " for a, b in zip(serial, pooled))\n"
+        "    print(engine.value, before, after, same)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
+    ).stdout
+    # the first pooled run imports the pool; each gives the serial bytes
+    assert out.splitlines() == [
+        "chain False True True", "graph True True True", "coupling True True True"
+    ]
+
+
 def test_z975_literal_is_scipys_quantile():
     # the literal stands in for ndtri(0.975) in every ci95 and Wilson
     # interval; a last-bit difference would change the golden estimate JSON
