@@ -118,12 +118,15 @@ def expected_excess_quadrature(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Exact law of the white-survivor count for a finite model instance."""
+    """Exact law of the white-survivor count for a finite model instance,
+    with E[C] and E[tau] on both clocks the engines run."""
 
     probabilities: np.ndarray  # index k holds P(W = k), k = 0..n
     expected_w: float
     expected_c: float
     extinction_probability: float
+    expected_tau: float  # the process's clock, run by the chain and graph engines
+    expected_tau_coupling: float  # the coupling's time change
 
 
 def exact_distribution_W(
@@ -135,7 +138,10 @@ def exact_distribution_W(
     layers r + 2b which every jump advances by one.  Mass arriving at r = 0
     is recorded against W = w; the expected conversion count accumulates
     a / (b + a) times the flow on every red-decrease transition, where a is
-    the conversion rate.
+    the conversion rate.  Every state is left once at most, so E[tau] is the
+    sum over states of the mass times the mean holding time: 1 / (r * denom)
+    on the process's clock and 1 / denom on the coupling's time change, where
+    denom = lam * w + b + a.
     """
     params = Params(n, lam, alpha, init_mode)
     if n > DP_MAX_N:
@@ -148,6 +154,8 @@ def exact_distribution_W(
     current[b_floor] = 1.0
     w_dist = np.zeros(n + 1)
     expected_c = 0.0
+    # the mean time spent in the states of each b, on both clocks
+    clock, time_change = np.zeros(total + 2), np.zeros(total + 2)
     for layer in range(r0 + 2 * b_floor, 2 * total + 1):
         b_lo = max(b_floor, layer - total)
         b_hi = (layer - 1) // 2
@@ -160,6 +168,9 @@ def exact_distribution_W(
         denom = params.lam * ws + bs + a
         p_grow = params.lam * ws / denom
         p_dec = (bs + a) / denom
+        held = mass / denom  # the mean time in each state, on the coupling's clock
+        time_change[b_lo : b_hi + 1] += held
+        clock[b_lo : b_hi + 1] += held / rs
         nxt = np.zeros(total + 2)
         nxt[bs] += mass * p_grow
         dec_flow = mass * p_dec
@@ -176,6 +187,8 @@ def exact_distribution_W(
         expected_w=expected_w,
         expected_c=expected_c,
         extinction_probability=float(w_dist[0]),
+        expected_tau=float(np.sum(clock)),
+        expected_tau_coupling=float(np.sum(time_change)),
     )
 
 

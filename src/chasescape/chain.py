@@ -25,8 +25,12 @@ MAX_RECORDED_JUMPS = 1 << 19
 
 # uniforms per row of a lockstep window (128 jumps)
 _WINDOW = 256
-# fewest trials a chunk runs in lockstep: a numpy step costs about as much as
-# 32 scalar jumps, so a smaller chunk runs the scalar loop once per trial
+# jumps the lockstep decides before it folds their conversions and clock
+_FOLD = 32
+# fewest trials a chunk runs in lockstep; a smaller chunk runs the scalar loop
+# once per trial.  At lambda = 1, alpha = 2 the two break even at 34 to 38
+# trials at n = 50, 24 to 27 at n = 200 and 18 to 20 at n = 1000 (33 to 37
+# before the fold)
 _LOCKSTEP_MIN_LIVE = 32
 # trials per chunk of a block; with windows of at most _WINDOW uniforms a
 # chunk holds at most 2^16 of them (512 KiB) at any n
@@ -143,13 +147,17 @@ def chain_block(
     bytes as ``run_to_fixation(params, make_rng(seeds[j]))``.  A chunk of
     fewer than ``_LOCKSTEP_MIN_LIVE`` trials runs :func:`run_to_fixation` per
     trial; any other runs in lockstep until every trial has fixated.
-    There every live trial makes its t-th jump in the same numpy step,
-    reading uniforms 2t (event) and 2t + 1 (holding time) of its own stream
-    through the scalar loop's IEEE expressions; the holding times go through
-    ``math.log1p``, which ``np.log1p`` differs from in the last bit.  The
-    uniforms are read in windows of at most ``_WINDOW`` columns, so a trial
-    holds O(_WINDOW) doubles however long it runs.  A trial leaves the step
-    arrays at fixation, so no arithmetic runs on a row with no red.
+    There every live trial makes its t-th jump in the same numpy step, which
+    reads uniform 2t (event) of its own stream and decides only whether the
+    jump grows red or blues a red, with the scalar loop's IEEE expressions.
+    Conversions and the clock need not be known jump by jump: every
+    ``_FOLD`` jumps, and for a trial at the jump where it fixates, a fold
+    recomputes them for the block from the stored flags and uniforms 2t + 1
+    (holding time), with one ``math.log1p`` map over the whole block (which
+    ``np.log1p`` differs from in the last bit).  The uniforms are read in
+    windows of at most ``_WINDOW`` columns, so a trial holds O(_WINDOW)
+    doubles however long it runs.  A trial leaves the step arrays at
+    fixation, so no arithmetic runs on a row with no red.
     """
     white, conversions, times = empty_block(len(seeds))
     for lo in range(0, len(seeds), _CHUNK_TRIALS):
@@ -168,55 +176,122 @@ def chain_block(
 def _lockstep(
     params: Params, seeds: np.ndarray, white: np.ndarray, conversions: np.ndarray, times: np.ndarray
 ) -> None:
-    """One chunk of :func:`chain_block` to its end, into its output views."""
+    """One chunk of :func:`chain_block` to its end, into its output views.
+
+    A jump runs seven ufuncs into per-chunk buffers: it stores whether the
+    red count fell, ``u >= p_grow``, in ``flags`` and adds that to b.  Only
+    the least r over the live trials tells whether one can fixate, so r is
+    computed again only from the jump at which the least r could reach 1.
+    :func:`_fold` computes the conversions and clock of the stored jumps,
+    every ``_FOLD`` jumps and before each window refill, and for each trial
+    at the jump where it fixates.
+    """
     lam = params.lam
     a = params.conversion_rate
     total = params.total_vertices
     r0, b0 = params.initial_red_blue
     count = len(seeds)
     width = min(_WINDOW, 4 * total)
-    window = np.empty((count, width))
-    # live trials: their index, blue count, conversions and clock; every
-    # jump raises the layer r + 2b by one, so r and w follow from b
+    # each live trial's row of uniforms and of the flags of its pending jumps;
+    # a finished trial leaves these views, the step arrays and the four below
+    rows = np.empty((count, width))
+    flags = np.empty((count, _FOLD), dtype=bool)
+    lw, denom, p_grow = np.empty(count), np.empty(count), np.empty(count)
+    # live trials: their index, blue count, conversions and clock at the last
+    # fold; every jump raises the layer r + 2b by one, so r and w follow from b
     trial = np.arange(count)
     b = np.full(count, float(b0))
     c = np.zeros(count, dtype=np.int64)
     t = np.zeros(count)
     layer = r0 + 2 * b0
     position = 0  # in every live trial's stream, of the next jump's uniforms
-    log1p = math.log1p
+    pending = 0  # jumps since the last fold
+    check = layer  # no trial fixates before this layer
     while trial.size:
-        live = trial.size
         col = position % width
+        if pending and (col == 0 or pending == _FOLD):
+            # before a refill, the pending jumps end the window
+            c_add, t = _fold(params, rows[:, col - 2 * pending : col or width],
+                             flags[:, :pending], b, layer - pending, t)
+            c += c_add
+            pending = 0
         if col == 0:
-            for row, rng in zip(window[:live], streams(seeds[trial], position)):
+            for row, rng in zip(rows, streams(seeds[trial], position)):
                 rng.random(out=row)
-        u = window[:live, col]
-        log_hold = np.fromiter(map(log1p, (-window[:live, col + 1]).tolist()), np.float64, live)
         position += 2
-        r = layer - 2 * b
-        lw = lam * ((total - layer) + b)
-        denom = lw + b
-        denom += a
-        # t + -x/y is t - x/y to the bit: negation is exact and division
-        # is symmetric in sign
-        t -= log_hold / (r * denom)
-        p_grow = lw / denom
-        not_grow = u >= p_grow
-        c += u >= p_grow + b / denom
-        b += not_grow
+        np.add(b, total - layer, out=lw)
+        np.multiply(lw, lam, out=lw)
+        np.add(lw, b, out=denom)
+        np.add(denom, a, out=denom)
+        np.divide(lw, denom, out=p_grow)
+        not_grow = np.greater_equal(rows[:, col], p_grow, out=flags[:, pending])
+        # only a jump that blues the last red fixates a trial, and the least
+        # r falls by at most one per jump
+        done = None
+        if layer >= check:
+            r = layer - 2 * b
+            least = int(np.minimum.reduce(r))
+            check = layer + least - 1
+            if least == 1:
+                done = not_grow & (r == 1)
+        np.add(b, not_grow, out=b)
         layer += 1
-        # only a jump that blues the last red fixates a trial
-        if np.minimum.reduce(r) == 1:
-            done = not_grow & (r == 1)
-            if done.any():
-                out = trial[done]
-                white[out] = (total - layer) + b[done]
-                conversions[out] = c[done]
-                times[out] = t[done]
-                keep = ~done
-                trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
-                window[: trial.size, col + 2 :] = window[:live][keep, col + 2 :]
+        pending += 1
+        if done is not None and done.any():
+            out = trial[done]
+            start = col + 2 - 2 * pending
+            c_out, times[out] = _fold(params, rows[done, start : col + 2], flags[done, :pending],
+                                      b[done], layer - pending, t[done])
+            white[out] = (total - layer) + b[done]
+            conversions[out] = c[done] + c_out
+            keep = ~done
+            trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
+            live = trial.size
+            rows[:live, start:] = rows[keep, start:]
+            flags[:live, :pending] = flags[keep, :pending]
+            rows, flags, lw, denom, p_grow = (x[:live] for x in (rows, flags, lw, denom, p_grow))
+
+
+def _fold(
+    params: Params, uniforms: np.ndarray, flags: np.ndarray, b: np.ndarray, layer: int,
+    t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conversions of some trials over k stored jumps, and their clocks after them.
+
+    ``uniforms`` holds each trial's 2k (event, holding time) uniforms and
+    ``flags`` whether each jump blued a red; ``b`` is the blue count after
+    the last jump, ``layer`` the layer at the first and ``t`` the clock
+    before it.  Each jump's b comes back from the flags, and with it the
+    scalar loop's IEEE expressions over the whole block: a conversion is
+    ``u >= p_grow + b / denom``, which implies a decrease, and a holding
+    time is ``-log1p(-u) / (r * denom)`` with ``math.log1p``.  One
+    left-to-right cumsum adds the holding times to the clock in jump order.
+    """
+    k = flags.shape[1]
+    hold = uniforms[:, 1::2]
+    # a memoryview yields the doubles as floats one at a time, with no list
+    logs = np.fromiter(map(math.log1p, memoryview((-hold).ravel())), np.float64, hold.size)
+    blue = np.cumsum(flags, axis=1, dtype=np.float64)
+    first = b - blue[:, -1]
+    blue -= flags
+    blue += first[:, None]  # before each jump
+    layers = np.arange(layer, layer + k)
+    p_grow = np.add(blue, params.total_vertices - layers)
+    p_grow *= params.lam
+    denom = p_grow + blue
+    denom += params.conversion_rate
+    p_grow /= denom
+    scratch = np.divide(blue, denom)
+    p_grow += scratch
+    converted = np.count_nonzero(uniforms[:, 0::2] >= p_grow, axis=1)
+    # 2b - layer is -r, and x / -y is -x / y to the bit
+    np.multiply(blue, 2.0, out=scratch)
+    scratch -= layers
+    scratch *= denom
+    clock = np.empty((len(t), k + 1))
+    clock[:, 0] = t
+    np.divide(logs.reshape(hold.shape), scratch, out=clock[:, 1:])
+    return converted, np.cumsum(clock, axis=1)[:, -1]
 
 
 def check_trajectory(

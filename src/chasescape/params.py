@@ -10,6 +10,11 @@ from dataclasses import dataclass
 # state, which caps the white-site budget
 MAX_N = 10**8
 
+# bounds on lambda and on a non-zero alpha, so that no rate or holding time
+# an engine or the DP forms overflows; see :class:`Params`
+MIN_RATE = 1e-100
+MAX_RATE = 1e100
+
 
 def is_integer(x) -> bool:
     """An int that is not a bool (bool subclasses int)."""
@@ -74,6 +79,22 @@ class Params:
     lam    rate at which red spreads across each red-white edge
     alpha  spontaneous red-to-blue conversion rate per red vertex
            (ignored in kortchemski mode, see :class:`InitMode`)
+
+    lam and a non-zero alpha must lie in [MIN_RATE, MAX_RATE] = [1e-100,
+    1e100], which keeps every rate and clock finite.  Each rate an engine or
+    the DP forms is a count times lam, a count, or a count times alpha, or a
+    sum of such terms, with every count at most total_vertices^2 <=
+    (MAX_N + 2)^2 (about 1e16): the chain's r * (lam*w + b + alpha), the
+    graph's lam*|red-white edges| + |red-blue edges| + alpha*|red|, the
+    coupling's death rates lam*k and birth rates i + b0 + alpha, and the DP's
+    lam*w + b + alpha.  So every rate is at most 3e116, and a non-zero one
+    is at least min(lam, alpha, 1) >= 1e-100.  A holding time is
+    -log1p(-u) / rate with u <= 1 - 2^-53, so it is at most 53 log 2 / 1e-100
+    < 4e101; tau adds at most 2n + 1 of them (< 8e109), and the summary of
+    tau / log n squares it over at most 2^26 trials (< 1e228).  Outside the
+    bounds, lam = 1e308 overflows lam*w to inf, which the graph engine reads
+    as W = n and the DP as NaN probabilities, and alpha = 1e-320 overflows a
+    holding time to inf.
     """
 
     n: int
@@ -91,6 +112,11 @@ class Params:
         require_positive("lambda", self.lam)
         if not (is_real(self.alpha) and math.isfinite(self.alpha)) or self.alpha < 0:
             raise ParameterError(f"alpha must be a non-negative finite real, got {self.alpha!r}")
+        for name, rate in (("lambda", self.lam), ("alpha", self.alpha)):
+            if rate and not MIN_RATE <= rate <= MAX_RATE:
+                raise ParameterError(
+                    f"{name} must lie in [{MIN_RATE:g}, {MAX_RATE:g}], got {rate!r}"
+                )
         if not isinstance(self.init_mode, InitMode):
             raise ParameterError(f"init_mode must be an InitMode, got {self.init_mode!r}")
         if self.init_mode is InitMode.STANDARD and self.alpha == 0:

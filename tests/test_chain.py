@@ -31,7 +31,7 @@ from chasescape.chain import (
     check_trajectory,
     initial_state,
 )
-from chasescape.params import MAX_N, ResourceLimitError
+from chasescape.params import MAX_N, MAX_RATE, MIN_RATE, ResourceLimitError
 from chasescape.rng import stream_seeds
 
 KORTCHEMSKI = InitMode.KORTCHEMSKI
@@ -112,6 +112,21 @@ class TestParams:
     def test_kortchemski_ignores_alpha_in_dynamics(self):
         p = Params(n=10, lam=1.0, alpha=5.0, init_mode=InitMode.KORTCHEMSKI)
         assert p.conversion_rate == 0.0
+
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_rates_at_the_bounds_are_accepted(self, mode):
+        for rate in (MIN_RATE, MAX_RATE):
+            assert Params(10, rate, rate, mode).lam == rate
+
+    @pytest.mark.parametrize("mode", list(InitMode))
+    @pytest.mark.parametrize(
+        "lam, alpha",
+        [(MAX_RATE * 1.000001, 1.0), (MIN_RATE / 1.000001, 1.0), (1e308, 1.0), (5e-324, 1.0),
+         (1.0, MAX_RATE * 1.000001), (1.0, MIN_RATE / 1.000001), (1.0, 1e-320)],
+    )
+    def test_rates_outside_the_bounds_are_refused(self, mode, lam, alpha):
+        with pytest.raises(ParameterError, match="must lie in"):
+            Params(10, lam, alpha, mode)
 
     def test_rejects_n_above_cap(self):
         with pytest.raises(ParameterError):

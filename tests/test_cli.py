@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -469,6 +470,52 @@ class TestExact:
     def test_cap_exceeded_exit_2(self):
         code, _, err = run_cli("exact", "--n", "5001")
         assert code == 2 and "error" in err
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestRateBounds:
+    # lambda = 1e308 overflowed lam * w (the graph engine gave W = n and the
+    # DP NaN probabilities), and alpha = 1e-320 a holding time (tau = inf)
+    @pytest.mark.parametrize("engine", ["chain", "graph", "coupling"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--lambda", "1e308"), ("--lambda", "1e-320"), ("--alpha", "1e-320"),
+                        ("--alpha", "1e101")]
+    )
+    def test_estimate_refuses_a_rate_outside_the_bounds(self, engine, flag, value):
+        code, out, err = run_cli(
+            "estimate", "--n", "5", flag, value, "--engine", engine,
+            "--estimator", "tau_over_log_n", "--trials", "10",
+        )
+        assert code == 2 and out == ""
+        name = flag.lstrip("-")
+        assert err == f"error: {name} must lie in [1e-100, 1e+100], got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("flag, value", [("--lambda", "1e308"), ("--alpha", "1e-320")])
+    def test_exact_refuses_a_rate_outside_the_bounds(self, flag, value):
+        code, out, err = run_cli("exact", "--n", "5", flag, value)
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("engine", ["chain", "graph", "coupling"])
+    @pytest.mark.parametrize("init", ["standard", "kortchemski"])
+    def test_every_output_is_finite_at_the_bounds(self, engine, init):
+        for lam, alpha in [("1e-100", "1e-100"), ("1e-100", "1e100"), ("1e100", "1e-100"),
+                           ("1e100", "1e100")]:
+            rates = ("--n", "6", "--lambda", lam, "--alpha", alpha, "--init", init)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for estimator in ("tau_over_log_n", "expected_w", "conversion_over_log_n"):
+                    code, out, _ = run_cli(
+                        "estimate", *rates, "--engine", engine, "--estimator", estimator,
+                        "--trials", "40",
+                    )
+                    assert code == 0
+                    json.loads(out, parse_constant=_no_constants)
+                code, out, _ = run_cli("exact", *rates)
+                assert code == 0
+                json.loads(out, parse_constant=_no_constants)
 
 
 class TestVerify:

@@ -330,33 +330,61 @@ class TestCouplingBlock:
         assert w.size == c.size == tau.size == 0
 
 
+class TestMeanTau:
+    # each engine's mean tau lies within 3 SE of the DP's E[tau] on the clock
+    # that engine runs; holding times of Exp(denom) in place of
+    # Exp(r * denom) in the chain keep every law of W and C and fail here
+    @pytest.mark.parametrize(
+        "engine, n, trials",
+        [(Engine.CHAIN, 50, 20_000), (Engine.GRAPH, 20, 4000), (Engine.COUPLING, 50, 100_000)],
+        ids=["chain", "graph", "coupling"],
+    )
+    def test_mean_tau_matches_the_exact_clock(self, engine, n, trials):
+        params = Params(n, 1.0, 2.0)
+        exact = exact_distribution_W(n, 1.0, 2.0)
+        expected = exact.expected_tau_coupling if engine is Engine.COUPLING else exact.expected_tau
+        _, _, tau = run_trials(_config(params=params, engine=engine, trials=trials, seed=71))
+        se = float(np.std(tau, ddof=1)) / math.sqrt(trials)
+        assert abs(float(np.mean(tau)) - expected) <= 3 * se
+
+
 class TestChainBlock:
     @pytest.mark.parametrize("mode", list(InitMode))
     @pytest.mark.parametrize(
-        "n, start, stop, min_live, lam",
+        "n, start, stop, min_live, lam, alpha",
         [
             # n = 100 runs past the first 128-jump window, and 296 trials
             # fill one chunk and start a second, whose 40 trials run the
             # lockstep to the end
-            pytest.param(100, 5, 301, None, 1.0, id="100-5-301-None"),
+            pytest.param(100, 5, 301, None, 1.0, 2.0, id="100-5-301-None"),
             # rows far wider than one window, in lockstep to the end and in
             # the scalar loop
-            pytest.param(20000, 3, 6, 1, 1.0, id="20000-3-6-1"),
-            pytest.param(20000, 3, 6, None, 1.0, id="20000-3-6-None"),
+            pytest.param(20000, 3, 6, 1, 1.0, 2.0, id="20000-3-6-1"),
+            pytest.param(20000, 3, 6, None, 1.0, 2.0, id="20000-3-6-None"),
             # at lambda = 0.5 trials fixate at staggered times, so the
             # lockstep compacts its window again and again down to no live trial
-            pytest.param(300, 2, 66, None, 0.5, id="300-2-66-None-0.5"),
+            pytest.param(300, 2, 66, None, 0.5, 2.0, id="300-2-66-None-0.5"),
             # 256 + 14 trials: the last chunk is too small for the lockstep
             # and runs the scalar loop
-            pytest.param(100, 0, 270, None, 1.0, id="100-0-270-None"),
+            pytest.param(100, 0, 270, None, 1.0, 2.0, id="100-0-270-None"),
+            # at alpha = 50 most standard trials fixate at their first jump
+            # (W = n), which a fold of one jump computes inside the chunk
+            pytest.param(30, 0, 64, None, 1.0, 50.0, id="30-0-64-None-1-a50"),
+            # 256 trials at lambda = 0.5 fixate at every offset of a fold that
+            # a run of 2(n - W) + 1 jumps can end at
+            pytest.param(40, 0, 256, None, 0.5, 2.0, id="40-0-256-None-0.5"),
+            # a chunk of exactly _LOCKSTEP_MIN_LIVE trials runs the lockstep
+            pytest.param(100, 9, 9 + chain._LOCKSTEP_MIN_LIVE, None, 1.0, 2.0, id="100-9-min_live"),
+            # lambda != 1 moves p_grow off the symmetric case in both modes
+            pytest.param(200, 1, 101, None, 1.7, 2.0, id="200-1-101-None-1.7"),
         ],
     )
     def test_block_matches_per_trial_kernel(
-        self, mode, n, start, stop, min_live, lam, monkeypatch
+        self, mode, n, start, stop, min_live, lam, alpha, monkeypatch
     ):
         if min_live is not None:
             monkeypatch.setattr(chain, "_LOCKSTEP_MIN_LIVE", min_live)
-        params = Params(n, lam, 2.0, mode)
+        params = Params(n, lam, alpha, mode)
         seed = 1003
         w, c, tau = run_block(_config(params=params, seed=seed), start, stop)
         ref = [run_to_fixation(params, make_rng(stream_seed(seed, i))) for i in range(start, stop)]
