@@ -16,7 +16,7 @@ Three independent samplers for the Gamma terminal value live here.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +37,7 @@ POPULATION_CAP = float(1 << 53)
 
 # cap on the uniforms one coupling trial draws (3n + 2), checked before any
 # allocation: at the cap a one-trial block peaks at 67.5 MiB (tracemalloc), the
-# 32 MiB row plus the 21 MiB rate vector and 11 MiB flag thresholds of its kernel
+# 32 MiB row plus the 21 MiB rate vector and 11 MiB flag thresholds it holds
 MAX_COUPLING_UNIFORMS = 1 << 22
 # uniforms per chunk of a coupling block: ~100 trials at n = 50, and one
 # trial per chunk from n = 5461 up
@@ -83,25 +83,19 @@ def coupling_block(
     params: Params, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (W, C, tau) of coupling trials: trial j gives the bytes of
-    ``run_coupling(params, make_rng(seeds[j]))``.  The trials run through one
-    kernel in chunks of at most ``_CHUNK_UNIFORMS`` uniforms (one trial when
-    a trial needs more), drawn from one ``streams`` iterator.
-    """
-    rows, kernel = _coupling_kernel(params, len(seeds))
-    white, conversions, times = empty_block(len(seeds))
-    rngs = streams(seeds)  # one re-keyed Philox for the whole block
-    for lo in range(0, len(seeds), max(1, rows)):
-        chunk = slice(lo, lo + rows)
-        white[chunk], conversions[chunk], times[chunk] = kernel(rngs, len(seeds[chunk]))
-    return white, conversions, times
+    ``run_coupling(params, make_rng(seeds[j]))``, drawn from one ``streams``
+    iterator (one re-keyed Philox for the whole block)."""
+    return _coupling_trials(params, streams(seeds), len(seeds))
 
 
-def _coupling_kernel(params: Params, count: int) -> tuple[int, Callable[..., tuple]]:
-    """The trials per chunk (at most ``count``), and a kernel giving (W, C, tau)
-    of the trials of the next ``size`` generators of an iterator.  Refuses a
-    trial over MAX_COUPLING_UNIFORMS before it allocates; then holds 2n + 1
-    negated rates, n + 1 flag thresholds and a (rows, 3n + 2) row buffer, in
-    which each chunk computes both clocks in place.
+def _coupling_trials(
+    params: Params, rngs: Iterable[np.random.Generator], count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-trial (W, C, tau) of the trials of the first ``count`` generators of
+    ``rngs``, in chunks of at most ``_CHUNK_UNIFORMS`` uniforms (one trial when
+    a trial needs more).  Refuses a trial over MAX_COUPLING_UNIFORMS before it
+    allocates; then holds 2n + 1 negated rates, n + 1 flag thresholds and a
+    (rows, 3n + 2) row buffer, in which each chunk computes both clocks in place.
 
     Row r holds its trial's 3n + 2 uniforms, drawn by one ``random(out=row)``:
     n for the death spacings, n + 1 for the birth spacings, n + 1 for the
@@ -130,9 +124,11 @@ def _coupling_kernel(params: Params, count: int) -> tuple[int, Callable[..., tup
     # birth i converts with probability a / (i + offset)
     thresholds = np.divide(-a, neg_rates[n:])
     buffer = np.empty((rows, width))  # after the rates, whose temporaries are freed
-    row_views, index = list(buffer), np.arange(rows)  # once per kernel, not per chunk
-
-    def kernel(rngs: Iterable[np.random.Generator], size: int) -> tuple[np.ndarray, ...]:
+    row_views, index = list(buffer), np.arange(rows)  # once, not per chunk
+    white, conversions, times = empty_block(count)
+    rngs = iter(rngs)
+    for lo in range(0, count, max(1, rows)):
+        size = min(rows, count - lo)
         uniforms = buffer[:size]
         for row, rng in zip(row_views[:size], rngs):  # rows first: no generator past the chunk
             rng.random(out=row)
@@ -144,15 +140,16 @@ def _coupling_kernel(params: Params, count: int) -> tuple[int, Callable[..., tup
         before = beta[:, :n] <= delta
         first = before.argmax(axis=1)  # 0 if no birth comes first
         m = np.where(before[r, first], first + 1, n + 1)
-        tau = beta[r, m - 1]
+        chunk = slice(lo, lo + size)
+        times[chunk] = beta[r, m - 1]
         if size == 1:  # only the births before m count
             k = int(m[0])
             hits = flags[:, :k] < thresholds[:k]
         else:
             hits = (flags < thresholds) & (np.arange(n + 1) < m[:, None])
-        return n + 1 - m, np.count_nonzero(hits, axis=1), tau
-
-    return rows, kernel
+        white[chunk] = n + 1 - m
+        conversions[chunk] = np.count_nonzero(hits, axis=1)
+    return white, conversions, times
 
 
 def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
@@ -167,11 +164,10 @@ def run_coupling(params: Params, rng: np.random.Generator) -> FixationResult:
     a / (i + b0 + a); in kortchemski mode b0 = 1 and a = 0, so no birth is
     a conversion.  fixation_time is measured on the birth/death clock,
     whose scale differs from the count chain's continuous time; its mean
-    over log n tends to 1 at lambda = 1.  This is one call of the kernel of
-    :func:`coupling_block` on ``rng``.
+    over log n tends to 1 at lambda = 1.  This is the one-trial case of
+    :func:`coupling_block`, on ``rng``.
     """
-    _, kernel = _coupling_kernel(params, 1)
-    w, c, tau = kernel((rng,), 1)
+    w, c, tau = _coupling_trials(params, (rng,), 1)
     return FixationResult.at_fixation(params, int(w[0]), int(c[0]), float(tau[0]))
 
 

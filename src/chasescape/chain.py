@@ -182,17 +182,17 @@ def _lockstep(
     red count fell, ``u >= p_grow``, in ``flags`` and adds that to b.  Only
     the least r over the live trials tells whether one can fixate, so r is
     computed again only from the jump at which the least r could reach 1.
-    :func:`_fold` computes the conversions and clock of the stored jumps,
-    every ``_FOLD`` jumps and before each window refill, and for each trial
-    at the jump where it fixates.
+    :func:`_fold` computes the conversions and clock of a block of ``_FOLD``
+    jumps at its last jump, and for each trial at the jump where it fixates;
+    a window holds whole blocks, so a jump's place in its block is its column's.
     """
     lam = params.lam
     a = params.conversion_rate
     total = params.total_vertices
     r0, b0 = params.initial_red_blue
     count = len(seeds)
-    width = min(_WINDOW, 4 * total)
-    # each live trial's row of uniforms and of the flags of its pending jumps;
+    width = -(-min(_WINDOW, 4 * total) // (2 * _FOLD)) * (2 * _FOLD)  # whole fold blocks
+    # each live trial's row of uniforms and of the flags of its block's jumps;
     # a finished trial leaves these views, the step arrays and the four below
     rows = np.empty((count, width))
     flags = np.empty((count, _FOLD), dtype=bool)
@@ -205,26 +205,21 @@ def _lockstep(
     t = np.zeros(count)
     layer = r0 + 2 * b0
     position = 0  # in every live trial's stream, of the next jump's uniforms
-    pending = 0  # jumps since the last fold
     check = layer  # no trial fixates before this layer
     while trial.size:
         col = position % width
-        if pending and (col == 0 or pending == _FOLD):
-            # before a refill, the pending jumps end the window
-            c_add, t = _fold(params, rows[:, col - 2 * pending : col or width],
-                             flags[:, :pending], b, layer - pending, t)
-            c += c_add
-            pending = 0
         if col == 0:
             for row, rng in zip(rows, streams(seeds[trial], position)):
                 rng.random(out=row)
         position += 2
+        j = col // 2 % _FOLD  # the jump's place in its fold block
+        start = col - 2 * j  # the block's first column
         np.add(b, total - layer, out=lw)
         np.multiply(lw, lam, out=lw)
         np.add(lw, b, out=denom)
         np.add(denom, a, out=denom)
         np.divide(lw, denom, out=p_grow)
-        not_grow = np.greater_equal(rows[:, col], p_grow, out=flags[:, pending])
+        not_grow = np.greater_equal(rows[:, col], p_grow, out=flags[:, j])
         # only a jump that blues the last red fixates a trial, and the least
         # r falls by at most one per jump
         done = None
@@ -236,20 +231,21 @@ def _lockstep(
                 done = not_grow & (r == 1)
         np.add(b, not_grow, out=b)
         layer += 1
-        pending += 1
         if done is not None and done.any():
             out = trial[done]
-            start = col + 2 - 2 * pending
-            c_out, times[out] = _fold(params, rows[done, start : col + 2], flags[done, :pending],
-                                      b[done], layer - pending, t[done])
+            c_out, times[out] = _fold(params, rows[done, start : col + 2], flags[done, : j + 1],
+                                      b[done], layer - j - 1, t[done])
             white[out] = (total - layer) + b[done]
             conversions[out] = c[done] + c_out
             keep = ~done
             trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
             live = trial.size
             rows[:live, start:] = rows[keep, start:]
-            flags[:live, :pending] = flags[keep, :pending]
+            flags[:live, : j + 1] = flags[keep, : j + 1]
             rows, flags, lw, denom, p_grow = (x[:live] for x in (rows, flags, lw, denom, p_grow))
+        if j == _FOLD - 1:
+            c_add, t = _fold(params, rows[:, start : col + 2], flags, b, layer - _FOLD, t)
+            c += c_add
 
 
 def _fold(
@@ -304,15 +300,19 @@ def check_trajectory(
     :func:`read_trajectory_csv` returns; the path starts at the initial
     state ``params`` implies.  Every legal transition conserves the vertex
     count and advances the layer index r + 2b by exactly one, so it also
-    bounds the jump count by 2 * (vertex count).
+    bounds the jump count by 2 * (vertex count).  A jump's time may equal the
+    last one's only where the clock loses even the longest holding time the
+    state it leaves can draw, 53 log 2 / (r * (lambda*w + b + alpha)).
     """
     prev = initial_state(params)
     total = params.total_vertices
+    lam, a, longest = params.lam, params.conversion_rate, 53 * math.log(2)
     prev_time = 0.0
     jumps = 0
     for t, state, event in rows:
         jumps += 1
-        if not t > prev_time:
+        rate = prev.r * (lam * prev.w + prev.b + a)  # 0 once no red is left
+        if not (t > prev_time or rate and t == prev_time == prev_time + longest / rate):
             raise AssertionError(f"jump {jumps}: times are not strictly increasing")
         if min(state) < 0 or sum(state) != total:
             raise AssertionError(f"jump {jumps} breaks conservation: {state}")

@@ -157,13 +157,15 @@ class GraphState:
     member by moving its last one into the freed slot.  ``vertex_pos[v]`` is
     v's index in ``red``, ``edge_pos[e]`` e's index in ``rw`` or ``rb``.
 
-    It starts in the start state of ``params`` (its red vertices, then its
-    blue ones, then n white), painted on an all-white graph: each blue vertex
-    red and then blue, then the red ones.  ParameterError unless the graph
-    has ``params.total_vertices`` vertices.
+    It keeps the ``rows``, ``edges`` and rates its methods read, and starts
+    in the start state of ``params`` (its red vertices, then its blue ones,
+    then n white), painted on an all-white graph: each blue vertex red and
+    then blue, then the red ones.  ParameterError unless the graph has
+    ``params.total_vertices`` vertices.
     """
 
-    __slots__ = ("colors", "red", "rw", "rb", "vertex_pos", "edge_pos")
+    __slots__ = ("colors", "red", "rw", "rb", "vertex_pos", "edge_pos", "rows", "edges", "lam",
+                 "conversion_rate")
 
     def __init__(self, graph: Graph, params: Params) -> None:
         if graph.vertex_count != params.total_vertices:
@@ -175,20 +177,22 @@ class GraphState:
         self.red, self.rw, self.rb = [], [], []
         self.vertex_pos = [0] * graph.vertex_count
         self.edge_pos = [0] * len(graph.indices)
+        self.rows, self.edges = graph.rows, graph.edges
+        self.lam, self.conversion_rate = params.lam, params.conversion_rate
         r0, b0 = params.initial_red_blue
         for v in range(r0, r0 + b0):
-            self.paint_red(graph, v)
-            self.paint_blue(graph, v)
+            self.paint_red(v)
+            self.paint_blue(v)
         for v in range(r0):
-            self.paint_red(graph, v)
+            self.paint_red(v)
 
-    def paint_red(self, graph: Graph, v: int) -> None:
+    def paint_red(self, v: int) -> None:
         colors, rw, rb, pos = self.colors, self.rw, self.rb, self.edge_pos
         assert colors[v] == _WHITE
         colors[v] = _RED
         self.vertex_pos[v] = len(self.red)
         self.red.append(v)
-        for e, x, back in graph.rows[v]:
+        for e, x, back in self.rows[v]:
             c = colors[x]
             if c == _WHITE:
                 pos[e] = len(rw)
@@ -202,7 +206,7 @@ class GraphState:
                 pos[e] = len(rb)
                 rb.append(e)
 
-    def paint_blue(self, graph: Graph, v: int) -> None:
+    def paint_blue(self, v: int) -> None:
         colors, rw, rb, pos = self.colors, self.rw, self.rb, self.edge_pos
         assert colors[v] == _RED
         colors[v] = _BLUE
@@ -210,7 +214,7 @@ class GraphState:
         if last != v:
             self.vertex_pos[last] = i = self.vertex_pos[v]
             self.red[i] = last
-        for e, x, back in graph.rows[v]:
+        for e, x, back in self.rows[v]:
             c = colors[x]
             if c == _WHITE:  # remove (v, x) from rw
                 last = rw.pop()
@@ -226,40 +230,38 @@ class GraphState:
                     pos[last] = i = pos[e]
                     rb[i] = last
 
-    def step(
-        self, graph: Graph, params: Params, u_class: float, u_member: float, u_hold: float
-    ) -> tuple[EventKind, float]:
+    def step(self, u_class: float, u_member: float, u_hold: float) -> tuple[EventKind, float]:
         """One Gillespie event, in place, from uniforms for its class, its
         member within the class and its holding time; returns the event and
         the holding time."""
         red, rw, rb = self.red, self.rw, self.rb
         if not red:
             raise NoTransitionError("process already fixated (no red vertices)")
-        rate_grow = params.lam * len(rw)
+        rate_grow = self.lam * len(rw)
         rate_chase = float(len(rb))
-        rate_convert = params.conversion_rate * len(red)
+        rate_convert = self.conversion_rate * len(red)
         total = rate_grow + rate_chase + rate_convert
         if total <= 0.0:
             raise NoTransitionError("total jump rate is zero in this state")
         x = u_class * total
         if x < rate_grow:
-            self.paint_red(graph, graph.edges[_pick(rw, u_member)][1])
+            self.paint_red(self.edges[_pick(rw, u_member)][1])
             event = EventKind.GROW
         elif x < rate_grow + rate_chase:  # the red tail of a red-blue edge turns blue
-            edges = graph.edges
-            self.paint_blue(graph, edges[edges[_pick(rb, u_member)][2]][1])
+            edges = self.edges
+            self.paint_blue(edges[edges[_pick(rb, u_member)][2]][1])
             event = EventKind.CHASE
         else:
-            self.paint_blue(graph, _pick(red, u_member))
+            self.paint_blue(_pick(red, u_member))
             event = EventKind.CONVERT
         return event, -math.log1p(-u_hold) / total
 
-    def recount(self, graph: Graph) -> tuple[int, int, int]:
+    def recount(self) -> tuple[int, int, int]:
         """Brute-force (red, red-white, red-blue) counts for consistency checks."""
-        colors = np.array(self.colors)
-        red = colors == _RED
-        heads = colors[graph.indices][np.repeat(red, np.diff(graph.indptr))]
-        return int(red.sum()), int((heads == _WHITE).sum()), int((heads == _BLUE).sum())
+        colors = self.colors
+        red = [v for v, c in enumerate(colors) if c == _RED]
+        heads = [colors[x] for v in red for _, x, _ in self.rows[v]]
+        return len(red), heads.count(_WHITE), heads.count(_BLUE)
 
 
 def _pick(items: list[int], u: float) -> int:
@@ -284,7 +286,7 @@ def run_graph_to_fixation(
     fixation_time = 0.0
     conversions = 0
     while state.red:
-        event, holding = state.step(graph, params, *next(triples))
+        event, holding = state.step(*next(triples))
         fixation_time += holding
         if event is EventKind.CONVERT:
             conversions += 1

@@ -71,21 +71,21 @@ def streams(seeds: np.ndarray, offset: int = 0) -> Iterator[np.random.Generator]
     on: the j-th yields what ``make_rng(seeds[j])`` yields after ``random(offset)``.
 
     Each double takes one 64-bit Philox output and a counter step makes four,
-    so one Philox is re-keyed for each seed with its counter at ``offset // 4``
-    and its buffer empty, and skips ``offset % 4`` doubles.  It is yielded
-    again and again, so it must not be used after the iteration moves on.
+    so ``offset`` must be a multiple of 4 (ValueError otherwise): one Philox is
+    re-keyed for each seed with its counter at ``offset // 4`` and its buffer
+    empty.  It is yielded again and again, so it must not be used after the
+    iteration moves on.
     """
+    if offset % 4:
+        raise ValueError(f"stream offset must be a multiple of 4, got {offset}")
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
     key, counter = [0, 0], [offset // 4, 0, 0, 0]  # Python ints: the setter reads no numpy scalars
     state = {**bit_generator.state, "state": {"counter": counter, "key": key}, "buffer": [0] * 4}
-    skip = offset % 4
     for lo in range(0, len(seeds), 1024):  # a bounded list of Python ints at a time
         for seed in seeds[lo : lo + 1024].tolist():
             key[0] = seed
             bit_generator.state = state
-            if skip:
-                rng.random(skip)
             yield rng
 
 

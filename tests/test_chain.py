@@ -327,6 +327,19 @@ def _tamper(records, index, **changes):
     return out
 
 
+def test_ties_the_clock_cannot_resolve_pass_the_checker():
+    # at lambda = 1e100 and alpha = 1e-100 the clock reaches about 6.6e95,
+    # where every later holding time is lost in the sum, so jumps tie
+    p = Params(50, MAX_RATE, MIN_RATE)
+    for i in range(50):
+        records = _recorded(p, make_rng(stream_seed(1, i)))
+        assert any(a.time == b.time for a, b in zip(records, records[1:]))
+        check_trajectory(records, p)
+    # early in the run the clock still moves, so a tie there is refused
+    with pytest.raises(AssertionError, match="increasing"):
+        check_trajectory(_tamper(records, 1, time=records[0].time), p)
+
+
 class TestCheckerRejects:
     P = Params(10, 1.0, 1.0)
 

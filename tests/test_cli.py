@@ -32,6 +32,15 @@ class TestSimulate:
         rows = read_trajectory_csv(io.StringIO(out))
         check_trajectory(rows, Params(20, 1.0, 2.0))
 
+    def test_ties_at_extreme_rates_check_clean(self):
+        # late in this run holding times vanish on a clock of about 6.6e95
+        flags = ("--n", "50", "--lambda", "1e100", "--alpha", "1e-100", "--seed", "1")
+        code, out, _ = run_cli("simulate", *flags)
+        assert code == 0
+        rows = read_trajectory_csv(io.StringIO(out))
+        assert any(a.time == b.time for a, b in zip(rows, rows[1:]))
+        check_trajectory(rows, Params(50, 1e100, 1e-100))
+
     def test_byte_identical_repeats(self):
         args = ("simulate", "--n", "30", "--alpha", "4", "--seed", "17")
         assert run_cli(*args) == run_cli(*args)

@@ -21,7 +21,7 @@ from chasescape import (
 from chasescape.analytics import chi_square_gof
 from chasescape import graph
 from chasescape.chain import EventKind
-from chasescape.graph import _BLUE, _RED, _WHITE, GraphState, parse_edge_list
+from chasescape.graph import _BLUE, _RED, _WHITE, Graph, GraphState, parse_edge_list
 from chasescape.params import NoTransitionError
 
 SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
@@ -223,18 +223,20 @@ class TestEdgeListFormat:
             parse_edge_list([])
 
 
-def _colored_state(graph, red=(), blue=()):
-    """The state with ``red`` and ``blue`` vertices, painted onto the standard
-    start (vertex 0 red), which needs vertex 0 among them."""
-    assert 0 in red or 0 in blue
-    state = GraphState(graph, Params(graph.vertex_count - 1, 1.0, 1.0))
+def _colored_state(graph, red=(), blue=(), params=None):
+    """The state with ``red`` and ``blue`` vertices, painted onto the start of
+    ``params`` (by default the standard start, vertex 0 red, at lambda = alpha
+    = 1), whose red and blue vertices must be among them."""
+    state = GraphState(graph, params or Params(graph.vertex_count - 1, 1.0, 1.0))
+    assert {v for v, c in enumerate(state.colors) if c != _WHITE} <= {*red, *blue}
     for v in blue:
-        if v != 0:
-            state.paint_red(graph, v)
-        state.paint_blue(graph, v)
+        if state.colors[v] == _WHITE:
+            state.paint_red(v)
+        if state.colors[v] == _RED:
+            state.paint_blue(v)
     for v in red:
-        if v != 0:
-            state.paint_red(graph, v)
+        if state.colors[v] == _WHITE:
+            state.paint_red(v)
     return state
 
 
@@ -249,38 +251,40 @@ class TestRates:
 
     def test_red_surrounded_by_blue_must_be_chased(self):
         g = parse_edge_list(["0 1", "0 2"])  # star center 0
-        p = Params(2, 1.0, 0.0, InitMode.KORTCHEMSKI)  # conversion off
+        p = Params(1, 1.0, 0.0, InitMode.KORTCHEMSKI)  # conversion off
         for seed in range(10):
-            state = _colored_state(g, red=(0,), blue=(1, 2))
-            event, _ = state.step(g, p, *make_rng(seed).random(3))
+            state = _colored_state(g, red=(0,), blue=(1, 2), params=p)
+            event, _ = state.step(*make_rng(seed).random(3))
             assert event is EventKind.CHASE
 
     def test_isolated_red_component_must_convert(self):
         g = complete_graph(2)
         p = Params(1, 1.0, 2.0)
         for seed in range(10):
-            state = _colored_state(g, red=(0, 1))
-            event, _ = state.step(g, p, *make_rng(seed).random(3))
+            state = _colored_state(g, red=(0, 1), params=p)
+            event, _ = state.step(*make_rng(seed).random(3))
             assert event is EventKind.CONVERT
 
     def test_no_red_raises(self):
         g = complete_graph(3)
         state = _colored_state(g, blue=(0,))
         with pytest.raises(NoTransitionError):
-            state.step(g, Params(2, 1.0, 1.0), *make_rng(0).random(3))
+            state.step(*make_rng(0).random(3))
 
     def test_zero_total_rate_raises(self):
-        g = parse_edge_list(["0 1"])
+        # edge 0-2 and an isolated vertex 1, which only a hand-built graph
+        # has: blue 1 cannot chase, so red {0, 2} has no move
+        g = Graph(*(np.array(x, dtype=np.int32) for x in ([0, 1, 1, 2], [2, 0], [1, 0])))
         p = Params(1, 1.0, 0.0, InitMode.KORTCHEMSKI)
-        state = _colored_state(g, red=(0, 1))  # no white, no blue, no conversion
+        state = _colored_state(g, red=(0, 2), blue=(1,), params=p)  # no conversion
         with pytest.raises(NoTransitionError):
-            state.step(g, p, *make_rng(0).random(3))
+            state.step(*make_rng(0).random(3))
 
 
 def _assert_consistent(state, g):
     """The three sets hold exactly the red vertices, the red-white and the
     red-blue edges, and each position table indexes its set."""
-    assert state.recount(g) == (len(state.red), len(state.rw), len(state.rb))
+    assert state.recount() == (len(state.red), len(state.rw), len(state.rb))
     tails = np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
     colors = np.array(state.colors)
     assert np.all(colors[state.red] == _RED)
@@ -301,7 +305,7 @@ class TestBookkeeping:
                 rng = make_rng(stream_seed(21, trial))
                 state = GraphState(g, p)
                 while len(state.red) > 0:
-                    state.step(g, p, *rng.random(3))
+                    state.step(*rng.random(3))
                     _assert_consistent(state, g)
 
     def test_blue_is_terminal(self):
@@ -311,7 +315,7 @@ class TestBookkeeping:
         state = GraphState(g, p)
         ever_blue = set()
         while len(state.red) > 0:
-            state.step(g, p, *rng.random(3))
+            state.step(*rng.random(3))
             now_blue = {v for v, c in enumerate(state.colors) if c == _BLUE}
             assert ever_blue <= now_blue
             ever_blue = now_blue
@@ -356,7 +360,7 @@ def test_jump_count_is_the_number_of_graph_jumps(mode):
                 rng = make_rng(stream_seed(24, seed))
                 jumps = 0
                 while len(state.red) > 0:
-                    state.step(g, p, *rng.random(3))
+                    state.step(*rng.random(3))
                     jumps += 1
                 res = run_graph_to_fixation(g, p, make_rng(stream_seed(24, seed)))
                 assert res.jump_count == jumps

@@ -63,11 +63,12 @@ class TestStreamSeeding:
         assert [int(s) for s in seeds] == [stream_seed(master, i) for i in range(start, start + 5)]
 
     @pytest.mark.parametrize("master", [0, 2**64 - 1])
-    @pytest.mark.parametrize("offset", range(8))
-    def test_streams_match_make_rng(self, master, offset):
-        # draw sizes 1, 3 and 6 end off Philox's 4-value buffer boundary, so
-        # a re-keyed generator must also drop the previous trial's leftovers
-        start, stop = 5, 30
+    @pytest.mark.parametrize("step", range(8))
+    def test_streams_match_make_rng(self, master, step):
+        # offsets are whole Philox counter steps of four doubles; draw sizes
+        # 1, 3 and 6 end off that buffer boundary, so a re-keyed generator
+        # must also drop the previous trial's leftovers
+        start, stop, offset = 5, 30, 4 * step
         seeds = stream_seeds(master, start, stop)
         for i, rng in zip(range(start, stop), streams(seeds, offset), strict=True):
             ref = make_rng(stream_seed(master, i))
@@ -92,13 +93,19 @@ class TestStreamSeeding:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("offset", [1, 258])
+    def test_offset_off_a_counter_step_raises(self, offset):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            next(streams(stream_seeds(0, 0, 3), offset))
+
 
 class TestWindowFill:
     @pytest.mark.parametrize("master", [0, 2**64 - 1])
-    # every offset within a Philox counter step, and windows across one
-    @pytest.mark.parametrize("offset", [*range(8), 256, 258, 2**16 + 4, 2**16 + 5])
-    def test_window_is_a_slice_of_the_stream(self, master, offset):
-        width = 36
+    # offsets in Philox counter steps of four doubles: the first eight, and
+    # windows that start past 2^10 and 2^18 uniforms
+    @pytest.mark.parametrize("step", [*range(8), 256, 258, 2**16 + 4, 2**16 + 5])
+    def test_window_is_a_slice_of_the_stream(self, master, step):
+        width, offset = 36, 4 * step
         seeds = stream_seeds(master, 7, 12)
         out = np.empty((seeds.size, width))
         for row, rng in zip(out, streams(seeds, offset)):
@@ -377,6 +384,10 @@ class TestChainBlock:
             pytest.param(100, 9, 9 + chain._LOCKSTEP_MIN_LIVE, None, 1.0, 2.0, id="100-9-min_live"),
             # lambda != 1 moves p_grow off the symmetric case in both modes
             pytest.param(200, 1, 101, None, 1.7, 2.0, id="200-1-101-None-1.7"),
+            # at n = 1 and n = 2 the window rounds up to one 64-column fold
+            # block, and every trial fixates before the block's last jump
+            pytest.param(1, 0, 64, None, 1.0, 2.0, id="1-0-64-None"),
+            pytest.param(2, 3, 43, None, 1.0, 2.0, id="2-3-43-None"),
         ],
     )
     def test_block_matches_per_trial_kernel(

@@ -79,3 +79,28 @@ def test_scripts_and_perfbench_reach_only_the_package_surface():
     assert {"Params", "run_coupling", "harness", "cli"} <= set(used)
     missing = {name: files for name, files in used.items() if not _resolves(name)}
     assert not missing, f"not exported and not a submodule: {missing}"
+
+
+def test_every_private_module_name_in_src_is_used_in_src():
+    # a module-level _helper or _CONSTANT that no src module reads is dead
+    # code, whatever a test still reaches through it
+    paths = sorted((ROOT / "src" / "chasescape").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    defined, loaded = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert {"_fold", "_FOLD", "_spacings"} <= private  # the walk sees both kinds
+    assert not private - loaded, f"defined but never loaded in src: {sorted(private - loaded)}"
