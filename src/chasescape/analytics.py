@@ -135,13 +135,14 @@ def exact_distribution_W(
     """Exact W distribution by forward propagation over the embedded chain.
 
     States are (r, b) pairs with w implied by conservation, grouped into
-    layers r + 2b which every jump advances by one.  Mass arriving at r = 0
-    is recorded against W = w; the expected conversion count accumulates
-    a / (b + a) times the flow on every red-decrease transition, where a is
-    the conversion rate.  Every state is left once at most, so E[tau] is the
-    sum over states of the mass times the mean holding time: 1 / (r * denom)
-    on the process's clock and 1 / denom on the coupling's time change, where
-    denom = lam * w + b + a.
+    layers r + 2b which every jump advances by one.  A layer is one slice of
+    b, so a grow keeps a state's b and a red decrease adds one; only the top b
+    of an odd layer has one red, and its decrease flow is P(W = w).  The
+    expected conversion count accumulates a / (b + a) times the flow on every
+    red-decrease transition, where a is the conversion rate.  Every state is
+    left once at most, so E[tau] is the sum over states of the mass times the
+    mean holding time: 1 / (r * denom) on the process's clock and 1 / denom on
+    the coupling's time change, where denom = lam * w + b + a.
     """
     params = Params(n, lam, alpha, init_mode)
     if n > DP_MAX_N:
@@ -156,31 +157,23 @@ def exact_distribution_W(
     expected_c = 0.0
     # the mean time spent in the states of each b, on both clocks
     clock, time_change = np.zeros(total + 2), np.zeros(total + 2)
-    for layer in range(r0 + 2 * b_floor, 2 * total + 1):
-        b_lo = max(b_floor, layer - total)
-        b_hi = (layer - 1) // 2
-        if b_hi < b_lo:
-            break
+    for layer in range(r0 + 2 * b_floor, 2 * total):
+        b_lo, b_hi = max(b_floor, layer - total), (layer - 1) // 2
+        odd = layer % 2  # only the top b of an odd layer has one red
         bs = np.arange(b_lo, b_hi + 1)
-        mass = current[bs]
-        rs = layer - 2 * bs
+        mass = current[b_lo : b_hi + 1]
         ws = total - layer + bs
         denom = params.lam * ws + bs + a
-        p_grow = params.lam * ws / denom
-        p_dec = (bs + a) / denom
         held = mass / denom  # the mean time in each state, on the coupling's clock
         time_change[b_lo : b_hi + 1] += held
-        clock[b_lo : b_hi + 1] += held / rs
-        nxt = np.zeros(total + 2)
-        nxt[bs] += mass * p_grow
-        dec_flow = mass * p_dec
-        absorbing = rs == 1  # at most one b per layer
-        w_dist[ws[absorbing]] += dec_flow[absorbing]
-        surviving = ~absorbing
-        nxt[bs[surviving] + 1] += dec_flow[surviving]
-        if a > 0.0:
-            expected_c += float(np.sum(dec_flow * (a / (bs + a))))
-        current = nxt
+        clock[b_lo : b_hi + 1] += held / (layer - 2 * bs)
+        dec_flow = mass * ((bs + a) / denom)
+        expected_c += float(np.sum(dec_flow * (a / (bs + a))))
+        if odd:
+            w_dist[ws[-1]] = dec_flow[-1]
+        current[b_lo : b_hi + 1] = mass * (params.lam * ws / denom)
+        # no earlier layer reached b_hi + 1, so it still holds 0
+        current[b_lo + 1 : b_hi + 2 - odd] += dec_flow[: dec_flow.size - odd]
     expected_w = float(np.arange(n + 1) @ w_dist)
     return ExactDistribution(
         probabilities=w_dist,

@@ -203,15 +203,13 @@ def _lockstep(
     b = np.full(count, float(b0))
     c = np.zeros(count, dtype=np.int64)
     t = np.zeros(count)
-    layer = r0 + 2 * b0
-    position = 0  # in every live trial's stream, of the next jump's uniforms
-    check = layer  # no trial fixates before this layer
+    first = layer = check = r0 + 2 * b0  # no trial fixates before layer ``check``
     while trial.size:
+        position = 2 * (layer - first)  # of this jump's uniforms in every live stream
         col = position % width
         if col == 0:
             for row, rng in zip(rows, streams(seeds[trial], position)):
                 rng.random(out=row)
-        position += 2
         j = col // 2 % _FOLD  # the jump's place in its fold block
         start = col - 2 * j  # the block's first column
         np.add(b, total - layer, out=lw)
@@ -293,37 +291,37 @@ def _fold(
 def check_trajectory(
     rows: Iterable[tuple[float, PopulationState, EventKind]], params: Params
 ) -> None:
-    """Raise AssertionError unless a trajectory satisfies every invariant.
+    """Raise AssertionError unless a trajectory is a path the law can take.
 
     ``rows`` are its jumps as (time, state, event) rows, such as the
     :class:`JumpRecord` list :func:`run_to_fixation` fills or
     :func:`read_trajectory_csv` returns; the path starts at the initial
-    state ``params`` implies.  Every legal transition conserves the vertex
-    count and advances the layer index r + 2b by exactly one, so it also
-    bounds the jump count by 2 * (vertex count).  A jump's time may equal the
-    last one's only where the clock loses even the longest holding time the
-    state it leaves can draw, 53 log 2 / (r * (lambda*w + b + alpha)).
+    state ``params`` implies.  A jump is legal only when its event's rate in
+    the state it leaves is positive, lambda*r*w for GROW, r*b for CHASE and
+    alpha*r for CONVERT, and it lands on that event's target.  So every state
+    has red before it is left, counts stay non-negative and sum to the vertex
+    count, and the layer r + 2b rises by one per jump.  A jump's time may
+    equal the last one's only where the clock loses even the longest holding
+    time the state it leaves can draw, 53 log 2 / (r * (lambda*w + b + alpha)).
     """
     prev = initial_state(params)
-    total = params.total_vertices
     lam, a, longest = params.lam, params.conversion_rate, 53 * math.log(2)
     prev_time = 0.0
     jumps = 0
     for t, state, event in rows:
         jumps += 1
-        rate = prev.r * (lam * prev.w + prev.b + a)  # 0 once no red is left
-        if not (t > prev_time or rate and t == prev_time == prev_time + longest / rate):
-            raise AssertionError(f"jump {jumps}: times are not strictly increasing")
-        if min(state) < 0 or sum(state) != total:
-            raise AssertionError(f"jump {jumps} breaks conservation: {state}")
-        if event is EventKind.GROW:
-            ok = state == (prev.r + 1, prev.b, prev.w - 1)
-        else:
-            ok = state == (prev.r - 1, prev.b + 1, prev.w)
-        if not ok:
+        r, b, w = prev
+        blued = (r - 1, b + 1, w)  # a chase and a conversion both blue one red
+        rate, target = {
+            EventKind.GROW: (lam * r * w, (r + 1, b, w - 1)),
+            EventKind.CHASE: (r * b, blued),
+            EventKind.CONVERT: (a * r, blued),
+        }.get(event, (0, None))
+        if not (rate > 0 and state == target):
             raise AssertionError(f"jump {jumps}: illegal transition {prev} -> {state} ({event})")
-        if event is EventKind.CONVERT and params.conversion_rate == 0.0:
-            raise AssertionError(f"jump {jumps}: conversion while conversion is off")
+        # prev has red, so its total rate is positive
+        if not (t > prev_time or t == prev_time == prev_time + longest / (r * (lam * w + b + a))):
+            raise AssertionError(f"jump {jumps}: times are not strictly increasing")
         prev, prev_time = state, t
     if jumps == 0:
         raise AssertionError("trajectory has no jumps")

@@ -281,8 +281,8 @@ def run_graph_to_fixation(
     as the count-chain engine.
     """
     state = GraphState(graph, params)
-    # every jump lowers 2 * white + red by one, so no more jumps remain
-    triples = uniform_tuples(rng, 3, 2 * state.colors.count(_WHITE) + len(state.red))
+    # n white and r0 red at the start, and every jump lowers 2 * white + red by one
+    triples = uniform_tuples(rng, 3, 2 * params.n + params.initial_red_blue[0])
     fixation_time = 0.0
     conversions = 0
     while state.red:

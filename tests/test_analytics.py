@@ -1,3 +1,4 @@
+import hashlib
 import math
 import mpmath
 import numpy as np
@@ -19,8 +20,105 @@ from chasescape.analytics import (
     prob_gamma_less_exp_quadrature,
     stats_wilson_ci,
 )
+from chasescape.params import MAX_RATE, MIN_RATE
 
 ALPHA_GRID = (0.1, 0.3, 1.0, 2.0, 2.5, 4.0, 8.0)
+
+# the exact DP's output recorded to the bit on a grid of both init modes,
+# small to capped n, lambda != 1 and both rate-bound corners: the SHA-256 of
+# probabilities.tobytes() (little-endian float64) and the float.hex() of
+# expected_w, expected_c, extinction_probability, expected_tau and
+# expected_tau_coupling
+DP_PINS = [
+    (
+        (1, 1.0, 2.0, InitMode.STANDARD),
+        "ecf29fdb23d55a7613c1cdbdac8b54a853e86b59614d7d92983996f051986379",
+        (
+            "0x1.5555555555555p-1", "0x1.38e38e38e38e4p+0", "0x1.5555555555555p-2",
+            "0x1.0e38e38e38e38p-1", "0x1.38e38e38e38e4p-1",
+        ),
+    ),
+    (
+        (2, 1.0, 0.5, InitMode.STANDARD),
+        "4f27e4954df6e3e0177c6bbc3b62591d72f76e0f9d21373a34094bb3d256091a",
+        (
+            "0x1.1eb851eb851ecp-1", "0x1.6508dfea27984p+0", "0x1.47ae147ae147bp-1",
+            "0x1.992517702f54fp+0", "0x1.6508dfea27984p+1",
+        ),
+    ),
+    (
+        (50, 1.0, 2.0, InitMode.STANDARD),
+        "e03198cbb4095df3a20a4135ddaaf95e9def3f3712fc22a4ac4e6a49b0cf9bb5",
+        (
+            "0x1.fc033d32e43c7p+1", "0x1.b025c138d95cap+2", "0x1.fa9bba0b698d2p-3",
+            "0x1.ecde34ec7932dp-3", "0x1.b025c138d95c8p+1",
+        ),
+    ),
+    (
+        (50, 1.0, 0.0, InitMode.KORTCHEMSKI),
+        "e322194858497e34142612e89c56ab4b179c4d101cf2d1a94a4d306dc7f3a798",
+        (
+            "0x1.006608bd992c1p+1", "0x0.0p+0", "0x1.fad23d652e178p-2",
+            "0x1.0ccd159bcd475p-2", "0x1.1b5d36b3ab369p+2",
+        ),
+    ),
+    (
+        (300, 1.0, 4.0, InitMode.STANDARD),
+        "d0773bf398d3e68cd66749d412fdba5f16c5f21ea9efb8031282a40cf88437e0",
+        (
+            "0x1.fd79cddc63c60p+2", "0x1.192936c21a37bp+4", "0x1.00d4cd5f8907dp-4",
+            "0x1.cd383610b6647p-5", "0x1.192936c21a37ep+2",
+        ),
+    ),
+    (
+        (400, 2.0, 0.5, InitMode.STANDARD),
+        "b3caab76595b2a4868255b28d2724896ccba799c3f0d0948213ea9618213011b",
+        (
+            "0x1.023a3cae7a98bp-2", "0x1.fd0a1258b877fp+1", "0x1.febcc5149c7ffp-1",
+            "0x1.6b700471a0d0cp-5", "0x1.fd0a1258b8781p+2",
+        ),
+    ),
+    (
+        (700, 0.5, 1.0, InitMode.STANDARD),
+        "2cb0c6ed1179ba5d602439f76d46618f7a710ea4f721487384f80ac3d727e9c4",
+        (
+            "0x1.9debd5f2f132fp+4", "0x1.c4fef37e26025p+2", "0x1.71c3f2d8091b0p-9",
+            "0x1.5031e73383782p-5", "0x1.c4fef37e2602fp+2",
+        ),
+    ),
+    (
+        (1600, 1.0, 0.0, InitMode.KORTCHEMSKI),
+        "14abb5db7111b3a85b1215ba01af248186a3a783ec4696bdae11cee64d340f82",
+        (
+            "0x1.000013c8e809dp+1", "0x0.0p+0", "0x1.ffd706f328ccep-2",
+            "0x1.e867463261ca3p-7", "0x1.fcdc27ef1641cp+2",
+        ),
+    ),
+    (
+        (5000, 1.0, 2.0, InitMode.STANDARD),
+        "d4fe2ef6957538f3d2a4c166b86451f346e96a9067411526c5125c7d7d9a1edb",
+        (
+            "0x1.fff2e9f01a37fp+1", "0x1.02ed536ac3c8bp+4", "0x1.fff2e2e0d4326p-3",
+            "0x1.58688790b3e2ep-8", "0x1.02ed536ac3c86p+3",
+        ),
+    ),
+    (
+        (30, MAX_RATE, MIN_RATE, InitMode.STANDARD),
+        "9b8fe2749c063cf0d50c0953ff7608283004cb39360ffc55d37de0869934d8d5",
+        (
+            "0x1.87e92154ef7adp-665", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.2e0b2bb7045aap+327", "0x1.249ad2594c37dp+332",
+        ),
+    ),
+    (
+        (30, MIN_RATE, MAX_RATE, InitMode.STANDARD),
+        "f54d4c4873d52934ec0c5d8aa9f9e6274ba8f03e6c3732f947d641edbf63dd71",
+        (
+            "0x1.e000000000000p+4", "0x1.0000000000000p+0", "0x0.0p+0",
+            "0x1.bff2ee48e0530p-333", "0x1.bff2ee48e0530p-333",
+        ),
+    ),
+]
 
 
 class TestClosedForms:
@@ -152,6 +250,15 @@ class TestExactDistribution:
 
     def test_kortchemski_mode_never_converts(self):
         assert exact_distribution_W(50, 1.0, 0.0, InitMode.KORTCHEMSKI).expected_c == 0.0
+
+    @pytest.mark.parametrize("case,digest,scalars", DP_PINS)
+    def test_output_is_pinned_to_the_bit(self, case, digest, scalars):
+        dist = exact_distribution_W(*case)
+        assert hashlib.sha256(dist.probabilities.tobytes()).hexdigest() == digest
+        assert tuple(float(x).hex() for x in (
+            dist.expected_w, dist.expected_c, dist.extinction_probability, dist.expected_tau,
+            dist.expected_tau_coupling,
+        )) == scalars
 
     def test_rejects_oversized_and_invalid(self):
         with pytest.raises(ParameterError):

@@ -165,6 +165,41 @@ def test_recorded_trajectories_pass_the_checker(n, lam, alpha, mode, seed):
     assert len(records) <= 2 * p.total_vertices
 
 
+@given(
+    n=st.integers(1, 30),
+    lam=st.floats(0.1, 5.0),
+    alpha=st.floats(0.1, 5.0),
+    mode=st.sampled_from(list(InitMode)),
+    seed=st.integers(0, 2**32),
+    event=st.sampled_from(list(EventKind)),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_checker_refuses_a_jump_of_rate_zero(n, lam, alpha, mode, seed, event, data):
+    p = Params(n, lam, alpha, mode)
+    records = _recorded(p, make_rng(seed))
+    check_trajectory(records, p)
+    # a jump after fixation leaves a state with no red, where every rate is 0
+    _, b, w = records[-1].state
+    target = (1, b, w - 1) if event is EventKind.GROW else (-1, b + 1, w)
+    after = JumpRecord(records[-1].time + 1.0, PopulationState(*target), event)
+    with pytest.raises(AssertionError, match="illegal transition"):
+        check_trajectory(records + [after], p)
+    # a red decrease relabelled as the other kind: a chase with no blue, or a
+    # conversion with conversion off; the standard start has no blue, and the
+    # kortchemski mode has no conversion, so every run has such a jump
+    before = [initial_state(p)] + [rec.state for rec in records]
+    swaps = [
+        (i, EventKind.CONVERT) if rec.event is EventKind.CHASE else (i, EventKind.CHASE)
+        for i, rec in enumerate(records)
+        if rec.event is EventKind.CHASE and p.conversion_rate == 0.0
+        or rec.event is EventKind.CONVERT and before[i].b == 0
+    ]
+    i, swapped = data.draw(st.sampled_from(swaps))
+    with pytest.raises(AssertionError, match="illegal transition"):
+        check_trajectory(_tamper(records, i, event=swapped), p)
+
+
 class TestRunToFixation:
     def test_two_vertex_enumeration(self):
         # n=1, lambda=1, alpha=1: P(W=1) = P(W=0) = 1/2, E[C] = 1.25
@@ -367,11 +402,11 @@ class TestCheckerRejects:
     def test_counts_not_conserved(self):
         records = self._records()
         r, b, w = records[0].state
-        with pytest.raises(AssertionError, match="conservation"):
+        with pytest.raises(AssertionError, match="illegal transition"):
             check_trajectory(_tamper(records, 0, state=PopulationState(r + 1, b, w)), self.P)
 
     def test_negative_count(self):
-        with pytest.raises(AssertionError, match="conservation"):
+        with pytest.raises(AssertionError, match="illegal transition"):
             check_trajectory([JumpRecord(1.0, PopulationState(12, -1, 0), EventKind.GROW)], self.P)
 
     def test_event_contradicts_transition(self):
@@ -384,8 +419,32 @@ class TestCheckerRejects:
         p = Params(10, 1.0, 0.0, InitMode.KORTCHEMSKI)
         records = _recorded(p, make_rng(1))
         k = next(i for i, rec in enumerate(records) if rec.event is EventKind.CHASE)
-        with pytest.raises(AssertionError, match="conversion"):
+        with pytest.raises(AssertionError, match="illegal transition"):
             check_trajectory(_tamper(records, k, event=EventKind.CONVERT), p)
+
+    def test_jumps_after_fixation(self):
+        # this run fixates at (0, 9, 2); a GROW and then a CHASE after it
+        # keep the counts legal, but no event has a positive rate with no red
+        records = _recorded(self.P, make_rng(stream_seed(3, 1)))
+        end = records[-1]
+        assert end.state == (0, 9, 2)
+        appended = records + [
+            JumpRecord(end.time + 1.0, PopulationState(1, 9, 1), EventKind.GROW),
+            JumpRecord(end.time + 2.0, PopulationState(0, 10, 1), EventKind.CHASE),
+        ]
+        with pytest.raises(AssertionError, match=f"jump {len(records) + 1}: illegal transition"):
+            check_trajectory(appended, self.P)
+
+    def test_chase_out_of_the_start(self):
+        # (1, 0, 10) has no blue, so its chase rate r * b is 0
+        with pytest.raises(AssertionError, match="illegal transition"):
+            check_trajectory([JumpRecord(1.0, PopulationState(0, 1, 10), EventKind.CHASE)], self.P)
+
+    @pytest.mark.parametrize("event", ["grow", None])
+    def test_event_that_is_no_event_kind(self, event):
+        records = self._records()
+        with pytest.raises(AssertionError, match="illegal transition"):
+            check_trajectory(_tamper(records, 0, event=event), self.P)
 
     def test_skipped_jump(self):
         records = self._records()
