@@ -17,22 +17,23 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from .params import ParameterError, Params, ResourceLimitError
-from .rng import streams, uniform_tuples
+from .rng import streams
 
 # cap on the jumps a recorded run may make (2n + 1 at most), refused before
 # the first jump: at about 272 bytes per JumpRecord, 2^19 jumps is 136 MiB
 MAX_RECORDED_JUMPS = 1 << 19
 
-# uniforms per row of a lockstep window (128 jumps)
+# uniforms per window of a chain stream: the event uniforms of _WINDOW // 2
+# jumps, then those jumps' Exp(1) holding times
 _WINDOW = 256
 # jumps the lockstep decides before it folds their conversions and clock
 _FOLD = 32
 # fewest trials a chunk runs in lockstep; a smaller chunk runs the scalar loop
-# once per trial.  At lambda = 1, alpha = 2 the two break even at 34 to 38
-# trials at n = 50, 24 to 27 at n = 200 and 18 to 20 at n = 1000 (33 to 37
-# before the fold)
+# once per trial.  At lambda = 1, alpha = 2 the two break even at 44 to 52
+# trials at n = 50, 32 to 36 at n = 200 and 28 to 32 at n = 1000 (medians of
+# 11 interleaved pairs on 2 x86-64 CPUs)
 _LOCKSTEP_MIN_LIVE = 32
-# trials per chunk of a block; with windows of at most _WINDOW uniforms a
+# trials per chunk of a block; with one window of _WINDOW draws per trial a
 # chunk holds at most 2^16 of them (512 KiB) at any n
 _CHUNK_TRIALS = 256
 
@@ -94,10 +95,11 @@ def run_to_fixation(
 ) -> FixationResult:
     """Simulate until no red vertices remain.
 
-    Each jump consumes exactly two uniforms in fixed order (event pick, then
-    holding time), read through :func:`rng.uniform_tuples` in windows capped
-    by the jumps that can remain, so the result is a pure function of the
-    generator state.  The holding time is Exp(r * (lambda*w + b + alpha)) of
+    The stream is read in whole windows of ``_WINDOW`` draws: window k holds
+    the event uniforms of jumps 128k ... 128k + 127 (``random``), then those
+    jumps' Exp(1) draws (``standard_exponential(method="inv")``, which is
+    ``-log1p(-u)`` in libm), so the result is a pure function of the
+    generator state.  The holding time is E / (r * (lambda*w + b + alpha)) of
     the state being left.  When ``records`` is a list, every jump is appended
     to it as a :class:`JumpRecord`: that list is the trajectory, and
     :func:`initial_state` is where it starts.  A recorded run that could
@@ -112,29 +114,30 @@ def run_to_fixation(
     a = params.conversion_rate
     r, b, w = initial_state(params)
     fixation_time, conversions = 0.0, 0
-    log1p = math.log1p
     grow, chase, convert = EventKind.GROW, EventKind.CHASE, EventKind.CONVERT
-    # every jump lowers 2 * w + r by one, so no more jumps remain
-    pairs = uniform_tuples(rng, 2, 2 * w + r)
+    half = _WINDOW // 2
     while r > 0:
-        u_event, u_hold = next(pairs)
-        denom = lam * w + b + a
-        fixation_time += -log1p(-u_hold) / (r * denom)
-        p_grow = lam * w / denom
-        if u_event < p_grow:
-            r += 1
-            w -= 1
-            event = grow
-        else:
-            if u_event < p_grow + b / denom:
-                event = chase
+        events = rng.random(half).tolist()
+        for u_event, hold in zip(events, rng.standard_exponential(half, method="inv").tolist()):
+            denom = lam * w + b + a
+            fixation_time += hold / (r * denom)
+            p_grow = lam * w / denom
+            if u_event < p_grow:
+                r += 1
+                w -= 1
+                event = grow
             else:
-                event = convert
-                conversions += 1
-            r -= 1
-            b += 1
-        if records is not None:
-            records.append(JumpRecord(fixation_time, PopulationState(r, b, w), event))
+                if u_event < p_grow + b / denom:
+                    event = chase
+                else:
+                    event = convert
+                    conversions += 1
+                r -= 1
+                b += 1
+            if records is not None:
+                records.append(JumpRecord(fixation_time, PopulationState(r, b, w), event))
+            if r == 0:
+                break
     return FixationResult.at_fixation(params, w, conversions, fixation_time)
 
 
@@ -148,16 +151,14 @@ def chain_block(
     fewer than ``_LOCKSTEP_MIN_LIVE`` trials runs :func:`run_to_fixation` per
     trial; any other runs in lockstep until every trial has fixated.
     There every live trial makes its t-th jump in the same numpy step, which
-    reads uniform 2t (event) of its own stream and decides only whether the
-    jump grows red or blues a red, with the scalar loop's IEEE expressions.
-    Conversions and the clock need not be known jump by jump: every
-    ``_FOLD`` jumps, and for a trial at the jump where it fixates, a fold
-    recomputes them for the block from the stored flags and uniforms 2t + 1
-    (holding time), with one ``math.log1p`` map over the whole block (which
-    ``np.log1p`` differs from in the last bit).  The uniforms are read in
-    windows of at most ``_WINDOW`` columns, so a trial holds O(_WINDOW)
-    doubles however long it runs.  A trial leaves the step arrays at
-    fixation, so no arithmetic runs on a row with no red.
+    reads its event uniform from the trial's window row and decides only
+    whether the jump grows red or blues a red, with the scalar loop's IEEE
+    expressions.  Conversions and the clock need not be known jump by jump:
+    every ``_FOLD`` jumps, and for a trial at the jump where it fixates, a
+    fold recomputes them for the block from the stored flags, event uniforms
+    and Exp(1) draws.  A row holds one window of ``_WINDOW`` draws, so a
+    trial holds O(_WINDOW) doubles however long it runs.  A trial leaves the
+    step arrays at fixation, so no arithmetic runs on a row with no red.
     """
     white, conversions, times = empty_block(len(seeds))
     for lo in range(0, len(seeds), _CHUNK_TRIALS):
@@ -182,19 +183,22 @@ def _lockstep(
     red count fell, ``u >= p_grow``, in ``flags`` and adds that to b.  Only
     the least r over the live trials tells whether one can fixate, so r is
     computed again only from the jump at which the least r could reach 1.
-    :func:`_fold` computes the conversions and clock of a block of ``_FOLD``
-    jumps at its last jump, and for each trial at the jump where it fixates;
-    a window holds whole blocks, so a jump's place in its block is its column's.
+    Each trial's stream is re-keyed once per window of ``_WINDOW // 2``
+    jumps, which fills its row: the event uniforms in the first half, the
+    Exp(1) draws in the second.  :func:`_fold` computes the conversions and
+    clock of a block of ``_FOLD`` jumps at its last jump, and for each trial
+    at the jump where it fixates; a window holds whole blocks, so a jump's
+    place in its block is its column's.
     """
     lam = params.lam
     a = params.conversion_rate
     total = params.total_vertices
     r0, b0 = params.initial_red_blue
     count = len(seeds)
-    width = -(-min(_WINDOW, 4 * total) // (2 * _FOLD)) * (2 * _FOLD)  # whole fold blocks
-    # each live trial's row of uniforms and of the flags of its block's jumps;
-    # a finished trial leaves these views, the step arrays and the four below
-    rows = np.empty((count, width))
+    half = _WINDOW // 2
+    # each live trial's window and the flags of its block's jumps; a finished
+    # trial leaves these views, the step arrays and the four below
+    rows = np.empty((count, _WINDOW))
     flags = np.empty((count, _FOLD), dtype=bool)
     lw, denom, p_grow = np.empty(count), np.empty(count), np.empty(count)
     # live trials: their index, blue count, conversions and clock at the last
@@ -205,13 +209,13 @@ def _lockstep(
     t = np.zeros(count)
     first = layer = check = r0 + 2 * b0  # no trial fixates before layer ``check``
     while trial.size:
-        position = 2 * (layer - first)  # of this jump's uniforms in every live stream
-        col = position % width
+        col = (layer - first) % half  # the jump's column in its window
         if col == 0:
-            for row, rng in zip(rows, streams(seeds[trial], position)):
-                rng.random(out=row)
-        j = col // 2 % _FOLD  # the jump's place in its fold block
-        start = col - 2 * j  # the block's first column
+            for row, rng in zip(rows, streams(seeds[trial], 2 * (layer - first))):
+                rng.random(out=row[:half])
+                rng.standard_exponential(out=row[half:], method="inv")
+        j = col % _FOLD  # the jump's place in its fold block
+        start = col - j  # the block's first column
         np.add(b, total - layer, out=lw)
         np.multiply(lw, lam, out=lw)
         np.add(lw, b, out=denom)
@@ -231,8 +235,10 @@ def _lockstep(
         layer += 1
         if done is not None and done.any():
             out = trial[done]
-            c_out, times[out] = _fold(params, rows[done, start : col + 2], flags[done, : j + 1],
-                                      b[done], layer - j - 1, t[done])
+            block = rows[done]
+            c_out, times[out] = _fold(params, block[:, start : col + 1],
+                                      block[:, half + start : half + col + 1],
+                                      flags[done, : j + 1], b[done], layer - j - 1, t[done])
             white[out] = (total - layer) + b[done]
             conversions[out] = c[done] + c_out
             keep = ~done
@@ -242,29 +248,27 @@ def _lockstep(
             flags[:live, : j + 1] = flags[keep, : j + 1]
             rows, flags, lw, denom, p_grow = (x[:live] for x in (rows, flags, lw, denom, p_grow))
         if j == _FOLD - 1:
-            c_add, t = _fold(params, rows[:, start : col + 2], flags, b, layer - _FOLD, t)
+            c_add, t = _fold(params, rows[:, start : col + 1], rows[:, half + start : half + col + 1],
+                             flags, b, layer - _FOLD, t)
             c += c_add
 
 
 def _fold(
-    params: Params, uniforms: np.ndarray, flags: np.ndarray, b: np.ndarray, layer: int,
-    t: np.ndarray,
+    params: Params, events: np.ndarray, holds: np.ndarray, flags: np.ndarray, b: np.ndarray,
+    layer: int, t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conversions of some trials over k stored jumps, and their clocks after them.
 
-    ``uniforms`` holds each trial's 2k (event, holding time) uniforms and
-    ``flags`` whether each jump blued a red; ``b`` is the blue count after
-    the last jump, ``layer`` the layer at the first and ``t`` the clock
-    before it.  Each jump's b comes back from the flags, and with it the
-    scalar loop's IEEE expressions over the whole block: a conversion is
-    ``u >= p_grow + b / denom``, which implies a decrease, and a holding
-    time is ``-log1p(-u) / (r * denom)`` with ``math.log1p``.  One
-    left-to-right cumsum adds the holding times to the clock in jump order.
+    ``events`` and ``holds`` hold each trial's k event uniforms and Exp(1)
+    draws, and ``flags`` whether each jump blued a red; ``b`` is the blue
+    count after the last jump, ``layer`` the layer at the first and ``t`` the
+    clock before it.  Each jump's b comes back from the flags, and with it
+    the scalar loop's IEEE expressions over the whole block: a conversion is
+    ``u >= p_grow + b / denom``, which implies a decrease, and a holding time
+    is ``E / (r * denom)``.  One left-to-right cumsum adds the holding times
+    to the clock in jump order.
     """
     k = flags.shape[1]
-    hold = uniforms[:, 1::2]
-    # a memoryview yields the doubles as floats one at a time, with no list
-    logs = np.fromiter(map(math.log1p, memoryview((-hold).ravel())), np.float64, hold.size)
     blue = np.cumsum(flags, axis=1, dtype=np.float64)
     first = b - blue[:, -1]
     blue -= flags
@@ -277,14 +281,14 @@ def _fold(
     p_grow /= denom
     scratch = np.divide(blue, denom)
     p_grow += scratch
-    converted = np.count_nonzero(uniforms[:, 0::2] >= p_grow, axis=1)
-    # 2b - layer is -r, and x / -y is -x / y to the bit
-    np.multiply(blue, 2.0, out=scratch)
-    scratch -= layers
+    converted = np.count_nonzero(events >= p_grow, axis=1)
+    # r is layer - 2b, exact in doubles
+    np.multiply(blue, -2.0, out=scratch)
+    scratch += layers
     scratch *= denom
     clock = np.empty((len(t), k + 1))
     clock[:, 0] = t
-    np.divide(logs.reshape(hold.shape), scratch, out=clock[:, 1:])
+    np.divide(holds, scratch, out=clock[:, 1:])
     return converted, np.cumsum(clock, axis=1)[:, -1]
 
 

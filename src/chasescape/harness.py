@@ -58,6 +58,10 @@ class ExperimentConfig:
     graph: Graph | None = None  # None: the complete graph that params imply
 
     def __post_init__(self) -> None:
+        if not isinstance(self.engine, Engine):
+            raise ParameterError(f"engine must be an Engine, got {self.engine!r}")
+        if not isinstance(self.estimator, Estimator):
+            raise ParameterError(f"estimator must be an Estimator, got {self.estimator!r}")
         if not is_integer(self.trials) or self.trials < 1:
             raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.trials > MAX_TRIALS:

@@ -12,7 +12,7 @@ a range of them at once.  ``streams`` hands out their generators from any
 uniform on, from one Philox re-keyed per trial, as a counter-based generator
 allows: 0.48 us a re-key (1.17 us from uint64 state arrays) against 10 us a
 new ``make_rng``, on 2 x86-64 CPUs.
-``uniform_tuples`` reads one stream for the scalar engines, as Python floats.
+``uniform_tuples`` reads one stream for the graph engine, as Python floats.
 """
 
 from __future__ import annotations

@@ -1,5 +1,10 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +205,49 @@ def test_the_checker_refuses_a_jump_of_rate_zero(n, lam, alpha, mode, seed, even
         check_trajectory(_tamper(records, i, event=swapped), p)
 
 
+# a chain's holding times are Exp(1) draws; the block digest is of 64 trials
+# at n = 50, and the draws are 10^5 per key, read as from a fresh stream
+_HOLDING_DRAWS = """
+import hashlib, math, sys
+from chasescape import Params, make_rng
+from chasescape.chain import chain_block
+from chasescape.rng import stream_seeds
+key = int(sys.argv[1])
+u = make_rng(key).random(10**5).tolist()
+e = make_rng(key).standard_exponential(10**5, method="inv").tolist()
+mismatches = sum(x != -math.log1p(-v) for x, v in zip(e, u))
+block = chain_block(Params(50, 1.0, 2.0), stream_seeds(9, 0, 64))
+print(mismatches, hashlib.sha256(b"".join(x.tobytes() for x in block)).hexdigest())
+"""
+
+
+class TestHoldingTimeDraws:
+    @pytest.mark.parametrize("key", [0, 7, 2**64 - 1])
+    def test_inverse_cdf_exponentials_are_libm_log1p_of_the_same_uniforms(self, key):
+        # the chain reads its holding times as standard_exponential(method =
+        # "inv"), which must be -math.log1p(-u) of the uniform at the same
+        # stream position to the bit
+        u = make_rng(key).random(10**5)
+        e = make_rng(key).standard_exponential(10**5, method="inv")
+        assert e.tolist() == [-math.log1p(-v) for v in u.tolist()]
+
+    def test_chain_bytes_do_not_follow_simd_dispatch(self):
+        # without AVX-512 kernels numpy's own log1p moves last bits, but the
+        # Exp(1) draws and the chain's bytes stay as they are
+        block = chain_block(Params(50, 1.0, 2.0), stream_seeds(9, 0, 64))
+        digest = hashlib.sha256(b"".join(x.tobytes() for x in block)).hexdigest()
+        env = {
+            **os.environ,
+            "NPY_DISABLE_CPU_FEATURES": "X86_V4",
+            "PYTHONPATH": str(Path(chain.__file__).parents[1]),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", _HOLDING_DRAWS, "11"], capture_output=True, text=True,
+            check=True, env=env,
+        ).stdout
+        assert out.split() == ["0", digest]
+
+
 class TestRunToFixation:
     def test_two_vertex_enumeration(self):
         # n=1, lambda=1, alpha=1: P(W=1) = P(W=0) = 1/2, E[C] = 1.25
@@ -237,25 +285,29 @@ class TestRunToFixation:
 
     @pytest.mark.parametrize("mode", list(InitMode))
     def test_a_trial_reads_no_more_pairs_than_jumps_can_remain(self, mode):
-        # every jump lowers 2 * w + r by one, so a trial at n = 20000 needs at
-        # most 2n + 1 pairs; a buffer of 2^16 uniforms would overshoot them
+        # a trial reads whole windows of _WINDOW // 2 (event, Exp(1)) pairs up
+        # to its last jump's, never one past it, so never more windows than
+        # the 2n + 1 jumps that can remain at n = 20000 need
         p = Params(20000, 1.0, 2.0, mode)
-        limit = 2 * (2 * p.n + 1)  # both starts have n white and one red
+        half = chain._WINDOW // 2
+        limit = chain._WINDOW * -(-(2 * p.n + 1) // half)  # both starts have n white and one red
         for seed in range(3):
             rng = make_rng(stream_seed(26, seed))
             res = run_to_fixation(p, rng)
             stream = make_rng(stream_seed(26, seed)).random(limit + 1)
             (position,) = np.flatnonzero(stream == rng.random())
-            assert 2 * res.jump_count <= position <= limit
+            assert position == chain._WINDOW * -(-res.jump_count // half) <= limit
 
     @pytest.mark.parametrize("mode", list(InitMode))
     def test_first_jump_uses_the_embedded_law_and_total_rate(self, mode):
-        # jump 1 reads uniforms 0 (event) and 1 (holding time) of the stream
+        # jump 1 reads uniform 0 (event) and the Exp(1) draw at position
+        # _WINDOW // 2 (holding time), which is -log1p(-u) of that uniform
         p = Params(100, 1.0, 4.0, mode)
         r, b, w = initial_state(p)
         rate = p.lam * w + b + p.conversion_rate
         for seed in range(200):
-            u_event, u_hold = make_rng(seed).random(2)
+            stream = make_rng(seed).random(chain._WINDOW)
+            u_event, u_hold = stream[0], stream[chain._WINDOW // 2]
             first = _recorded(p, make_rng(seed))[0]
             assert first.time == -math.log1p(-u_hold) / (r * rate)
             assert (first.event is EventKind.GROW) == (u_event < p.lam * w / rate)
@@ -423,14 +475,16 @@ class TestCheckerRejects:
             check_trajectory(_tamper(records, k, event=EventKind.CONVERT), p)
 
     def test_jumps_after_fixation(self):
-        # this run fixates at (0, 9, 2); a GROW and then a CHASE after it
-        # keep the counts legal, but no event has a positive rate with no red
+        # this run fixates with a white site left; a GROW and then a CHASE
+        # after it keep the counts legal, but no event has a positive rate
+        # with no red
         records = _recorded(self.P, make_rng(stream_seed(3, 1)))
         end = records[-1]
-        assert end.state == (0, 9, 2)
+        r, b, w = end.state
+        assert r == 0 and w > 0
         appended = records + [
-            JumpRecord(end.time + 1.0, PopulationState(1, 9, 1), EventKind.GROW),
-            JumpRecord(end.time + 2.0, PopulationState(0, 10, 1), EventKind.CHASE),
+            JumpRecord(end.time + 1.0, PopulationState(1, b, w - 1), EventKind.GROW),
+            JumpRecord(end.time + 2.0, PopulationState(0, b + 1, w - 1), EventKind.CHASE),
         ]
         with pytest.raises(AssertionError, match=f"jump {len(records) + 1}: illegal transition"):
             check_trajectory(appended, self.P)

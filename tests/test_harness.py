@@ -152,6 +152,15 @@ class TestConfigValidation:
                 engine=Engine.CHAIN, graph=parse_edge_list(["0 1"]),
             )
 
+    # a str falls through run_block's engine dispatch to the graph engine
+    # and fails in summarize, so it is refused before any trial runs
+    @pytest.mark.parametrize(
+        "field, value", [("engine", "chain"), ("engine", None), ("estimator", "expected_w")]
+    )
+    def test_engine_and_estimator_must_be_members(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be an"):
+            _config(**{field: value})
+
     def test_trials_over_the_cap_are_refused(self):
         p = Params(10, 1.0, 1.0)
         ExperimentConfig(p, trials=harness.MAX_TRIALS, seed=0, estimator=Estimator.EXPECTED_W)
@@ -384,8 +393,8 @@ class TestChainBlock:
             pytest.param(100, 9, 9 + chain._LOCKSTEP_MIN_LIVE, None, 1.0, 2.0, id="100-9-min_live"),
             # lambda != 1 moves p_grow off the symmetric case in both modes
             pytest.param(200, 1, 101, None, 1.7, 2.0, id="200-1-101-None-1.7"),
-            # at n = 1 and n = 2 the window rounds up to one 64-column fold
-            # block, and every trial fixates before the block's last jump
+            # at n = 1 and n = 2 every trial fixates before the first fold
+            # block's last jump, with most of its window unread
             pytest.param(1, 0, 64, None, 1.0, 2.0, id="1-0-64-None"),
             pytest.param(2, 3, 43, None, 1.0, 2.0, id="2-3-43-None"),
         ],
