@@ -232,8 +232,8 @@ class TestHoldingTimeDraws:
         assert e.tolist() == [-math.log1p(-v) for v in u.tolist()]
 
     def test_chain_bytes_do_not_follow_simd_dispatch(self):
-        # without AVX-512 kernels numpy's own log1p moves last bits, but the
-        # Exp(1) draws and the chain's bytes stay as they are
+        # numpy's own log1p moves last bits with its AVX-512 kernels and not
+        # without them; the Exp(1) draws and the chain's bytes do neither
         block = chain_block(Params(50, 1.0, 2.0), stream_seeds(9, 0, 64))
         digest = hashlib.sha256(b"".join(x.tobytes() for x in block)).hexdigest()
         env = {
