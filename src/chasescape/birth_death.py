@@ -53,32 +53,6 @@ def _spacings(u: np.ndarray, neg_rates: np.ndarray) -> np.ndarray:
     return np.divide(u, neg_rates, out=u)
 
 
-def simulate_death_times(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
-    """Ordered death times of n individuals dying independently at rate lam;
-    spacing i has law Exp(lam * (n - i))."""
-    if not is_integer(n) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    require_positive("lambda", lam)
-    return _spacings(rng.random(n), lam * np.arange(-n, 0.0)).cumsum()
-
-
-def simulate_birth_times(
-    alpha: float, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """First k jump times of the defective birth process, and its flags.
-
-    Spacing i has law Exp(i + alpha); flag i marks whether jump i+1 was
-    produced by the defective progenitor, which happens with probability
-    alpha / (i + alpha) independently per jump.  Draws one block of k
-    uniforms for the spacings, then one block of k for the flags.
-    """
-    require_positive("alpha", alpha)
-    if not is_integer(k) or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
-    rates = np.arange(k, dtype=np.float64) + alpha
-    return _spacings(rng.random(k), -rates).cumsum(), rng.random(k) < alpha / rates
-
-
 def coupling_block(
     params: Params, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

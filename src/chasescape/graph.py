@@ -3,10 +3,15 @@
 Works on any finite connected graph; on complete graphs the induced
 population process has exactly the law of the count chain in
 :mod:`chasescape.chain`, which makes this module an independent oracle for
-it.  A graph is a CSR table in which every directed edge (u, v) has an
-integer id.  Rates are tracked incrementally (O(degree) per event) through
-array-backed sets of red vertices, red-white edge ids and red-blue edge ids,
-walking per-vertex rows of Python tuples that a graph builds on first use.
+it.  A graph is a pair of CSR tables.  The state keeps each vertex's white
+and blue neighbour counts and the red-white and red-blue edge totals, so
+painting v costs one integer update per neighbour.  A jump picks its class
+from the totals and its member by walking the red list on those counts,
+then v's row, so it costs O(deg v + r) with r red vertices.  Against sets
+of red-white and red-blue edge ids, which cost O(deg v) per jump, dense
+graphs gain (K_51 runs at 1.65x their speed, K_201 at 2.4x) and a hub
+loses, since a grow scans the hub's row for a white neighbour: a star of
+1001 vertices started at its center runs at 0.21x, one of 101 at 0.73x.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from .rng import streams, uniform_tuples
 
 # cap on the adjacency entries (directed edges) of any graph, checked by
 # complete_graph and parse_edge_list before they allocate: each entry takes
-# 8 bytes of int32 tables and about 160 more of rows once a trial runs, so a
-# one-trial block on K_1025, the largest complete graph under the cap, peaks
-# at about 199 MiB (tracemalloc)
+# 8 bytes of int32 tables and about 32 more of rows once a trial runs (a list
+# slot and an int), so a one-trial block on K_1025, the largest complete
+# graph under the cap, peaks at about 44 MiB (tracemalloc)
 MAX_GRAPH_ENTRIES = (1 << 20) + (1 << 10)
 
 _WHITE, _RED, _BLUE = 0, 1, 2  # the vertex colours GraphState stores; blue is terminal
@@ -34,38 +39,34 @@ _WHITE, _RED, _BLUE = 0, 1, 2  # the vertex colours GraphState stores; blue is t
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph as CSR int32 tables, one id per directed edge.
+    """Undirected simple graph as two CSR int32 tables.
 
-    The edges out of u have ids ``indptr[u]`` to ``indptr[u + 1] - 1`` and
-    edge e ends at ``indices[e]``, ascending within each u.  ``reverse[e]``
-    is the id of e's opposite edge: (v, u) when e is (u, v).
+    The neighbours of u are ``indices[indptr[u]:indptr[u + 1]]``, ascending.
 
-    ``edges`` and ``rows`` restate the tables as Python tuples for the
+    ``rows`` and ``degrees`` restate the tables as Python lists for the
     per-event loops.  Each is built on first use, and a pickled graph
     leaves them behind, so a worker builds its own.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    reverse: np.ndarray
 
     @property
     def vertex_count(self) -> int:
         return len(self.indptr) - 1
 
     @cached_property
-    def edges(self) -> list[tuple[int, int, int]]:
-        """``(e, indices[e], reverse[e])`` for every edge id e."""
-        return list(zip(range(len(self.indices)), self.indices.tolist(), self.reverse.tolist()))
+    def rows(self) -> list[list[int]]:
+        """``rows[u]``: the neighbours of u, ascending."""
+        heads, bounds = self.indices.tolist(), self.indptr.tolist()
+        return [heads[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     @cached_property
-    def rows(self) -> list[list[tuple[int, int, int]]]:
-        """``rows[u]``: the ``edges`` out of u, in id order."""
-        edges, bounds = self.edges, self.indptr.tolist()
-        return [edges[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    def degrees(self) -> list[int]:
+        return np.diff(self.indptr).tolist()
 
     def __getstate__(self) -> dict:
-        return {name: self.__dict__[name] for name in ("indptr", "indices", "reverse")}
+        return {name: self.__dict__[name] for name in ("indptr", "indices")}
 
 
 def complete_graph(m: int) -> Graph:
@@ -82,10 +83,7 @@ def complete_graph(m: int) -> Graph:
         )
     tails, heads = np.arange(m, dtype=np.int32)[:, None], np.arange(m - 1, dtype=np.int32)
     indices = heads + (heads >= tails)  # row u is every vertex but u, ascending
-    # (v, u) is entry u of row v, or entry u - 1 when u > v
-    reverse = indices * np.int32(m - 1) + tails - (tails > indices)
-    indptr = np.arange(m + 1, dtype=np.int32) * np.int32(m - 1)
-    return Graph(indptr, indices.ravel(), reverse.ravel())
+    return Graph(np.arange(m + 1, dtype=np.int32) * np.int32(m - 1), indices.ravel())
 
 
 def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Graph:
@@ -141,30 +139,35 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Gr
         queue.extend(found)
     if len(seen) != len(adjacency):
         raise ParameterError("graph is not connected")
-    m, degrees = len(adjacency), [len(nbrs) for nbrs in adjacency]
     indices = np.array([v for nbrs in adjacency for v in sorted(nbrs)], dtype=np.int32)
-    # the (tail, head) keys ascend in edge-id order, so bisection finds each reverse
-    tails = np.repeat(np.arange(m, dtype=np.int64), degrees)
-    reverse = np.searchsorted(tails * m + indices, indices * np.int64(m) + tails)
-    return Graph(np.cumsum([0, *degrees], dtype=np.int32), indices, reverse.astype(np.int32))
+    return Graph(np.cumsum([0, *map(len, adjacency)], dtype=np.int32), indices)
 
 
 class GraphState:
-    """Vertex colors plus array-backed sets of the three rate classes.
+    """Vertex colours, the red vertices and each vertex's neighbour counts.
 
-    ``red`` lists the red vertices, ``rw`` the ids of (red, white) edges and
-    ``rb`` those of (red, blue) edges; a set grows at its end and loses a
-    member by moving its last one into the freed slot.  ``vertex_pos[v]`` is
-    v's index in ``red``, ``edge_pos[e]`` e's index in ``rw`` or ``rb``.
+    ``red`` lists the red vertices; it grows at its end and loses a member
+    by moving its last one into the freed slot, and ``vertex_pos[v]`` is v's
+    index in it.  ``white[v]`` and ``blue[v]`` count v's white and blue
+    neighbours, whatever v's own colour, so v has deg v - white[v] - blue[v]
+    red ones; ``rw`` and ``rb`` count the red-white and red-blue edges.
 
-    It keeps the ``rows``, ``edges`` and rates its methods read, and starts
-    in the start state of ``params`` (its red vertices, then its blue ones,
-    then n white), painted on an all-white graph: each blue vertex red and
-    then blue, then the red ones.  ParameterError unless the graph has
+    ``step`` takes an event's class from the totals and its member from a
+    walk along ``red``: a grow paints the k'-th white neighbour, in row
+    order, of the first red vertex whose running white count passes k =
+    floor(u * rw), k' being k less the counts before that vertex; a chase
+    paints the first red vertex whose running blue count passes
+    floor(u * rb); a conversion paints ``red[floor(u * len(red))]``.  So a
+    jump costs O(deg v + r), v the vertex it paints and r the red count.
+
+    It keeps the ``rows`` and rates its methods read, and starts in the
+    start state of ``params`` (its red vertices, then its blue ones, then n
+    white), painted on an all-white graph: each blue vertex red and then
+    blue, then the red ones.  ParameterError unless the graph has
     ``params.total_vertices`` vertices.
     """
 
-    __slots__ = ("colors", "red", "rw", "rb", "vertex_pos", "edge_pos", "rows", "edges", "lam",
+    __slots__ = ("colors", "red", "vertex_pos", "white", "blue", "rw", "rb", "rows", "lam",
                  "conversion_rate")
 
     def __init__(self, graph: Graph, params: Params) -> None:
@@ -174,10 +177,10 @@ class GraphState:
                 f"({params.init_mode.value} start) needs {params.total_vertices}"
             )
         self.colors = [_WHITE] * graph.vertex_count
-        self.red, self.rw, self.rb = [], [], []
-        self.vertex_pos = [0] * graph.vertex_count
-        self.edge_pos = [0] * len(graph.indices)
-        self.rows, self.edges = graph.rows, graph.edges
+        self.red, self.vertex_pos = [], [0] * graph.vertex_count
+        self.white, self.blue = graph.degrees.copy(), [0] * graph.vertex_count
+        self.rw = self.rb = 0
+        self.rows = graph.rows
         self.lam, self.conversion_rate = params.lam, params.conversion_rate
         r0, b0 = params.initial_red_blue
         for v in range(r0, r0 + b0):
@@ -187,48 +190,30 @@ class GraphState:
             self.paint_red(v)
 
     def paint_red(self, v: int) -> None:
-        colors, rw, rb, pos = self.colors, self.rw, self.rb, self.edge_pos
-        assert colors[v] == _WHITE
-        colors[v] = _RED
+        assert self.colors[v] == _WHITE
+        self.colors[v] = _RED
         self.vertex_pos[v] = len(self.red)
         self.red.append(v)
-        for e, x, back in self.rows[v]:
-            c = colors[x]
-            if c == _WHITE:
-                pos[e] = len(rw)
-                rw.append(e)
-            elif c == _RED:  # remove (x, v) from rw
-                last = rw.pop()
-                if last != back:
-                    pos[last] = i = pos[back]
-                    rw[i] = last
-            else:
-                pos[e] = len(rb)
-                rb.append(e)
+        row, white, blue = self.rows[v], self.white, self.blue[v]
+        # v's red-white edges come in, and its red neighbours' edges to v leave
+        self.rw += 2 * white[v] + blue - len(row)
+        self.rb += blue
+        for x in row:
+            white[x] -= 1
 
     def paint_blue(self, v: int) -> None:
-        colors, rw, rb, pos = self.colors, self.rw, self.rb, self.edge_pos
-        assert colors[v] == _RED
-        colors[v] = _BLUE
+        assert self.colors[v] == _RED
+        self.colors[v] = _BLUE
         last = self.red.pop()
         if last != v:
             self.vertex_pos[last] = i = self.vertex_pos[v]
             self.red[i] = last
-        for e, x, back in self.rows[v]:
-            c = colors[x]
-            if c == _WHITE:  # remove (v, x) from rw
-                last = rw.pop()
-                if last != e:
-                    pos[last] = i = pos[e]
-                    rw[i] = last
-            elif c == _RED:
-                pos[back] = len(rb)
-                rb.append(back)
-            else:  # remove (v, x) from rb
-                last = rb.pop()
-                if last != e:
-                    pos[last] = i = pos[e]
-                    rb[i] = last
+        row, white, blue = self.rows[v], self.white[v], self.blue
+        # v's own edges leave, and its red neighbours' edges to v turn red-blue
+        self.rw -= white
+        self.rb += len(row) - white - 2 * blue[v]
+        for x in row:
+            blue[x] += 1
 
     def step(self, u_class: float, u_member: float, u_hold: float) -> tuple[EventKind, float]:
         """One Gillespie event, in place, from uniforms for its class, its
@@ -237,37 +222,44 @@ class GraphState:
         red, rw, rb = self.red, self.rw, self.rb
         if not red:
             raise NoTransitionError("process already fixated (no red vertices)")
-        rate_grow = self.lam * len(rw)
-        rate_chase = float(len(rb))
+        rate_grow = self.lam * rw
+        rate_chase = float(rb)
         rate_convert = self.conversion_rate * len(red)
         total = rate_grow + rate_chase + rate_convert
         if total <= 0.0:
             raise NoTransitionError("total jump rate is zero in this state")
-        x = u_class * total
-        if x < rate_grow:
-            self.paint_red(self.edges[_pick(rw, u_member)][1])
+        draw = u_class * total
+        if draw < rate_grow:
+            v, k = _walk(red, self.white, u_member, rw)
+            colors = self.colors
+            for x in self.rows[v]:
+                if colors[x] == _WHITE:
+                    if not k:
+                        break
+                    k -= 1
+            else:
+                raise AssertionError(f"red vertex {v} has fewer white neighbours than counted")
+            self.paint_red(x)
             event = EventKind.GROW
-        elif x < rate_grow + rate_chase:  # the red tail of a red-blue edge turns blue
-            edges = self.edges
-            self.paint_blue(edges[edges[_pick(rb, u_member)][2]][1])
+        elif draw < rate_grow + rate_chase:
+            self.paint_blue(_walk(red, self.blue, u_member, rb)[0])
             event = EventKind.CHASE
         else:
-            self.paint_blue(_pick(red, u_member))
+            self.paint_blue(red[min(int(u_member * len(red)), len(red) - 1)])
             event = EventKind.CONVERT
         return event, -math.log1p(-u_hold) / total
 
-    def recount(self) -> tuple[int, int, int]:
-        """Brute-force (red, red-white, red-blue) counts for consistency checks."""
-        colors = self.colors
-        red = [v for v, c in enumerate(colors) if c == _RED]
-        heads = [colors[x] for v in red for _, x, _ in self.rows[v]]
-        return len(red), heads.count(_WHITE), heads.count(_BLUE)
 
-
-def _pick(items: list[int], u: float) -> int:
-    """Member at index floor(u * len) for a uniform u in [0, 1)."""
-    n = len(items)
-    return items[min(int(u * n), n - 1)]
+def _walk(red: list[int], counts: list[int], u: float, total: int) -> tuple[int, int]:
+    """The first red vertex v whose running sum of ``counts`` passes k =
+    floor(u * total), for a uniform u in [0, 1), and k less the sum before v."""
+    k = min(int(u * total), total - 1)
+    for v in red:
+        c = counts[v]
+        if k < c:
+            return v, k
+        k -= c
+    raise AssertionError(f"the red vertices' counts sum to less than {total}")
 
 
 def run_graph_to_fixation(

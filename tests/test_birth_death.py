@@ -21,15 +21,45 @@ from chasescape import (
 from chasescape.analytics import chi_square_gof
 from chasescape.birth_death import (
     MAX_COUPLING_UNIFORMS,
+    _spacings,
     coupling_block,
     sample_limit_sum,
     sample_terminal_gamma_process,
-    simulate_birth_times,
-    simulate_death_times,
 )
 from chasescape.chain import FixationResult
-from chasescape.params import MAX_N
+from chasescape.params import MAX_N, is_integer, require_positive
 from chasescape.rng import stream_seeds
+
+
+# The two clocks drawn one process at a time, the reference the coupling's
+# rows are checked against; ``test_chain`` checks that they refuse bad
+# arguments as the package's entry points do.
+
+
+def simulate_death_times(n: int, lam: float, rng: np.random.Generator) -> np.ndarray:
+    """Ordered death times of n individuals dying independently at rate lam;
+    spacing i has law Exp(lam * (n - i))."""
+    if not is_integer(n) or n < 1:
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    require_positive("lambda", lam)
+    return _spacings(rng.random(n), lam * np.arange(-n, 0.0)).cumsum()
+
+
+def simulate_birth_times(
+    alpha: float, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """First k jump times of the defective birth process, and its flags.
+
+    Spacing i has law Exp(i + alpha); flag i marks whether jump i+1 was
+    produced by the defective progenitor, which happens with probability
+    alpha / (i + alpha) independently per jump.  Draws one block of k
+    uniforms for the spacings, then one block of k for the flags.
+    """
+    require_positive("alpha", alpha)
+    if not is_integer(k) or k < 1:
+        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
+    rates = np.arange(k, dtype=np.float64) + alpha
+    return _spacings(rng.random(k), -rates).cumsum(), rng.random(k) < alpha / rates
 
 
 def _mean_within_3se(values, target):

@@ -22,12 +22,7 @@ from chasescape import (
 )
 from chasescape import chain
 from chasescape.analytics import prob_gamma_less_exp_closed, stats_wilson_ci
-from chasescape.birth_death import (
-    sample_limit_sum,
-    sample_terminal_gamma_process,
-    simulate_birth_times,
-    simulate_death_times,
-)
+from chasescape.birth_death import sample_limit_sum, sample_terminal_gamma_process
 from chasescape.chain import (
     EventKind,
     JumpRecord,
@@ -38,6 +33,7 @@ from chasescape.chain import (
 )
 from chasescape.params import MAX_N, MAX_RATE, MIN_RATE, ResourceLimitError
 from chasescape.rng import stream_seeds
+from test_birth_death import simulate_birth_times, simulate_death_times
 
 KORTCHEMSKI = InitMode.KORTCHEMSKI
 

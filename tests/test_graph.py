@@ -21,19 +21,24 @@ from chasescape import (
 from chasescape.analytics import chi_square_gof
 from chasescape import graph
 from chasescape.chain import EventKind
-from chasescape.graph import _BLUE, _RED, _WHITE, Graph, GraphState, parse_edge_list
+from chasescape.graph import _BLUE, _RED, _WHITE, Graph, GraphState, graph_block, parse_edge_list
 from chasescape.params import NoTransitionError
+from chasescape.rng import stream_seeds
 
 SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
 
 
+def _tails(g):
+    """The tail of every adjacency entry, in table order."""
+    return np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
+
+
 def _assert_csr_tables(g):
-    """Heads ascend within each row, and ``reverse`` maps (u, v) to (v, u)."""
-    tails = np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
+    """Heads ascend within each row, and (v, u) is an entry exactly when (u, v) is."""
     for u in range(g.vertex_count):
         assert np.all(np.diff(g.indices[g.indptr[u] : g.indptr[u + 1]]) > 0)
-    assert np.array_equal(tails[g.reverse], g.indices)
-    assert np.array_equal(g.indices[g.reverse], tails)
+    entries = set(zip(_tails(g).tolist(), g.indices.tolist()))
+    assert {(v, u) for u, v in entries} == entries
 
 
 class TestGraphConstruction:
@@ -41,7 +46,6 @@ class TestGraphConstruction:
         g = complete_graph(2)
         assert g.indptr.tolist() == [0, 1, 2]
         assert g.indices.tolist() == [1, 0]
-        assert g.reverse.tolist() == [1, 0]
 
     def test_k5_edges_and_degrees(self):
         g = complete_graph(5)
@@ -88,7 +92,7 @@ class TestGraphConstruction:
             complete_graph(6)
 
     def test_cap_admits_k1025_and_refuses_k1026_before_allocating(self):
-        # K_1026's tables would take 8 MiB, and its rows about 160 MiB
+        # K_1026's tables would take 8 MiB, and its rows about 32 MiB
         assert 1025 * 1024 <= graph.MAX_GRAPH_ENTRIES < 1026 * 1025
         tracemalloc.start()
         try:
@@ -103,11 +107,9 @@ class TestGraphConstruction:
 def _assert_rows_restate_the_tables(g):
     assert len(g.rows) == g.vertex_count
     for u, row in enumerate(g.rows):
-        lo, hi = g.indptr[u], g.indptr[u + 1]
-        assert [e for e, _, _ in row] == list(range(lo, hi))
-        assert [x for _, x, _ in row] == g.indices[lo:hi].tolist()
-        assert [back for _, _, back in row] == g.reverse[lo:hi].tolist()
-        assert all(g.edges[e] is entry for entry, e in zip(row, range(lo, hi)))
+        assert row == g.indices[g.indptr[u] : g.indptr[u + 1]].tolist()
+        assert all(type(x) is int for x in row)
+    assert g.degrees == np.diff(g.indptr).tolist() == [len(row) for row in g.rows]
 
 
 class TestRows:
@@ -121,14 +123,21 @@ class TestRows:
 
     def test_rows_are_built_on_first_use_and_not_pickled(self):
         g = complete_graph(7)
-        assert "rows" not in vars(g) and "edges" not in vars(g)
-        rows = g.rows
-        assert "rows" in vars(g) and g.rows is rows
+        assert "rows" not in vars(g) and "degrees" not in vars(g)
+        rows, degrees = g.rows, g.degrees
+        assert g.rows is rows and g.degrees is degrees
         copy = pickle.loads(pickle.dumps(g))
-        assert "rows" not in vars(copy) and "edges" not in vars(copy)
-        for table in ("indptr", "indices", "reverse"):
+        assert "rows" not in vars(copy) and "degrees" not in vars(copy)
+        assert set(vars(copy)) == {"indptr", "indices"}
+        for table in ("indptr", "indices"):
             assert np.array_equal(getattr(copy, table), getattr(g, table))
-        assert copy.rows == rows
+        assert copy.rows == rows and copy.degrees == degrees
+
+    def test_a_trial_leaves_the_cached_degrees_alone(self):
+        g = _path_graph(6)
+        degrees = list(g.degrees)
+        run_graph_to_fixation(g, Params(5, 1.0, 1.0), make_rng(3))
+        assert g.degrees == degrees
 
 
 class TestEdgeListFormat:
@@ -137,14 +146,12 @@ class TestEdgeListFormat:
         assert g.vertex_count == 3
         assert g.indptr.tolist() == [0, 1, 3, 4]
         assert g.indices.tolist() == [1, 0, 2, 1]
-        assert g.reverse.tolist() == [1, 0, 3, 2]
 
     def test_roundtrip(self):
         g = complete_graph(6)
-        tails = np.repeat(np.arange(6), np.diff(g.indptr))
-        lines = [f"{u} {v}" for u, v in zip(tails, g.indices) if u < v]
+        lines = [f"{u} {v}" for u, v in zip(_tails(g), g.indices) if u < v]
         h = parse_edge_list(lines)
-        for table in ("indptr", "indices", "reverse"):
+        for table in ("indptr", "indices"):
             assert np.array_equal(getattr(h, table), getattr(g, table))
 
     def test_sparse_graph_tables(self):
@@ -246,8 +253,8 @@ class TestRates:
         g = complete_graph(10)
         state = _colored_state(g, red=(0, 1, 2), blue=(3, 4))
         assert len(state.red) == 3
-        assert len(state.rw) == 3 * 5
-        assert len(state.rb) == 3 * 2
+        assert state.rw == 3 * 5
+        assert state.rb == 3 * 2
 
     def test_red_surrounded_by_blue_must_be_chased(self):
         g = parse_edge_list(["0 1", "0 2"])  # star center 0
@@ -274,7 +281,7 @@ class TestRates:
     def test_zero_total_rate_raises(self):
         # edge 0-2 and an isolated vertex 1, which only a hand-built graph
         # has: blue 1 cannot chase, so red {0, 2} has no move
-        g = Graph(*(np.array(x, dtype=np.int32) for x in ([0, 1, 1, 2], [2, 0], [1, 0])))
+        g = Graph(*(np.array(x, dtype=np.int32) for x in ([0, 1, 1, 2], [2, 0])))
         p = Params(1, 1.0, 0.0, InitMode.KORTCHEMSKI)
         state = _colored_state(g, red=(0, 2), blue=(1,), params=p)  # no conversion
         with pytest.raises(NoTransitionError):
@@ -282,19 +289,18 @@ class TestRates:
 
 
 def _assert_consistent(state, g):
-    """The three sets hold exactly the red vertices, the red-white and the
-    red-blue edges, and each position table indexes its set."""
-    assert state.recount() == (len(state.red), len(state.rw), len(state.rb))
-    tails = np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
-    colors = np.array(state.colors)
-    assert np.all(colors[state.red] == _RED)
-    for items, head_color in ((state.rw, _WHITE), (state.rb, _BLUE)):
-        assert np.all(colors[tails[items]] == _RED)
-        assert np.all(colors[g.indices[items]] == head_color)
-    for items, pos in (
-        (state.red, state.vertex_pos), (state.rw, state.edge_pos), (state.rb, state.edge_pos)
-    ):
-        assert all(pos[x] == i for i, x in enumerate(items))
+    """Each vertex's white and blue counts, and the red-white and red-blue
+    edge counts, equal a brute-force count over the CSR tables; ``red``
+    holds exactly the red vertices and ``vertex_pos`` indexes it."""
+    tails, colors = _tails(g), np.array(state.colors)
+    heads = colors[g.indices]
+    for counts, color in ((state.white, _WHITE), (state.blue, _BLUE)):
+        assert counts == np.bincount(tails, heads == color, g.vertex_count).astype(int).tolist()
+    red_tail = colors[tails] == _RED
+    assert state.rw == np.count_nonzero(red_tail & (heads == _WHITE))
+    assert state.rb == np.count_nonzero(red_tail & (heads == _BLUE))
+    assert sorted(state.red) == np.flatnonzero(colors == _RED).tolist()
+    assert all(state.vertex_pos[v] == i for i, v in enumerate(state.red))
 
 
 class TestBookkeeping:
@@ -377,7 +383,96 @@ def test_jump_count_bound_and_conservation(seed, n):
     assert res.white_survivors + res.blue_total == g.vertex_count
 
 
+def _coloring_law_of_W(g, params):
+    """P(W = w), w = 0 .. m, on a graph of m <= 11 vertices, by a forward DP
+    over vertex colorings from the start state of ``params``.
+
+    A coloring is a pair of bitmasks (white, red); the other vertices are
+    blue.  A white x turns red at rate lam times its red neighbours, and a red
+    u turns blue at rate its blue neighbours plus the conversion rate.  Each
+    event lowers 2 * #white + #red by one, so the colorings form layers, and
+    the DP pushes each layer's mass into the layers below; the mass that
+    reaches a coloring with no red is P(W = #white)."""
+    m = g.vertex_count
+    assert m <= 11, "the DP holds up to 3^m colorings"
+    neighbours = [sum(1 << x for x in row) for row in g.rows]
+    everyone = (1 << m) - 1
+    r0, b0 = params.initial_red_blue
+    white, red = everyone & -(1 << (r0 + b0)), (1 << r0) - 1
+    layers = [{} for _ in range(2 * (m - r0 - b0) + r0 + 1)]
+    layers[-1][white, red] = 1.0
+    law = np.zeros(m + 1)
+    for layer in reversed(layers):
+        for (white, red), mass in layer.items():
+            if not red:
+                law[white.bit_count()] += mass
+                continue
+            blue = everyone & ~(white | red)
+            moves = [
+                (params.lam * (neighbours[x] & red).bit_count(), (white ^ 1 << x, red | 1 << x))
+                for x in range(m)
+                if white >> x & 1
+            ] + [
+                ((neighbours[u] & blue).bit_count() + params.conversion_rate, (white, red ^ 1 << u))
+                for u in range(m)
+                if red >> u & 1
+            ]
+            total = sum(rate for rate, _ in moves)
+            for rate, (w, r) in moves:
+                if rate:
+                    below = layers[2 * w.bit_count() + r.bit_count()]
+                    below[w, r] = below.get((w, r), 0.0) + mass * rate / total
+    return law
+
+
+def _star(m, center):
+    return [f"{center} {v}" for v in range(m) if v != center]
+
+
+_PETERSEN = [f"{v} {w}" for v in range(5) for w in ((v + 1) % 5, v + 5)] + [
+    f"{5 + v} {5 + (v + 2) % 5}" for v in range(5)
+]
+# (edge list, start): the standard start paints vertex 0 red, the kortchemski
+# start vertex 0 red and vertex 1 blue (on the 11-path that ends at once, so
+# the path runs the standard start only); the stars start at their center
+# (vertex 0) or at a leaf (center 8)
+_OFF_COMPLETE = {
+    "path11": ([f"{v} {v + 1}" for v in range(10)], InitMode.STANDARD),
+    "cycle11-standard": ([f"{v} {(v + 1) % 11}" for v in range(11)], InitMode.STANDARD),
+    "cycle11-kortchemski": ([f"{v} {(v + 1) % 11}" for v in range(11)], InitMode.KORTCHEMSKI),
+    "petersen-standard": (_PETERSEN, InitMode.STANDARD),
+    "petersen-kortchemski": (_PETERSEN, InitMode.KORTCHEMSKI),
+    "star9-center-standard": (_star(9, 0), InitMode.STANDARD),
+    "star9-center-kortchemski": (_star(9, 0), InitMode.KORTCHEMSKI),
+    "star9-leaf-standard": (_star(9, 8), InitMode.STANDARD),
+    "star9-leaf-kortchemski": (_star(9, 8), InitMode.KORTCHEMSKI),
+}
+
+
 class TestLawAgreement:
+    @pytest.mark.parametrize("case", list(_OFF_COMPLETE))
+    def test_matches_the_coloring_dp_off_the_complete_graph(self, case):
+        # the member rule matters here, unlike on K_{n+1}: a chase that paints
+        # a uniform red vertex instead of a blue-weighted one fails 5 of
+        # these 9 cases
+        lines, mode = _OFF_COMPLETE[case]
+        g = parse_edge_list(lines)
+        start = 2 if mode is InitMode.KORTCHEMSKI else 1
+        p = Params(g.vertex_count - start, 1.0, 2.0, mode)
+        law = _coloring_law_of_W(g, p)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        seed = 26 + list(_OFF_COMPLETE).index(case)
+        white, _, _ = graph_block(g, p, stream_seeds(seed, 0, 10000))
+        chi = chi_square_gof(np.bincount(white, minlength=g.vertex_count + 1), law)
+        assert chi.pvalue >= 0.001
+
+    def test_coloring_dp_matches_the_chain_dp_on_complete_graphs(self):
+        for p in (Params(6, 1.3, 0.7), Params(5, 0.8, 0.0, InitMode.KORTCHEMSKI)):
+            law = _coloring_law_of_W(complete_graph(p.total_vertices), p)
+            exact = exact_distribution_W(p.n, p.lam, p.alpha, p.init_mode).probabilities
+            assert law[: p.n + 1] == pytest.approx(exact, abs=1e-12)
+            assert not law[p.n + 1 :].any()
+
     def test_matches_exact_distribution_on_complete_graph(self):
         n, trials = 8, 20000
         g = complete_graph(n + 1)

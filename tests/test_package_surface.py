@@ -81,19 +81,17 @@ def test_scripts_and_perfbench_reach_only_the_package_surface():
     assert not missing, f"not exported and not a submodule: {missing}"
 
 
-def test_every_private_module_name_in_src_is_used_in_src():
-    # a module-level _helper or _CONSTANT that no src module reads is dead
-    # code, whatever a test still reaches through it
-    paths = sorted((ROOT / "src" / "chasescape").glob("*.py"))
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
-    defined, loaded = set(), set()
+SRC = sorted((ROOT / "src" / "chasescape").glob("*.py"))
+
+
+def _trees(paths):
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
+def _loaded_names(trees):
+    """Every name the trees read: a loaded name, an attribute or an import."""
+    loaded = set()
     for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
@@ -101,6 +99,44 @@ def test_every_private_module_name_in_src_is_used_in_src():
                 loaded.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 loaded.update(alias.name for alias in node.names)
+    return loaded
+
+
+def test_every_private_module_name_in_src_is_used_in_src():
+    # a module-level _helper or _CONSTANT that no src module reads is dead
+    # code, whatever a test still reaches through it
+    trees = _trees(SRC)
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    loaded = _loaded_names(trees)
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert {"_fold", "_FOLD", "_spacings"} <= private  # the walk sees both kinds
     assert not private - loaded, f"defined but never loaded in src: {sorted(private - loaded)}"
+
+
+def test_every_public_function_class_and_method_in_src_is_used_outside_tests():
+    # src holds only what the program runs: a public function, class or
+    # method that only tests reach belongs in the tests
+    defined = set()
+    for tree in _trees(SRC):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    sub.name
+                    for sub in node.body
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+    public = {name for name in defined if not name.startswith("_")}
+    # the walk sees functions, classes, methods and properties
+    assert {"graph_block", "GraphState", "paint_red", "vertex_count"} <= public
+    users = SRC + sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    unused = public - _loaded_names(_trees(users)) - set(chasescape.__all__)
+    assert not unused, f"public in src but used only by tests: {sorted(unused)}"
