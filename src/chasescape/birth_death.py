@@ -25,7 +25,6 @@ from .params import (
     ParameterError,
     Params,
     ResourceLimitError,
-    is_integer,
     is_real,
     require_positive,
 )

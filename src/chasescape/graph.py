@@ -63,6 +63,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> list[int]:
+        """``degrees[u]``: the degree of u."""
         return np.diff(self.indptr).tolist()
 
     def __getstate__(self) -> dict:
