@@ -3,7 +3,7 @@
 Works on any finite connected graph; on complete graphs the induced
 population process has exactly the law of the count chain in
 :mod:`chasescape.chain`, which makes this module an independent oracle for
-it.  A graph is a pair of CSR tables.  The state keeps each vertex's white
+it.  A graph is its neighbour rows.  The state keeps each vertex's white
 and blue neighbour counts and the red-white and red-blue edge totals, so
 painting v costs one integer update per neighbour.  A jump picks its class
 from the totals and its member by walking the red list on those counts,
@@ -29,9 +29,9 @@ from .rng import streams, uniform_tuples
 
 # cap on the adjacency entries (directed edges) of any graph, checked by
 # complete_graph and parse_edge_list before they allocate: each entry takes
-# 8 bytes of int32 tables and about 32 more of rows once a trial runs (a list
-# slot and an int), so a one-trial block on K_1025, the largest complete
-# graph under the cap, peaks at about 44 MiB (tracemalloc)
+# about 32 bytes of rows (a list slot and an int), so a one-trial block on
+# K_1025, the largest complete graph under the cap, peaks at about 33 MiB
+# with its build (tracemalloc)
 MAX_GRAPH_ENTRIES = (1 << 20) + (1 << 10)
 
 _WHITE, _RED, _BLUE = 0, 1, 2  # the vertex colours GraphState stores; blue is terminal
@@ -39,35 +39,28 @@ _WHITE, _RED, _BLUE = 0, 1, 2  # the vertex colours GraphState stores; blue is t
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph as two CSR int32 tables.
+    """Undirected simple graph: ``rows[u]`` lists the neighbours of u,
+    ascending, as Python ints."""
 
-    The neighbours of u are ``indices[indptr[u]:indptr[u + 1]]``, ascending.
-
-    ``rows`` and ``degrees`` restate the tables as Python lists for the
-    per-event loops.  Each is built on first use, and a pickled graph
-    leaves them behind, so a worker builds its own.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
+    rows: list[list[int]]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.indptr) - 1
-
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        """``rows[u]``: the neighbours of u, ascending."""
-        heads, bounds = self.indices.tolist(), self.indptr.tolist()
-        return [heads[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return len(self.rows)
 
     @cached_property
     def degrees(self) -> list[int]:
         """``degrees[u]``: the degree of u."""
-        return np.diff(self.indptr).tolist()
+        return [len(row) for row in self.rows]
 
-    def __getstate__(self) -> dict:
-        return {name: self.__dict__[name] for name in ("indptr", "indices")}
+
+def require_vertex_count(graph: Graph, params: Params) -> None:
+    """ParameterError unless ``graph`` has ``params.total_vertices`` vertices."""
+    if graph.vertex_count != params.total_vertices:
+        raise ParameterError(
+            f"graph has {graph.vertex_count} vertices but n = {params.n} "
+            f"({params.init_mode.value} start) needs {params.total_vertices}"
+        )
 
 
 def complete_graph(m: int) -> Graph:
@@ -82,9 +75,7 @@ def complete_graph(m: int) -> Graph:
         raise ResourceLimitError(
             f"K_{m} has {m * (m - 1)} adjacency entries, over the cap of {MAX_GRAPH_ENTRIES}"
         )
-    tails, heads = np.arange(m, dtype=np.int32)[:, None], np.arange(m - 1, dtype=np.int32)
-    indices = heads + (heads >= tails)  # row u is every vertex but u, ascending
-    return Graph(np.arange(m + 1, dtype=np.int32) * np.int32(m - 1), indices.ravel())
+    return Graph([[*range(u), *range(u + 1, m)] for u in range(m)])
 
 
 def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Graph:
@@ -94,7 +85,7 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Gr
     self-loops, repeated edges (in either orientation), disconnected graphs,
     and, before building anything, a vertex count other than ``vertex_count``.
     Raises ResourceLimitError at the first edge past MAX_GRAPH_ENTRIES / 2,
-    before any adjacency set or table is built.
+    before any adjacency set or row is built.
     """
     pairs = []
     max_vertex = -1
@@ -140,8 +131,7 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Gr
         queue.extend(found)
     if len(seen) != len(adjacency):
         raise ParameterError("graph is not connected")
-    indices = np.array([v for nbrs in adjacency for v in sorted(nbrs)], dtype=np.int32)
-    return Graph(np.cumsum([0, *map(len, adjacency)], dtype=np.int32), indices)
+    return Graph([sorted(nbrs) for nbrs in adjacency])
 
 
 class GraphState:
@@ -172,11 +162,7 @@ class GraphState:
                  "conversion_rate")
 
     def __init__(self, graph: Graph, params: Params) -> None:
-        if graph.vertex_count != params.total_vertices:
-            raise ParameterError(
-                f"graph has {graph.vertex_count} vertices but n = {params.n} "
-                f"({params.init_mode.value} start) needs {params.total_vertices}"
-            )
+        require_vertex_count(graph, params)
         self.colors = [_WHITE] * graph.vertex_count
         self.red, self.vertex_pos = [], [0] * graph.vertex_count
         self.white, self.blue = graph.degrees.copy(), [0] * graph.vertex_count

@@ -21,7 +21,7 @@ import numpy as np
 from .analytics import _Z975, stats_wilson_ci
 from .birth_death import coupling_block
 from .chain import chain_block
-from .graph import Graph, complete_graph, graph_block
+from .graph import Graph, complete_graph, graph_block, require_vertex_count
 from .params import ParameterError, Params, ResourceLimitError, is_integer, require_seed
 from .rng import stream_seeds
 
@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ParameterError("log-n estimators need n >= 2 (log 1 = 0)")
         if self.graph is not None and self.engine is not Engine.GRAPH:
             raise ParameterError("a graph only applies to the graph engine")
+        if self.graph is not None:
+            require_vertex_count(self.graph, self.params)
 
 
 @dataclass(frozen=True)

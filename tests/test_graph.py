@@ -28,34 +28,33 @@ from chasescape.rng import stream_seeds
 SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
 
 
-def _tails(g):
-    """The tail of every adjacency entry, in table order."""
-    return np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
-
-
-def _assert_csr_tables(g):
-    """Heads ascend within each row, and (v, u) is an entry exactly when (u, v) is."""
-    for u in range(g.vertex_count):
-        assert np.all(np.diff(g.indices[g.indptr[u] : g.indptr[u + 1]]) > 0)
-    entries = set(zip(_tails(g).tolist(), g.indices.tolist()))
+def _assert_rows(g):
+    """Each row ascends, holds Python ints and not its own vertex; v is in
+    row u exactly when u is in row v; ``degrees`` are the row lengths."""
+    for u, row in enumerate(g.rows):
+        assert all(type(x) is int for x in row)
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert u not in row
+    entries = {(u, v) for u, row in enumerate(g.rows) for v in row}
     assert {(v, u) for u, v in entries} == entries
+    assert g.degrees == [len(row) for row in g.rows]
 
 
 class TestGraphConstruction:
     def test_k2_single_edge(self):
         g = complete_graph(2)
-        assert g.indptr.tolist() == [0, 1, 2]
-        assert g.indices.tolist() == [1, 0]
+        assert g.rows == [[1], [0]]
 
     def test_k5_edges_and_degrees(self):
         g = complete_graph(5)
-        assert len(g.indices) == 2 * 10
-        assert np.diff(g.indptr).tolist() == [4] * 5
+        assert g.rows == [[x for x in range(5) if x != u] for u in range(5)]
+        assert sum(g.degrees) == 2 * 10
+        assert g.degrees == [4] * 5
 
     def test_k101_degrees(self):
         g = complete_graph(101)
-        assert np.all(np.diff(g.indptr) == 100)
-        _assert_csr_tables(g)
+        assert g.degrees == [100] * 101
+        _assert_rows(g)
 
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):
@@ -72,18 +71,21 @@ class TestGraphConstruction:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_tables_take_under_16_bytes_per_adjacency_entry(self):
-        # two int32 tables take 8 bytes per entry; a tuple or a boxed int per
-        # entry would take at least 28
-        m = 1025
+    def test_one_trial_block_on_k1025_peaks_under_40_mib(self):
+        # the rows take about 32 bytes per adjacency entry (a list slot and
+        # an int), so the block, its build included, peaks at about 33 MiB;
+        # a second copy of the adjacency as int32 tables, 8 MiB more, fails it
+        params = Params(1024, 1.0, 1.0)
         tracemalloc.start()
         try:
-            g = complete_graph(m)
+            white, _, _ = graph_block(
+                complete_graph(params.total_vertices), params, stream_seeds(0, 0, 1)
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert g.vertex_count == m
-        assert peak < 16 * m * (m - 1)
+        assert white.size == 1
+        assert peak < 40 << 20
 
     def test_cap_counts_adjacency_entries(self, monkeypatch):
         monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 20)
@@ -92,7 +94,7 @@ class TestGraphConstruction:
             complete_graph(6)
 
     def test_cap_admits_k1025_and_refuses_k1026_before_allocating(self):
-        # K_1026's tables would take 8 MiB, and its rows about 32 MiB
+        # K_1026's rows would take about 32 MiB
         assert 1025 * 1024 <= graph.MAX_GRAPH_ENTRIES < 1026 * 1025
         tracemalloc.start()
         try:
@@ -104,34 +106,12 @@ class TestGraphConstruction:
         assert peak < 64 << 10
 
 
-def _assert_rows_restate_the_tables(g):
-    assert len(g.rows) == g.vertex_count
-    for u, row in enumerate(g.rows):
-        assert row == g.indices[g.indptr[u] : g.indptr[u + 1]].tolist()
-        assert all(type(x) is int for x in row)
-    assert g.degrees == np.diff(g.indptr).tolist() == [len(row) for row in g.rows]
-
-
 class TestRows:
-    def test_rows_restate_the_complete_graph_tables(self):
-        _assert_rows_restate_the_tables(complete_graph(7))
-
-    def test_rows_restate_the_edge_list_tables(self):
-        _assert_rows_restate_the_tables(
-            parse_edge_list(SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n"))
-        )
-
-    def test_rows_are_built_on_first_use_and_not_pickled(self):
+    def test_pickle_round_trip_keeps_rows_and_degrees(self):
+        # a worker gets its graph by pickle
         g = complete_graph(7)
-        assert "rows" not in vars(g) and "degrees" not in vars(g)
-        rows, degrees = g.rows, g.degrees
-        assert g.rows is rows and g.degrees is degrees
         copy = pickle.loads(pickle.dumps(g))
-        assert "rows" not in vars(copy) and "degrees" not in vars(copy)
-        assert set(vars(copy)) == {"indptr", "indices"}
-        for table in ("indptr", "indices"):
-            assert np.array_equal(getattr(copy, table), getattr(g, table))
-        assert copy.rows == rows and copy.degrees == degrees
+        assert copy.rows == g.rows and copy.degrees == g.degrees
 
     def test_a_trial_leaves_the_cached_degrees_alone(self):
         g = _path_graph(6)
@@ -144,20 +124,17 @@ class TestEdgeListFormat:
     def test_parse_path_graph(self):
         g = parse_edge_list(["0 1", "1 2"])
         assert g.vertex_count == 3
-        assert g.indptr.tolist() == [0, 1, 3, 4]
-        assert g.indices.tolist() == [1, 0, 2, 1]
+        assert g.rows == [[1], [0, 2], [1]]
 
     def test_roundtrip(self):
         g = complete_graph(6)
-        lines = [f"{u} {v}" for u, v in zip(_tails(g), g.indices) if u < v]
-        h = parse_edge_list(lines)
-        for table in ("indptr", "indices"):
-            assert np.array_equal(getattr(h, table), getattr(g, table))
+        lines = [f"{u} {v}" for u, row in enumerate(g.rows) for v in row if u < v]
+        assert parse_edge_list(lines).rows == g.rows
 
     def test_sparse_graph_tables(self):
         g = parse_edge_list(SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n"))
-        assert g.vertex_count == 21 and len(g.indices) == 2 * 50
-        _assert_csr_tables(g)
+        assert g.vertex_count == 21 and sum(g.degrees) == 2 * 50
+        _assert_rows(g)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ParameterError):
@@ -187,7 +164,7 @@ class TestEdgeListFormat:
 
     def test_vertex_count_mismatch_refused_before_building(self):
         # the loader refuses once it knows the largest index: no adjacency
-        # set and no CSR table is built
+        # set and no row is built
         lines = [f"{v} {v + 1}" for v in range(20000)]
         tracemalloc.start()
         try:
@@ -208,7 +185,7 @@ class TestEdgeListFormat:
             parse_edge_list(path)
 
     def test_over_the_cap_refused_before_allocating(self, monkeypatch):
-        # 20000 edges: their adjacency sets and tables would peak at about
+        # 20000 edges: their adjacency sets and rows would peak at about
         # 10 MiB; the loader stops at the 501st edge and holds only 500 pairs
         monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 1000)
         lines = [f"{v} {v + 1}" for v in range(20000)]
@@ -281,7 +258,7 @@ class TestRates:
     def test_zero_total_rate_raises(self):
         # edge 0-2 and an isolated vertex 1, which only a hand-built graph
         # has: blue 1 cannot chase, so red {0, 2} has no move
-        g = Graph(*(np.array(x, dtype=np.int32) for x in ([0, 1, 1, 2], [2, 0])))
+        g = Graph([[2], [], [0]])
         p = Params(1, 1.0, 0.0, InitMode.KORTCHEMSKI)
         state = _colored_state(g, red=(0, 2), blue=(1,), params=p)  # no conversion
         with pytest.raises(NoTransitionError):
@@ -290,10 +267,12 @@ class TestRates:
 
 def _assert_consistent(state, g):
     """Each vertex's white and blue counts, and the red-white and red-blue
-    edge counts, equal a brute-force count over the CSR tables; ``red``
-    holds exactly the red vertices and ``vertex_pos`` indexes it."""
-    tails, colors = _tails(g), np.array(state.colors)
-    heads = colors[g.indices]
+    edge counts, equal a brute-force count over the graph's adjacency
+    entries; ``red`` holds exactly the red vertices and ``vertex_pos``
+    indexes it."""
+    tails = np.array([u for u, row in enumerate(g.rows) for _ in row])
+    colors = np.array(state.colors)
+    heads = colors[[v for row in g.rows for v in row]]
     for counts, color in ((state.white, _WHITE), (state.blue, _BLUE)):
         assert counts == np.bincount(tails, heads == color, g.vertex_count).astype(int).tolist()
     red_tail = colors[tails] == _RED

@@ -475,14 +475,18 @@ class TestEngineSummaries:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_edge_list_vertex_count_must_match(self, inline_pools, pin_cpu_count, parallelism):
+        # refused as the config is built: the parent's empty block runs no
+        # trial, so it would let the pool start
         pin_cpu_count(2)
         square = parse_edge_list(["0 1", "1 2", "2 3", "3 0"])
-        config = _config(
-            params=Params(100, 1.0, 1.0), engine=Engine.GRAPH, graph=square,
-            trials=10, parallelism=parallelism,
-        )
-        with pytest.raises(ParameterError, match="4 vertices"):
-            run_trials(config)
+        with pytest.raises(
+            ParameterError, match=r"graph has 4 vertices but n = 100 \(standard start\) needs 101"
+        ):
+            _config(
+                params=Params(100, 1.0, 1.0), engine=Engine.GRAPH, graph=square,
+                trials=10, parallelism=parallelism,
+            )
+        assert inline_pools == []
 
 
 def test_import_does_not_load_scipy_integrate():
