@@ -26,12 +26,13 @@ MAX_RECORDED_JUMPS = 1 << 19
 # uniforms per window of a chain stream: the event uniforms of _WINDOW // 2
 # jumps, then those jumps' Exp(1) holding times
 _WINDOW = 256
-# jumps the lockstep decides before it folds their conversions and clock
-_FOLD = 32
+# jumps per lockstep block: a trial that fixates in it steps on to its end, and
+# one fold then finds each trial's fixation, conversions and clock
+_FOLD = 64
 # fewest trials a chunk runs in lockstep; a smaller chunk runs the scalar loop
-# once per trial.  At lambda = 1, alpha = 2 the two break even at 44 to 52
-# trials at n = 50, 32 to 36 at n = 200 and 28 to 32 at n = 1000 (medians of
-# 11 interleaved pairs on 2 x86-64 CPUs)
+# once per trial.  At lambda = 1, alpha = 2 they break even at 24 to 32 trials
+# at n = 50, 200 and 1000, and at 32 the lockstep takes 0.83 to 0.94 of the
+# scalar time (medians of 11 interleaved pairs on 2 x86-64 CPUs)
 _LOCKSTEP_MIN_LIVE = 32
 # trials per chunk of a block; with one window of _WINDOW draws per trial a
 # chunk holds at most 2^16 of them (512 KiB) at any n
@@ -153,12 +154,12 @@ def chain_block(
     There every live trial makes its t-th jump in the same numpy step, which
     reads its event uniform from the trial's window row and decides only
     whether the jump grows red or blues a red, with the scalar loop's IEEE
-    expressions.  Conversions and the clock need not be known jump by jump:
-    every ``_FOLD`` jumps, and for a trial at the jump where it fixates, a
-    fold recomputes them for the block from the stored flags, event uniforms
-    and Exp(1) draws.  A row holds one window of ``_WINDOW`` draws, so a
-    trial holds O(_WINDOW) doubles however long it runs.  A trial leaves the
-    step arrays at fixation, so no arithmetic runs on a row with no red.
+    expressions.  After each block of ``_FOLD`` jumps a fold finds the jump at
+    which each trial fixated and recomputes conversions and the clock up to it
+    from the stored flags, event uniforms and Exp(1) draws; a trial that
+    fixated inside a block steps on to the block's end and leaves after it.
+    A row holds one window of ``_WINDOW`` draws, so a trial holds O(_WINDOW)
+    doubles however long it runs.
     """
     white, conversions, times = empty_block(len(seeds))
     for lo in range(0, len(seeds), _CHUNK_TRIALS):
@@ -180,15 +181,15 @@ def _lockstep(
     """One chunk of :func:`chain_block` to its end, into its output views.
 
     A jump runs seven ufuncs into per-chunk buffers: it stores whether the
-    red count fell, ``u >= p_grow``, in ``flags`` and adds that to b.  Only
-    the least r over the live trials tells whether one can fixate, so r is
-    computed again only from the jump at which the least r could reach 1.
-    Each trial's stream is re-keyed once per window of ``_WINDOW // 2``
-    jumps, which fills its row: the event uniforms in the first half, the
-    Exp(1) draws in the second.  :func:`_fold` computes the conversions and
-    clock of a block of ``_FOLD`` jumps at its last jump, and for each trial
-    at the jump where it fixates; a window holds whole blocks, so a jump's
-    place in its block is its column's.
+    red count fell, ``u >= p_grow``, in ``flags`` and adds that to b.  Each
+    trial's stream is re-keyed once per window of ``_WINDOW // 2`` jumps,
+    which fills its row: the event uniforms in the first half, the Exp(1)
+    draws in the second.  A block is k = min(_FOLD, 2 * total - layer) jumps
+    of every live trial, as none fixates above layer 2 * total, and a window
+    holds whole blocks.  :func:`_fold` then finds each trial's fixation, and
+    those that fixated leave.  Stepping on to the block's end is safe: a grow
+    lowers w by one, at w = 0 p_grow = 0 so every later jump blues, and
+    denom >= b + alpha > 0 in both starts.
     """
     lam = params.lam
     a = params.conversion_rate
@@ -207,66 +208,55 @@ def _lockstep(
     b = np.full(count, float(b0))
     c = np.zeros(count, dtype=np.int64)
     t = np.zeros(count)
-    first = layer = check = r0 + 2 * b0  # no trial fixates before layer ``check``
+    first = layer = r0 + 2 * b0
     while trial.size:
-        col = (layer - first) % half  # the jump's column in its window
+        col = (layer - first) % half  # the block's first column in its window
         if col == 0:
             for row, rng in zip(rows, streams(seeds[trial], 2 * (layer - first))):
                 rng.random(out=row[:half])
                 rng.standard_exponential(out=row[half:], method="inv")
-        j = col % _FOLD  # the jump's place in its fold block
-        start = col - j  # the block's first column
-        np.add(b, total - layer, out=lw)
-        np.multiply(lw, lam, out=lw)
-        np.add(lw, b, out=denom)
-        np.add(denom, a, out=denom)
-        np.divide(lw, denom, out=p_grow)
-        not_grow = np.greater_equal(rows[:, col], p_grow, out=flags[:, j])
-        # only a jump that blues the last red fixates a trial, and the least
-        # r falls by at most one per jump
-        done = None
-        if layer >= check:
-            r = layer - 2 * b
-            least = int(np.minimum.reduce(r))
-            check = layer + least - 1
-            if least == 1:
-                done = not_grow & (r == 1)
-        np.add(b, not_grow, out=b)
-        layer += 1
-        if done is not None and done.any():
-            out = trial[done]
-            block = rows[done]
-            c_out, times[out] = _fold(params, block[:, start : col + 1],
-                                      block[:, half + start : half + col + 1],
-                                      flags[done, : j + 1], b[done], layer - j - 1, t[done])
-            white[out] = (total - layer) + b[done]
-            conversions[out] = c[done] + c_out
-            keep = ~done
-            trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
-            live = trial.size
-            rows[:live, start:] = rows[keep, start:]
-            flags[:live, : j + 1] = flags[keep, : j + 1]
-            rows, flags, lw, denom, p_grow = (x[:live] for x in (rows, flags, lw, denom, p_grow))
-        if j == _FOLD - 1:
-            c_add, t = _fold(params, rows[:, start : col + 1], rows[:, half + start : half + col + 1],
-                             flags, b, layer - _FOLD, t)
-            c += c_add
+        k = min(_FOLD, 2 * total - layer)
+        for j in range(k):
+            np.add(b, total - layer - j, out=lw)
+            np.multiply(lw, lam, out=lw)
+            np.add(lw, b, out=denom)
+            np.add(denom, a, out=denom)
+            np.divide(lw, denom, out=p_grow)
+            not_grow = np.greater_equal(rows[:, col + j], p_grow, out=flags[:, j])
+            np.add(b, not_grow, out=b)
+        jumps, c_add, t = _fold(params, rows[:, col : col + k],
+                                rows[:, half + col : half + col + k], flags[:, :k], b, layer, t)
+        c += c_add
+        done = jumps <= k
+        out = trial[done]
+        # at fixation r = 0, so the layer is 2b
+        white[out] = total - (layer + jumps[done]) // 2
+        conversions[out], times[out] = c[done], t[done]
+        layer += k
+        keep = ~done
+        trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
+        live = trial.size
+        rows[:live, col + k :] = rows[keep, col + k :]
+        rows, flags, lw, denom, p_grow = (x[:live] for x in (rows, flags, lw, denom, p_grow))
 
 
 def _fold(
     params: Params, events: np.ndarray, holds: np.ndarray, flags: np.ndarray, b: np.ndarray,
     layer: int, t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conversions of some trials over k stored jumps, and their clocks after them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jumps to fixation, conversions and clocks of some trials over k stored jumps.
 
     ``events`` and ``holds`` hold each trial's k event uniforms and Exp(1)
     draws, and ``flags`` whether each jump blued a red; ``b`` is the blue
     count after the last jump, ``layer`` the layer at the first and ``t`` the
-    clock before it.  Each jump's b comes back from the flags, and with it
-    the scalar loop's IEEE expressions over the whole block: a conversion is
-    ``u >= p_grow + b / denom``, which implies a decrease, and a holding time
-    is ``E / (r * denom)``.  One left-to-right cumsum adds the holding times
-    to the clock in jump order.
+    clock before it.  Each jump's b, r = layer - 2b and the scalar loop's IEEE
+    expressions come back from the flags.  A trial fixates at its first jump
+    that blues its last red, ``flags & (r == 1)``; it counts its jumps up to
+    that one (k + 1 if none), and only those add conversions (``u >= p_grow +
+    b / denom``, which implies a blue) and holding times (``E / (r * denom)``),
+    so the jumps it stepped on with form no E / 0.  One left-to-right cumsum,
+    whose first step is t plus the first holding time, adds them to the clock
+    in jump order, and +0.0 for each uncounted jump.
     """
     k = flags.shape[1]
     blue = np.cumsum(flags, axis=1, dtype=np.float64)
@@ -279,17 +269,20 @@ def _fold(
     denom = p_grow + blue
     denom += params.conversion_rate
     p_grow /= denom
-    scratch = np.divide(blue, denom)
-    p_grow += scratch
-    converted = np.count_nonzero(events >= p_grow, axis=1)
-    # r is layer - 2b, exact in doubles
-    np.multiply(blue, -2.0, out=scratch)
-    scratch += layers
-    scratch *= denom
-    clock = np.empty((len(t), k + 1))
-    clock[:, 0] = t
-    np.divide(holds, scratch, out=clock[:, 1:])
-    return converted, np.cumsum(clock, axis=1)[:, -1]
+    p_grow += np.divide(blue, denom)
+    # r is layer - 2b, exact in doubles, in blue's buffer
+    r = np.multiply(blue, -2.0, out=blue)
+    r += layers
+    # each trial's last counted jump: its fixation, or past the block
+    ends = np.ones((len(t), k + 1), dtype=bool)
+    np.logical_and(flags, r == 1, out=ends[:, :k])
+    jumps = ends.argmax(axis=1) + 1
+    counted = np.arange(k) < jumps[:, None]
+    converted = np.count_nonzero((events >= p_grow) & counted, axis=1)
+    clock = np.zeros_like(r)
+    np.divide(holds, np.multiply(r, denom, out=r), out=clock, where=counted)
+    clock[:, 0] += t  # the sum's first step: every trial counts its first jump
+    return jumps, converted, np.cumsum(clock, axis=1, out=clock)[:, -1]
 
 
 def check_trajectory(

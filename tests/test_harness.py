@@ -384,19 +384,32 @@ class TestChainBlock:
             # and runs the scalar loop
             pytest.param(100, 0, 270, None, 1.0, 2.0, id="100-0-270-None"),
             # at alpha = 50 most standard trials fixate at their first jump
-            # (W = n), which a fold of one jump computes inside the chunk
+            # (W = n) and step on to the block's end beside the rest
             pytest.param(30, 0, 64, None, 1.0, 50.0, id="30-0-64-None-1-a50"),
             # 256 trials at lambda = 0.5 fixate at every offset of a fold that
-            # a run of 2(n - W) + 1 jumps can end at
-            pytest.param(40, 0, 256, None, 0.5, 2.0, id="40-0-256-None-0.5"),
+            # a run of 2(n - W) + 1 jumps can end at (checked below)
+            pytest.param(200, 0, 256, None, 0.5, 2.0, id="200-0-256-None-0.5"),
+            # 2n + 1 = 81 jumps: the last block is cut to 17 jumps by
+            # 2 * total - layer, and most trials fixate at its last jump, at
+            # layer 2 * total with W = 0; the rest fixate earlier and step on
+            pytest.param(40, 0, 40, None, 2.0, 2.0, id="40-0-40-None-2-cut"),
             # a chunk of exactly _LOCKSTEP_MIN_LIVE trials runs the lockstep
             pytest.param(100, 9, 9 + chain._LOCKSTEP_MIN_LIVE, None, 1.0, 2.0, id="100-9-min_live"),
             # lambda != 1 moves p_grow off the symmetric case in both modes
             pytest.param(200, 1, 101, None, 1.7, 2.0, id="200-1-101-None-1.7"),
-            # at n = 1 and n = 2 every trial fixates before the first fold
-            # block's last jump, with most of its window unread
+            # at n = 1 and n = 2 every trial fixates in the first block, which
+            # 2 * total - layer cuts to 2n + 1 jumps, with most of its window unread
             pytest.param(1, 0, 64, None, 1.0, 2.0, id="1-0-64-None"),
             pytest.param(2, 3, 43, None, 1.0, 2.0, id="2-3-43-None"),
+            # the corners of the rate bounds: trials fixate at their first jump
+            # and step on to their block's end, or make all 2n + 1 jumps, or
+            # (lambda = alpha = 1e-100, standard start) both; a numpy warning
+            # there fails the test (filterwarnings = error)
+            *(
+                pytest.param(50, 0, 40, None, lam, alpha, id=f"50-0-40-None-{lam:g}-{alpha:g}")
+                for lam in (1e-100, 1e100)
+                for alpha in (1e-100, 1e100)
+            ),
         ],
     )
     def test_block_matches_per_trial_kernel(
@@ -411,6 +424,19 @@ class TestChainBlock:
         assert w.tolist() == [res.white_survivors for res in ref]
         assert c.tolist() == [res.conversions for res in ref]
         assert tau.tobytes() == np.array([res.fixation_time for res in ref]).tobytes()
+
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_fixations_end_at_every_offset_of_a_fold(self, mode):
+        # the trials of case 200-0-256-None-0.5: a run makes an odd number of
+        # jumps, 2(n - W) + 1, so it ends at every even offset of a block
+        params = Params(200, 0.5, 2.0, mode)
+        ref = [run_to_fixation(params, make_rng(stream_seed(1003, i))) for i in range(256)]
+        offsets = {(res.jump_count - 1) % chain._FOLD for res in ref}
+        assert offsets == set(range(0, chain._FOLD, 2))
+
+    def test_a_window_holds_whole_fold_blocks(self):
+        # a block's columns are then one slice of its trials' rows
+        assert (chain._WINDOW // 2) % chain._FOLD == 0
 
     def test_empty_block(self):
         w, c, tau = run_block(_config(params=Params(5, 1.0, 1.0), seed=0), 3, 3)
