@@ -187,9 +187,9 @@ def _lockstep(
     draws in the second.  A block is k = min(_FOLD, 2 * total - layer) jumps
     of every live trial, as none fixates above layer 2 * total, and a window
     holds whole blocks.  :func:`_fold` then finds each trial's fixation, and
-    those that fixated leave.  Stepping on to the block's end is safe: a grow
-    lowers w by one, at w = 0 p_grow = 0 so every later jump blues, and
-    denom >= b + alpha > 0 in both starts.
+    those that fixated, if any, leave.  Stepping on to the block's end is
+    safe: a grow lowers w by one, at w = 0 p_grow = 0 so every later jump
+    blues, and denom >= b + alpha > 0 in both starts.
     """
     lam = params.lam
     a = params.conversion_rate
@@ -201,7 +201,7 @@ def _lockstep(
     # trial leaves these views, the step arrays and the four below
     rows = np.empty((count, _WINDOW))
     flags = np.empty((count, _FOLD), dtype=bool)
-    lw, denom, p_grow = np.empty(count), np.empty(count), np.empty(count)
+    lw, denom = np.empty(count), np.empty(count)
     # live trials: their index, blue count, conversions and clock at the last
     # fold; every jump raises the layer r + 2b by one, so r and w follow from b
     trial = np.arange(count)
@@ -221,23 +221,24 @@ def _lockstep(
             np.multiply(lw, lam, out=lw)
             np.add(lw, b, out=denom)
             np.add(denom, a, out=denom)
-            np.divide(lw, denom, out=p_grow)
-            not_grow = np.greater_equal(rows[:, col + j], p_grow, out=flags[:, j])
+            np.divide(lw, denom, out=lw)  # p_grow
+            not_grow = np.greater_equal(rows[:, col + j], lw, out=flags[:, j])
             np.add(b, not_grow, out=b)
         jumps, c_add, t = _fold(params, rows[:, col : col + k],
                                 rows[:, half + col : half + col + k], flags[:, :k], b, layer, t)
         c += c_add
         done = jumps <= k
-        out = trial[done]
-        # at fixation r = 0, so the layer is 2b
-        white[out] = total - (layer + jumps[done]) // 2
-        conversions[out], times[out] = c[done], t[done]
+        if done.any():
+            out = trial[done]
+            # at fixation r = 0, so the layer is 2b
+            white[out] = total - (layer + jumps[done]) // 2
+            conversions[out], times[out] = c[done], t[done]
+            keep = ~done
+            trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
+            live = trial.size
+            rows[:live, col + k :] = rows[keep, col + k :]
+            rows, flags, lw, denom = (x[:live] for x in (rows, flags, lw, denom))
         layer += k
-        keep = ~done
-        trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
-        live = trial.size
-        rows[:live, col + k :] = rows[keep, col + k :]
-        rows, flags, lw, denom, p_grow = (x[:live] for x in (rows, flags, lw, denom, p_grow))
 
 
 def _fold(

@@ -30,6 +30,7 @@ from .harness import (
     ExperimentConfig,
     canonical_json,
     params_as_dict,
+    run_block,
     run_experiment,
 )
 from .params import InitMode, ParameterError, Params, ResourceLimitError, require_seed
@@ -178,10 +179,15 @@ def _parse_config(text: str) -> dict:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
+    """The config ``args`` ask for.  Without a graph file the empty block
+    also refuses a request over an engine's cap, here rather than in the run."""
+    config = ExperimentConfig(
         _params_from_args(args), trials=args.trials, seed=args.seed, parallelism=args.parallelism,
         estimator=Estimator(args.estimator), engine=Engine(args.engine),
     )
+    if args.graph_file is None:
+        run_block(config, 0, 0)
+    return config
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:

@@ -3,15 +3,18 @@
 Works on any finite connected graph; on complete graphs the induced
 population process has exactly the law of the count chain in
 :mod:`chasescape.chain`, which makes this module an independent oracle for
-it.  A graph is its neighbour rows.  The state keeps each vertex's white
-and blue neighbour counts and the red-white and red-blue edge totals, so
-painting v costs one integer update per neighbour.  A jump picks its class
-from the totals and its member by walking the red list on those counts,
-then v's row, so it costs O(deg v + r) with r red vertices.  Against sets
-of red-white and red-blue edge ids, which cost O(deg v) per jump, dense
-graphs gain (K_51 runs at 1.65x their speed, K_201 at 2.4x) and a hub
-loses, since a grow scans the hub's row for a white neighbour: a star of
-1001 vertices started at its center runs at 0.21x, one of 101 at 0.73x.
+it.  A graph is its neighbour rows.  The state keeps the red vertices in a
+list, one per-vertex list of slots (v's index in that list while v is red,
+else a white or blue mark, so W is the count of white marks at fixation),
+each vertex's white and blue neighbour counts and the red-white and
+red-blue edge totals, so painting v costs one integer update per
+neighbour.  A jump picks its class from the totals and its member by
+walking the red list on those counts, then v's row, so it costs
+O(deg v + r) with r red vertices.  Against sets of red-white and red-blue
+edge ids, which cost O(deg v) per jump, dense graphs gain (K_51 runs at
+1.65x their speed, K_201 at 2.4x) and a hub loses, since a grow scans the
+hub's row for a white neighbour: a star of 1001 vertices started at its
+center runs at 0.21x, one of 101 at 0.73x.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .rng import streams, uniform_tuples
 # with its build (tracemalloc)
 MAX_GRAPH_ENTRIES = (1 << 20) + (1 << 10)
 
-_WHITE, _RED, _BLUE = 0, 1, 2  # the vertex colours GraphState stores; blue is terminal
+# GraphState's slot of a vertex that is not red: white, or blue, which is terminal
+_WHITE, _BLUE = -1, -2
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +82,7 @@ def complete_graph(m: int) -> Graph:
     return Graph([[*range(u), *range(u + 1, m)] for u in range(m)])
 
 
-def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Graph:
+def parse_edge_list(lines: Iterable[str], vertex_count: int) -> Graph:
     """Build a graph from "u v" pairs of 0-based vertex indices.
 
     Each line is one undirected edge; blank lines are skipped.  Rejects
@@ -113,7 +117,7 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Gr
         max_vertex = max(max_vertex, u, v)
     if not pairs:
         raise ParameterError("edge list is empty")
-    if vertex_count is not None and max_vertex + 1 != vertex_count:
+    if max_vertex + 1 != vertex_count:
         raise ParameterError(f"graph has {max_vertex + 1} vertices, expected {vertex_count}")
     # m edges connect at most m + 1 vertices, so this refuses before allocating
     if max_vertex > len(pairs):
@@ -135,11 +139,12 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int | None = None) -> Gr
 
 
 class GraphState:
-    """Vertex colours, the red vertices and each vertex's neighbour counts.
+    """The red vertices, each vertex's slot and each vertex's neighbour counts.
 
     ``red`` lists the red vertices; it grows at its end and loses a member
-    by moving its last one into the freed slot, and ``vertex_pos[v]`` is v's
-    index in it.  ``white[v]`` and ``blue[v]`` count v's white and blue
+    by moving its last one into the freed slot.  ``slot[v]`` is v's index in
+    ``red`` while v is red, and ``_WHITE`` or ``_BLUE`` otherwise, so it is
+    also v's colour.  ``white[v]`` and ``blue[v]`` count v's white and blue
     neighbours, whatever v's own colour, so v has deg v - white[v] - blue[v]
     red ones; ``rw`` and ``rb`` count the red-white and red-blue edges.
 
@@ -158,13 +163,11 @@ class GraphState:
     ``params.total_vertices`` vertices.
     """
 
-    __slots__ = ("colors", "red", "vertex_pos", "white", "blue", "rw", "rb", "rows", "lam",
-                 "conversion_rate")
+    __slots__ = ("slot", "red", "white", "blue", "rw", "rb", "rows", "lam", "conversion_rate")
 
     def __init__(self, graph: Graph, params: Params) -> None:
         require_vertex_count(graph, params)
-        self.colors = [_WHITE] * graph.vertex_count
-        self.red, self.vertex_pos = [], [0] * graph.vertex_count
+        self.slot, self.red = [_WHITE] * graph.vertex_count, []
         self.white, self.blue = graph.degrees.copy(), [0] * graph.vertex_count
         self.rw = self.rb = 0
         self.rows = graph.rows
@@ -177,9 +180,8 @@ class GraphState:
             self.paint_red(v)
 
     def paint_red(self, v: int) -> None:
-        assert self.colors[v] == _WHITE
-        self.colors[v] = _RED
-        self.vertex_pos[v] = len(self.red)
+        assert self.slot[v] == _WHITE
+        self.slot[v] = len(self.red)
         self.red.append(v)
         row, white, blue = self.rows[v], self.white, self.blue[v]
         # v's red-white edges come in, and its red neighbours' edges to v leave
@@ -189,11 +191,13 @@ class GraphState:
             white[x] -= 1
 
     def paint_blue(self, v: int) -> None:
-        assert self.colors[v] == _RED
-        self.colors[v] = _BLUE
+        slot = self.slot
+        i = slot[v]
+        assert i >= 0
+        slot[v] = _BLUE
         last = self.red.pop()
         if last != v:
-            self.vertex_pos[last] = i = self.vertex_pos[v]
+            slot[last] = i
             self.red[i] = last
         row, white, blue = self.rows[v], self.white[v], self.blue
         # v's own edges leave, and its red neighbours' edges to v turn red-blue
@@ -218,9 +222,9 @@ class GraphState:
         draw = u_class * total
         if draw < rate_grow:
             v, k = _walk(red, self.white, u_member, rw)
-            colors = self.colors
+            slot = self.slot
             for x in self.rows[v]:
-                if colors[x] == _WHITE:
+                if slot[x] == _WHITE:
                     if not k:
                         break
                     k -= 1
@@ -269,7 +273,7 @@ def run_graph_to_fixation(
         fixation_time += holding
         if event is EventKind.CONVERT:
             conversions += 1
-    white = state.colors.count(_WHITE)
+    white = state.slot.count(_WHITE)
     return FixationResult.at_fixation(params, white, conversions, fixation_time)
 
 

@@ -46,6 +46,12 @@ _LOG_N_ESTIMATORS = (Estimator.CONVERSION_OVER_LOG_N, Estimator.TAU_OVER_LOG_N)
 # and the summary's temporaries), so about 2.7 GB at the cap
 MAX_TRIALS = 1 << 26
 
+# cap on the n + 1 bins of a w_histogram, refused before any trial runs: the
+# summary's bincount, its list and the JSON text peak at about 88 bytes a bin
+# (tracemalloc at n = 10^6; a one-trial chain estimate there peaks at 126 MB
+# RSS against 35 MB at n = 50), so about 370 MB at the cap
+MAX_HISTOGRAM_BINS = 1 << 22
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -69,6 +75,12 @@ class ExperimentConfig:
         require_seed("seed", self.seed)
         if not is_integer(self.parallelism) or self.parallelism < 1:
             raise ParameterError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
+        bins = self.params.n + 1
+        if self.estimator is Estimator.W_HISTOGRAM and bins > MAX_HISTOGRAM_BINS:
+            raise ResourceLimitError(
+                f"a w_histogram at n = {self.params.n} has {bins} bins, "
+                f"over the cap of {MAX_HISTOGRAM_BINS}"
+            )
         if self.estimator in _LOG_N_ESTIMATORS and self.params.n < 2:
             raise ParameterError("log-n estimators need n >= 2 (log 1 = 0)")
         if self.graph is not None and self.engine is not Engine.GRAPH:

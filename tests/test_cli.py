@@ -15,6 +15,13 @@ from chasescape.params import ParameterError, Params
 
 SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
 
+# (engine, n, refusal) of a request over an engine's cap
+_OVER_ENGINE_CAPS = [
+    ("graph", "2000", "K_2001 has 4002000 adjacency entries, over the cap of 1049600"),
+    ("coupling", "2000000",
+     "a coupling trial at n = 2000000 needs 6000002 uniforms, over the cap of 4194304"),
+]
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -192,7 +199,7 @@ class TestEstimate:
         pin_cpu_count(2)
         calls, parse = [], graph.parse_edge_list
 
-        def counting_parse(lines, vertex_count=None):
+        def counting_parse(lines, vertex_count):
             calls.append(vertex_count)
             return parse(lines, vertex_count)
 
@@ -229,15 +236,7 @@ class TestEstimate:
             "over the cap of 99 adjacency entries\n"
         )
 
-    @pytest.mark.parametrize(
-        "engine, n, message",
-        [
-            ("graph", "2000", "K_2001 has 4002000 adjacency entries, over the cap of 1049600"),
-            ("coupling", "2000000",
-             "a coupling trial at n = 2000000 needs 6000002 uniforms, over the cap of 4194304"),
-        ],
-        ids=["graph", "coupling"],
-    )
+    @pytest.mark.parametrize("engine, n, message", _OVER_ENGINE_CAPS, ids=["graph", "coupling"])
     def test_request_over_an_engines_cap_exits_2_before_the_pool(
         self, inline_pools, pin_cpu_count, engine, n, message
     ):
@@ -247,6 +246,17 @@ class TestEstimate:
         )
         assert code == 2 and out == "" and inline_pools == []
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("engine, n, message", _OVER_ENGINE_CAPS, ids=["graph", "coupling"])
+    def test_config_over_an_engines_cap_names_the_file(
+        self, tmp_path, inline_pools, engine, n, message
+    ):
+        # the flags alone ask for the default chain run, so the file is at fault
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"n": int(n), "engine": engine, "trials": 10}))
+        code, out, err = run_cli("estimate", "--config", str(config))
+        assert code == 2 and out == "" and inline_pools == []
+        assert err == f"error: --config {config}: {message}\n"
 
     def test_sparse_graph_file_over_the_complete_graph_cap_runs(
         self, tmp_path, inline_pools, pin_cpu_count
@@ -340,6 +350,29 @@ class TestEstimate:
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({"trials": 10**12}))
         assert run_cli("estimate", "--n", "1", "--config", str(config)) == (
+            2, "", f"error: --config {config}: {refusal}\n"
+        )
+
+    def test_histogram_over_the_bins_cap_exits_2_before_any_trial(self, tmp_path, monkeypatch):
+        chain_block = harness.chain_block
+
+        def no_trials(params, seeds):
+            assert not len(seeds), "a trial ran"
+            return chain_block(params, seeds)
+
+        monkeypatch.setattr(harness, "chain_block", no_trials)
+        n = harness.MAX_HISTOGRAM_BINS  # n + 1 bins, one over the cap
+        refusal = (
+            f"a w_histogram at n = {n} has {n + 1} bins, "
+            f"over the cap of {harness.MAX_HISTOGRAM_BINS}"
+        )
+        argv = ("estimate", "--lambda", "1e-100", "--trials", "1")
+        assert run_cli(*argv, "--n", str(n), "--estimator", "w_histogram") == (
+            2, "", f"error: {refusal}\n"
+        )
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"n": n, "estimator": "w_histogram"}))
+        assert run_cli(*argv, "--config", str(config)) == (
             2, "", f"error: --config {config}: {refusal}\n"
         )
 

@@ -21,7 +21,7 @@ from chasescape import (
 from chasescape.analytics import chi_square_gof
 from chasescape import graph
 from chasescape.chain import EventKind
-from chasescape.graph import _BLUE, _RED, _WHITE, Graph, GraphState, graph_block, parse_edge_list
+from chasescape.graph import _BLUE, _WHITE, Graph, GraphState, graph_block, parse_edge_list
 from chasescape.params import NoTransitionError
 from chasescape.rng import stream_seeds
 
@@ -122,31 +122,31 @@ class TestRows:
 
 class TestEdgeListFormat:
     def test_parse_path_graph(self):
-        g = parse_edge_list(["0 1", "1 2"])
+        g = parse_edge_list(["0 1", "1 2"], 3)
         assert g.vertex_count == 3
         assert g.rows == [[1], [0, 2], [1]]
 
     def test_roundtrip(self):
         g = complete_graph(6)
         lines = [f"{u} {v}" for u, row in enumerate(g.rows) for v in row if u < v]
-        assert parse_edge_list(lines).rows == g.rows
+        assert parse_edge_list(lines, 6).rows == g.rows
 
     def test_sparse_graph_tables(self):
-        g = parse_edge_list(SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n"))
+        g = parse_edge_list(SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n"), 21)
         assert g.vertex_count == 21 and sum(g.degrees) == 2 * 50
         _assert_rows(g)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ParameterError):
-            parse_edge_list(["0 1", "1 1"])
+            parse_edge_list(["0 1", "1 1"], 2)
 
     def test_rejects_duplicate_either_orientation(self):
         with pytest.raises(ParameterError):
-            parse_edge_list(["0 1", "1 0"])
+            parse_edge_list(["0 1", "1 0"], 2)
 
     def test_rejects_disconnected(self):
         with pytest.raises(ParameterError):
-            parse_edge_list(["0 1", "2 3"])
+            parse_edge_list(["0 1", "2 3"], 4)
 
     def test_index_past_the_edge_count_refused_before_allocating(self):
         # one edge connects two vertices, not 200001; one set per index up
@@ -154,13 +154,13 @@ class TestEdgeListFormat:
         tracemalloc.start()
         try:
             with pytest.raises(ParameterError, match="not connected"):
-                parse_edge_list(["0 200000"])
+                parse_edge_list(["0 200000"], 200001)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         # m edges may still reach index m
-        assert parse_edge_list(["0 2", "2 1"]).vertex_count == 3
+        assert parse_edge_list(["0 2", "2 1"], 3).vertex_count == 3
 
     def test_vertex_count_mismatch_refused_before_building(self):
         # the loader refuses once it knows the largest index: no adjacency
@@ -180,9 +180,9 @@ class TestEdgeListFormat:
     def test_cap_counts_both_directions_of_each_edge(self, monkeypatch):
         monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 20)
         path = [f"{v} {v + 1}" for v in range(11)]
-        assert parse_edge_list(path[:10]).vertex_count == 11  # 2 * 10 = 20 entries
+        assert parse_edge_list(path[:10], 11).vertex_count == 11  # 2 * 10 = 20 entries
         with pytest.raises(ResourceLimitError, match="line 11: more than 10 edges"):
-            parse_edge_list(path)
+            parse_edge_list(path, 12)
 
     def test_over_the_cap_refused_before_allocating(self, monkeypatch):
         # 20000 edges: their adjacency sets and rows would peak at about
@@ -192,7 +192,7 @@ class TestEdgeListFormat:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="over the cap of 1000"):
-                parse_edge_list(lines)
+                parse_edge_list(lines, 20001)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -200,11 +200,11 @@ class TestEdgeListFormat:
 
     def test_rejects_garbage(self):
         with pytest.raises(ParameterError):
-            parse_edge_list(["0 1 2"])
+            parse_edge_list(["0 1 2"], 3)
         with pytest.raises(ParameterError):
-            parse_edge_list(["a b"])
+            parse_edge_list(["a b"], 2)
         with pytest.raises(ParameterError):
-            parse_edge_list([])
+            parse_edge_list([], 1)
 
 
 def _colored_state(graph, red=(), blue=(), params=None):
@@ -212,14 +212,14 @@ def _colored_state(graph, red=(), blue=(), params=None):
     ``params`` (by default the standard start, vertex 0 red, at lambda = alpha
     = 1), whose red and blue vertices must be among them."""
     state = GraphState(graph, params or Params(graph.vertex_count - 1, 1.0, 1.0))
-    assert {v for v, c in enumerate(state.colors) if c != _WHITE} <= {*red, *blue}
+    assert {v for v, s in enumerate(state.slot) if s != _WHITE} <= {*red, *blue}
     for v in blue:
-        if state.colors[v] == _WHITE:
+        if state.slot[v] == _WHITE:
             state.paint_red(v)
-        if state.colors[v] == _RED:
+        if state.slot[v] >= 0:
             state.paint_blue(v)
     for v in red:
-        if state.colors[v] == _WHITE:
+        if state.slot[v] == _WHITE:
             state.paint_red(v)
     return state
 
@@ -234,7 +234,7 @@ class TestRates:
         assert state.rb == 3 * 2
 
     def test_red_surrounded_by_blue_must_be_chased(self):
-        g = parse_edge_list(["0 1", "0 2"])  # star center 0
+        g = parse_edge_list(["0 1", "0 2"], 3)  # star center 0
         p = Params(1, 1.0, 0.0, InitMode.KORTCHEMSKI)  # conversion off
         for seed in range(10):
             state = _colored_state(g, red=(0,), blue=(1, 2), params=p)
@@ -268,18 +268,18 @@ class TestRates:
 def _assert_consistent(state, g):
     """Each vertex's white and blue counts, and the red-white and red-blue
     edge counts, equal a brute-force count over the graph's adjacency
-    entries; ``red`` holds exactly the red vertices and ``vertex_pos``
-    indexes it."""
+    entries; ``red`` holds exactly the vertices whose slot is >= 0, and each
+    one's slot is its index in ``red``."""
     tails = np.array([u for u, row in enumerate(g.rows) for _ in row])
-    colors = np.array(state.colors)
-    heads = colors[[v for row in g.rows for v in row]]
+    slot = np.array(state.slot)
+    heads = slot[[v for row in g.rows for v in row]]
     for counts, color in ((state.white, _WHITE), (state.blue, _BLUE)):
         assert counts == np.bincount(tails, heads == color, g.vertex_count).astype(int).tolist()
-    red_tail = colors[tails] == _RED
+    red_tail = slot[tails] >= 0
     assert state.rw == np.count_nonzero(red_tail & (heads == _WHITE))
     assert state.rb == np.count_nonzero(red_tail & (heads == _BLUE))
-    assert sorted(state.red) == np.flatnonzero(colors == _RED).tolist()
-    assert all(state.vertex_pos[v] == i for i, v in enumerate(state.red))
+    assert sorted(state.red) == np.flatnonzero(slot >= 0).tolist()
+    assert all(state.slot[v] == i for i, v in enumerate(state.red))
 
 
 class TestBookkeeping:
@@ -301,13 +301,13 @@ class TestBookkeeping:
         ever_blue = set()
         while len(state.red) > 0:
             state.step(*rng.random(3))
-            now_blue = {v for v, c in enumerate(state.colors) if c == _BLUE}
+            now_blue = {v for v, s in enumerate(state.slot) if s == _BLUE}
             assert ever_blue <= now_blue
             ever_blue = now_blue
 
 
 def _path_graph(m):
-    return parse_edge_list([f"{v} {v + 1}" for v in range(m - 1)])
+    return parse_edge_list([f"{v} {v + 1}" for v in range(m - 1)], m)
 
 
 def test_initial_refuses_a_graph_of_the_wrong_size():
@@ -349,7 +349,7 @@ def test_jump_count_is_the_number_of_graph_jumps(mode):
                     jumps += 1
                 res = run_graph_to_fixation(g, p, make_rng(stream_seed(24, seed)))
                 assert res.jump_count == jumps
-                assert res.white_survivors == state.colors.count(_WHITE)
+                assert res.white_survivors == state.slot.count(_WHITE)
 
 
 @given(seed=st.integers(0, 2**32), n=st.integers(2, 12))
@@ -411,20 +411,20 @@ def _star(m, center):
 _PETERSEN = [f"{v} {w}" for v in range(5) for w in ((v + 1) % 5, v + 5)] + [
     f"{5 + v} {5 + (v + 2) % 5}" for v in range(5)
 ]
-# (edge list, start): the standard start paints vertex 0 red, the kortchemski
-# start vertex 0 red and vertex 1 blue (on the 11-path that ends at once, so
-# the path runs the standard start only); the stars start at their center
-# (vertex 0) or at a leaf (center 8)
+# (edge list, vertex count, start): the standard start paints vertex 0 red,
+# the kortchemski start vertex 0 red and vertex 1 blue (on the 11-path that
+# ends at once, so the path runs the standard start only); the stars start at
+# their center (vertex 0) or at a leaf (center 8)
 _OFF_COMPLETE = {
-    "path11": ([f"{v} {v + 1}" for v in range(10)], InitMode.STANDARD),
-    "cycle11-standard": ([f"{v} {(v + 1) % 11}" for v in range(11)], InitMode.STANDARD),
-    "cycle11-kortchemski": ([f"{v} {(v + 1) % 11}" for v in range(11)], InitMode.KORTCHEMSKI),
-    "petersen-standard": (_PETERSEN, InitMode.STANDARD),
-    "petersen-kortchemski": (_PETERSEN, InitMode.KORTCHEMSKI),
-    "star9-center-standard": (_star(9, 0), InitMode.STANDARD),
-    "star9-center-kortchemski": (_star(9, 0), InitMode.KORTCHEMSKI),
-    "star9-leaf-standard": (_star(9, 8), InitMode.STANDARD),
-    "star9-leaf-kortchemski": (_star(9, 8), InitMode.KORTCHEMSKI),
+    "path11": ([f"{v} {v + 1}" for v in range(10)], 11, InitMode.STANDARD),
+    "cycle11-standard": ([f"{v} {(v + 1) % 11}" for v in range(11)], 11, InitMode.STANDARD),
+    "cycle11-kortchemski": ([f"{v} {(v + 1) % 11}" for v in range(11)], 11, InitMode.KORTCHEMSKI),
+    "petersen-standard": (_PETERSEN, 10, InitMode.STANDARD),
+    "petersen-kortchemski": (_PETERSEN, 10, InitMode.KORTCHEMSKI),
+    "star9-center-standard": (_star(9, 0), 9, InitMode.STANDARD),
+    "star9-center-kortchemski": (_star(9, 0), 9, InitMode.KORTCHEMSKI),
+    "star9-leaf-standard": (_star(9, 8), 9, InitMode.STANDARD),
+    "star9-leaf-kortchemski": (_star(9, 8), 9, InitMode.KORTCHEMSKI),
 }
 
 
@@ -434,8 +434,8 @@ class TestLawAgreement:
         # the member rule matters here, unlike on K_{n+1}: a chase that paints
         # a uniform red vertex instead of a blue-weighted one fails 5 of
         # these 9 cases
-        lines, mode = _OFF_COMPLETE[case]
-        g = parse_edge_list(lines)
+        lines, vertices, mode = _OFF_COMPLETE[case]
+        g = parse_edge_list(lines, vertices)
         start = 2 if mode is InitMode.KORTCHEMSKI else 1
         p = Params(g.vertex_count - start, 1.0, 2.0, mode)
         law = _coloring_law_of_W(g, p)
@@ -465,7 +465,7 @@ class TestLawAgreement:
 
     def test_path_graph_high_conversion_spares_far_end(self):
         # red at one end of a 3-path: conversion beats the first spread
-        g = parse_edge_list(["0 1", "1 2"])
+        g = parse_edge_list(["0 1", "1 2"], 3)
         p = Params(2, 1.0, 50.0)
         hits = 0
         trials = 300
@@ -479,9 +479,9 @@ class TestLawAgreement:
         g = complete_graph(7)
         p = Params(5, 1.0, 0.0, InitMode.KORTCHEMSKI)
         state = GraphState(g, p)
-        assert state.colors[0] == _RED
-        assert state.colors[1] == _BLUE
-        assert state.colors.count(_WHITE) == 5
+        assert state.slot[0] == 0 and state.red == [0]
+        assert state.slot[1] == _BLUE
+        assert state.slot.count(_WHITE) == 5
 
     def test_determinism(self):
         g = complete_graph(15)

@@ -149,7 +149,7 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             ExperimentConfig(
                 p, trials=10, seed=0, estimator=Estimator.EXPECTED_W,
-                engine=Engine.CHAIN, graph=parse_edge_list(["0 1"]),
+                engine=Engine.CHAIN, graph=parse_edge_list(["0 1"], 2),
             )
 
     # a str falls through run_block's engine dispatch to the graph engine
@@ -168,6 +168,16 @@ class TestConfigValidation:
             ExperimentConfig(
                 p, trials=harness.MAX_TRIALS + 1, seed=0, estimator=Estimator.EXPECTED_W
             )
+
+    def test_histogram_bins_over_the_cap_are_refused(self):
+        n = harness.MAX_HISTOGRAM_BINS - 1  # n + 1 bins, at the cap
+        ExperimentConfig(Params(n, 1.0, 1.0), trials=1, seed=0, estimator=Estimator.W_HISTOGRAM)
+        with pytest.raises(ResourceLimitError, match=f"has {n + 2} bins, over the cap of"):
+            ExperimentConfig(
+                Params(n + 1, 1.0, 1.0), trials=1, seed=0, estimator=Estimator.W_HISTOGRAM
+            )
+        # the cap is on the histogram, not on n
+        ExperimentConfig(Params(n + 1, 1.0, 1.0), trials=1, seed=0, estimator=Estimator.EXPECTED_W)
 
 
 SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
@@ -456,7 +466,7 @@ class TestGraphBlock:
             def load():
                 if lines is None:
                     return complete_graph(params.total_vertices)
-                return parse_edge_list(lines)
+                return parse_edge_list(lines, params.total_vertices)
 
             config = _config(
                 params=params, engine=Engine.GRAPH, seed=1005,
@@ -491,7 +501,7 @@ class TestEngineSummaries:
             _config(
                 params=Params(3, 1.0, 1.0),
                 engine=Engine.GRAPH,
-                graph=parse_edge_list(["0 1", "1 2", "2 0", "2 3"]),
+                graph=parse_edge_list(["0 1", "1 2", "2 0", "2 3"], 4),
                 trials=100,
             )
         )
@@ -504,7 +514,7 @@ class TestEngineSummaries:
         # refused as the config is built: the parent's empty block runs no
         # trial, so it would let the pool start
         pin_cpu_count(2)
-        square = parse_edge_list(["0 1", "1 2", "2 3", "3 0"])
+        square = parse_edge_list(["0 1", "1 2", "2 3", "3 0"], 4)
         with pytest.raises(
             ParameterError, match=r"graph has 4 vertices but n = 100 \(standard start\) needs 101"
         ):
