@@ -67,8 +67,9 @@ def _coupling_trials(
     """Per-trial (W, C, tau) of the trials of the first ``count`` generators of
     ``rngs``, in chunks of at most ``_CHUNK_UNIFORMS`` uniforms (one trial when
     a trial needs more).  Refuses a trial over MAX_COUPLING_UNIFORMS before it
-    allocates; then holds 2n + 1 negated rates, n + 1 flag thresholds and a
-    (rows, 3n + 2) row buffer, in which each chunk computes both clocks in place.
+    allocates, and an empty block stops there; else holds 2n + 1 negated
+    rates, n + 1 flag thresholds and a (rows, 3n + 2) row buffer, in which
+    each chunk computes both clocks in place.
 
     Row r holds its trial's 3n + 2 uniforms, drawn by one ``random(out=row)``:
     n for the death spacings, n + 1 for the birth spacings, n + 1 for the
@@ -88,6 +89,8 @@ def _coupling_trials(
             f"a coupling trial at n = {n} needs {width} uniforms, "
             f"over the cap of {MAX_COUPLING_UNIFORMS}"
         )
+    if not count:
+        return empty_block(0)
     rows = min(count, max(1, _CHUNK_UNIFORMS // width))
     a = params.conversion_rate
     # before birth i there are b0 + i blue, and each red turns blue at
@@ -100,7 +103,7 @@ def _coupling_trials(
     row_views, index = list(buffer), np.arange(rows)  # once, not per chunk
     white, conversions, times = empty_block(count)
     rngs = iter(rngs)
-    for lo in range(0, count, max(1, rows)):
+    for lo in range(0, count, rows):
         size = min(rows, count - lo)
         uniforms = buffer[:size]
         for row, rng in zip(row_views[:size], rngs):  # rows first: no generator past the chunk

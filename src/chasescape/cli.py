@@ -99,17 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def check_writable(flag: str, path: str | None) -> None:
-    """Refuse an output path, given by ``flag``, that cannot be opened for
-    writing, before any work.  An existing file keeps its bytes; a file the
-    check creates is removed, so a refused run leaves no file behind."""
+def _check_writable(path: str | None) -> None:
+    """Refuse an ``--output`` path that cannot be opened for writing, before
+    any work.  An existing file keeps its bytes; a file the check creates is
+    removed, so a refused run leaves no file behind."""
     if path is None:
         return
     existed = os.path.exists(path)
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as exc:
-        raise ParameterError(f"{flag} {path}: {exc.strerror}") from None
+        raise ParameterError(f"--output {path}: {exc.strerror}") from None
     if not existed:
         os.remove(path)
 
@@ -250,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        check_writable("--output", args.output)
+        _check_writable(args.output)
         return handlers[args.command](args)
     except (ParameterError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

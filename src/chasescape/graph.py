@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .chain import EventKind, FixationResult, empty_block
 from .params import NoTransitionError, ParameterError, Params, ResourceLimitError, is_integer
-from .rng import streams, uniform_tuples
+from .rng import streams
 
 # cap on the adjacency entries (directed edges) of any graph, checked by
 # complete_graph and parse_edge_list before they allocate: each entry takes
@@ -67,18 +67,20 @@ def require_vertex_count(graph: Graph, params: Params) -> None:
         )
 
 
-def complete_graph(m: int) -> Graph:
-    """K_m; requires m >= 2.
-
-    Raises ResourceLimitError, before allocating, when its m(m - 1)
-    adjacency entries exceed MAX_GRAPH_ENTRIES.
-    """
+def _require_complete_graph(m: int) -> None:
+    """ParameterError unless m is an integer >= 2; ResourceLimitError when
+    K_m's m(m - 1) adjacency entries exceed MAX_GRAPH_ENTRIES."""
     if not is_integer(m) or m < 2:
         raise ParameterError(f"complete graph needs an integer vertex count >= 2, got {m!r}")
     if m * (m - 1) > MAX_GRAPH_ENTRIES:
         raise ResourceLimitError(
             f"K_{m} has {m * (m - 1)} adjacency entries, over the cap of {MAX_GRAPH_ENTRIES}"
         )
+
+
+def complete_graph(m: int) -> Graph:
+    """K_m; requires m >= 2, and refuses a K_m over the cap before allocating."""
+    _require_complete_graph(m)
     return Graph([[*range(u), *range(u + 1, m)] for u in range(m)])
 
 
@@ -105,10 +107,10 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int) -> Graph:
         fields = line.split()
         if len(fields) != 2:
             raise ParameterError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParameterError(f"line {lineno}: vertex indices must be integers") from None
+        # ASCII digits only: int() would also take "1_0", "+2" and non-ASCII digits
+        if not all(f.isascii() and f.removeprefix("-").isdigit() for f in fields):
+            raise ParameterError(f"line {lineno}: vertex indices must be integers")
+        u, v = int(fields[0]), int(fields[1])
         if u < 0 or v < 0:
             raise ParameterError(f"line {lineno}: vertex indices must be >= 0")
         if u == v:
@@ -253,6 +255,15 @@ def _walk(red: list[int], counts: list[int], u: float, total: int) -> tuple[int,
     raise AssertionError(f"the red vertices' counts sum to less than {total}")
 
 
+def _triples(rng: np.random.Generator, count: int) -> Iterator[tuple[float, float, float]]:
+    """``count`` consecutive triples of ``rng``'s uniforms as Python floats:
+    the same doubles in the same order as three calls of ``rng.random()`` per
+    triple, read in windows of 64 triples."""
+    for start in range(0, count, 64):
+        u = rng.random(3 * min(64, count - start)).tolist()
+        yield from zip(u[0::3], u[1::3], u[2::3])
+
+
 def run_graph_to_fixation(
     graph: Graph, params: Params, rng: np.random.Generator
 ) -> FixationResult:
@@ -265,7 +276,7 @@ def run_graph_to_fixation(
     """
     state = GraphState(graph, params)
     # n white and r0 red at the start, and every jump lowers 2 * white + red by one
-    triples = uniform_tuples(rng, 3, 2 * params.n + params.initial_red_blue[0])
+    triples = _triples(rng, 2 * params.n + params.initial_red_blue[0])
     fixation_time = 0.0
     conversions = 0
     while state.red:
@@ -278,10 +289,17 @@ def run_graph_to_fixation(
 
 
 def graph_block(
-    graph: Graph, params: Params, seeds: np.ndarray
+    graph: Graph | None, params: Params, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (W, C, tau) on ``graph``, one trial at a time: trial j is
-    ``run_graph_to_fixation(graph, params, make_rng(seeds[j]))``."""
+    ``run_graph_to_fixation(graph, params, make_rng(seeds[j]))``.  With no
+    graph it builds the complete graph that ``params`` imply, once; an empty
+    block only refuses one over the cap, and builds nothing."""
+    if graph is None:
+        if len(seeds):
+            graph = complete_graph(params.total_vertices)
+        else:
+            _require_complete_graph(params.total_vertices)
     white, conversions, times = empty_block(len(seeds))
     for j, rng in enumerate(streams(seeds)):
         res = run_graph_to_fixation(graph, params, rng)

@@ -21,7 +21,7 @@ import numpy as np
 from .analytics import _Z975, stats_wilson_ci
 from .birth_death import coupling_block
 from .chain import chain_block
-from .graph import Graph, complete_graph, graph_block, require_vertex_count
+from .graph import Graph, graph_block, require_vertex_count
 from .params import ParameterError, Params, ResourceLimitError, is_integer, require_seed
 from .rng import stream_seeds
 
@@ -83,9 +83,11 @@ class ExperimentConfig:
             )
         if self.estimator in _LOG_N_ESTIMATORS and self.params.n < 2:
             raise ParameterError("log-n estimators need n >= 2 (log 1 = 0)")
-        if self.graph is not None and self.engine is not Engine.GRAPH:
-            raise ParameterError("a graph only applies to the graph engine")
         if self.graph is not None:
+            if self.engine is not Engine.GRAPH:
+                raise ParameterError("a graph only applies to the graph engine")
+            if not isinstance(self.graph, Graph):
+                raise ParameterError(f"graph must be a Graph, got a {type(self.graph).__name__}")
             require_vertex_count(self.graph, self.params)
 
 
@@ -131,15 +133,14 @@ def run_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, C, tau) arrays of trials [start, stop), trial i drawn from its own
     stream ``stream_seed(config.seed, i)`` however the trials are split into
-    blocks.  The graph engine builds the complete graph once per block
-    unless the config holds a graph."""
+    blocks.  The graph engine runs on ``config.graph``, or on the complete
+    graph that ``config.params`` imply when that is None."""
     params, seeds = config.params, stream_seeds(config.seed, start, stop)
     if config.engine is Engine.CHAIN:
         return chain_block(params, seeds)
     if config.engine is Engine.COUPLING:
         return coupling_block(params, seeds)
-    graph = complete_graph(params.total_vertices) if config.graph is None else config.graph
-    return graph_block(graph, params, seeds)
+    return graph_block(config.graph, params, seeds)
 
 
 def ProcessPoolExecutor(max_workers: int):

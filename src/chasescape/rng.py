@@ -12,7 +12,6 @@ a range of them at once.  ``streams`` hands out their generators from any
 uniform on, from one Philox re-keyed per trial, as a counter-based generator
 allows: 0.48 us a re-key (1.17 us from uint64 state arrays) against 10 us a
 new ``make_rng``, on 2 x86-64 CPUs.
-``uniform_tuples`` reads one stream for the graph engine, as Python floats.
 """
 
 from __future__ import annotations
@@ -88,11 +87,3 @@ def streams(seeds: np.ndarray, offset: int = 0) -> Iterator[np.random.Generator]
             bit_generator.state = state
             yield rng
 
-
-def uniform_tuples(rng: np.random.Generator, width: int, count: int) -> Iterator[tuple[float, ...]]:
-    """``count`` consecutive ``width``-tuples of ``rng``'s uniforms as Python
-    floats: the same doubles in the same order as ``width`` calls of
-    ``rng.random()`` per tuple, read in windows of 64 tuples."""
-    for start in range(0, count, 64):
-        u = rng.random(width * min(64, count - start)).tolist()
-        yield from zip(*(u[i::width] for i in range(width)))

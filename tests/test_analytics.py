@@ -347,3 +347,6 @@ class TestChiSquare:
             chi_square_gof([3], [1.0])
         with pytest.raises(ParameterError):
             chi_square_gof([0, 0], [0.5, 0.5])
+        for observed, probs in (([1, 2, 3], [0.5, 0.5]), ([[1, 2]], [[0.5, 0.5]])):
+            with pytest.raises(ParameterError, match="1-d and the same length"):
+                chi_square_gof(observed, probs)

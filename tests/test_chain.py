@@ -56,6 +56,8 @@ class TestParams:
             Params(n=10, lam=1.0, alpha=-0.5)
         with pytest.raises(ParameterError):
             Params(n=10, lam=math.inf, alpha=1.0)
+        with pytest.raises(ParameterError, match="init_mode must be an InitMode"):
+            Params(n=10, lam=1.0, alpha=1.0, init_mode="standard")
 
     @pytest.mark.parametrize("field", ["n", "lam", "alpha"])
     def test_rejects_booleans(self, field):

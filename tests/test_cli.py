@@ -173,6 +173,10 @@ class TestEstimate:
         [
             (1, "0 1 2\n", "line 1: expected 'u v', got '0 1 2'"),
             (1, "a b\n", "line 1: vertex indices must be integers"),
+            # int() alone would read each of these as vertex 2
+            (1, "0 1\n1 0_2\n", "line 2: vertex indices must be integers"),
+            (1, "0 1\n1 \uff12\n", "line 2: vertex indices must be integers"),
+            (1, "0 1\n1 +2\n", "line 2: vertex indices must be integers"),
             (1, "0 -1\n", "line 1: vertex indices must be >= 0"),
             (1, "0 1\n1 1\n", "line 2: self-loop at vertex 1"),
             (1, "0 1\n1 0\n", "line 2: duplicate edge 1 0"),
@@ -180,12 +184,12 @@ class TestEstimate:
             (1, "\n\n", "edge list is empty"),
             (100, "0 1\n1 2\n2 3\n3 0\n", "graph has 4 vertices, expected 101"),
         ],
-        ids=["fields", "integers", "negative", "self-loop", "duplicate", "disconnected",
-             "empty", "vertex-count"],
+        ids=["fields", "integers", "underscore", "fullwidth", "plus", "negative", "self-loop",
+             "duplicate", "disconnected", "empty", "vertex-count"],
     )
     def test_graph_file_errors_name_the_flag_and_file(self, tmp_path, n, text, message):
         edges = tmp_path / "edges.txt"
-        edges.write_text(text)
+        edges.write_text(text, encoding="utf-8")
         code, out, err = run_cli(
             "estimate", "--n", str(n), "--engine", "graph", "--graph-file", str(edges),
             "--trials", "10",

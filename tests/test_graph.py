@@ -21,7 +21,7 @@ from chasescape import (
 from chasescape.analytics import chi_square_gof
 from chasescape import graph
 from chasescape.chain import EventKind
-from chasescape.graph import _BLUE, _WHITE, Graph, GraphState, graph_block, parse_edge_list
+from chasescape.graph import _BLUE, _WHITE, Graph, GraphState, _triples, graph_block, parse_edge_list
 from chasescape.params import NoTransitionError
 from chasescape.rng import stream_seeds
 
@@ -104,6 +104,17 @@ class TestGraphConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 64 << 10
+
+
+class TestTriples:
+    # empty, one triple, one whole window, a window and one, several windows
+    @pytest.mark.parametrize("count", [0, 1, 64, 65, 200])
+    def test_triples_are_the_stream_in_order(self, count):
+        triples = list(_triples(make_rng(stream_seed(8, count)), count))
+        ref = make_rng(stream_seed(8, count)).random(3 * count)
+        assert len(triples) == count
+        assert all(len(t) == 3 and all(type(u) is float for u in t) for t in triples)
+        assert [u for t in triples for u in t] == ref.tolist()
 
 
 class TestRows:

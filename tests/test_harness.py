@@ -35,7 +35,7 @@ from chasescape.chain import (
 )
 from chasescape.graph import complete_graph, graph_block, parse_edge_list, run_graph_to_fixation
 from chasescape.harness import canonical_json, run_block, run_trials
-from chasescape.rng import splitmix64, stream_seeds, streams, uniform_tuples
+from chasescape.rng import splitmix64, stream_seeds, streams
 
 
 class TestStreamSeeding:
@@ -115,18 +115,6 @@ class TestWindowFill:
             assert row.tobytes() == ref.tobytes()
 
 
-class TestUniformTuples:
-    @pytest.mark.parametrize("width", [2, 3])
-    # empty, one tuple, one whole window, a window and one, several windows
-    @pytest.mark.parametrize("count", [0, 1, 64, 65, 200])
-    def test_tuples_are_the_stream_in_order(self, width, count):
-        tuples = list(uniform_tuples(make_rng(stream_seed(8, count)), width, count))
-        ref = make_rng(stream_seed(8, count)).random(width * count)
-        assert len(tuples) == count
-        assert all(len(t) == width and all(type(u) is float for u in t) for t in tuples)
-        assert [u for t in tuples for u in t] == ref.tolist()
-
-
 class TestConfigValidation:
     def test_rejects_bad_counts(self):
         p = Params(10, 1.0, 1.0)
@@ -151,6 +139,10 @@ class TestConfigValidation:
                 p, trials=10, seed=0, estimator=Estimator.EXPECTED_W,
                 engine=Engine.CHAIN, graph=parse_edge_list(["0 1"], 2),
             )
+
+    def test_graph_must_be_a_graph(self):
+        with pytest.raises(ParameterError, match="graph must be a Graph, got a list"):
+            _config(params=Params(1, 1.0, 1.0), engine=Engine.GRAPH, graph=[[1], [0]])
 
     # a str falls through run_block's engine dispatch to the graph engine
     # and fails in summarize, so it is refused before any trial runs
@@ -338,6 +330,23 @@ class TestWorkerPool:
         assert [(pool.blocks, pool.shut_down_with) for pool in inline_pools] == [(1, RuntimeError)]
 
 
+def _assert_cap_probe(engine, n, refusal):
+    """``run_block(config, 0, 0)`` at n peaks under 1 MiB, and at n + 1 is
+    refused with ``refusal``."""
+    config = _config(params=Params(n, 1.0, 1.0), engine=engine)
+    run_block(config, 0, 0)  # a first call may import numpy.random's modules
+    tracemalloc.start()
+    try:
+        w, c, tau = run_block(config, 0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.size == c.size == tau.size == 0
+    assert peak < 1 << 20
+    with pytest.raises(ResourceLimitError, match=refusal):
+        run_block(_config(params=Params(n + 1, 1.0, 1.0), engine=engine), 0, 0)
+
+
 class TestCouplingBlock:
     @pytest.mark.parametrize("mode", list(InitMode))
     @pytest.mark.parametrize("n", [1, 2, 50, 5000])
@@ -354,6 +363,12 @@ class TestCouplingBlock:
     def test_empty_block(self):
         w, c, tau = coupling_block(Params(5, 1.0, 1.0), stream_seeds(0, 3, 3))
         assert w.size == c.size == tau.size == 0
+
+    def test_empty_block_at_the_cap_only_checks_it(self):
+        # the largest n under the cap: a block's rates, thresholds and row
+        # would take about 43 MiB
+        n = (birth_death.MAX_COUPLING_UNIFORMS - 2) // 3
+        _assert_cap_probe(Engine.COUPLING, n, f"at n = {n + 1} needs")
 
 
 class TestMeanTau:
@@ -484,6 +499,10 @@ class TestGraphBlock:
     def test_empty_block(self):
         w, c, tau = graph_block(complete_graph(6), Params(5, 1.0, 1.0), stream_seeds(0, 3, 3))
         assert w.size == c.size == tau.size == 0
+
+    def test_empty_block_at_the_cap_only_checks_it(self):
+        # K_1025, the largest complete graph under the cap, would take 32 MiB
+        _assert_cap_probe(Engine.GRAPH, 1024, "K_1026 has")
 
 
 class TestEngineSummaries:
@@ -657,6 +676,23 @@ class TestTrajectoryCsv:
     def test_reader_rejects_bad_header(self):
         with pytest.raises(ParameterError):
             read_trajectory_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+    def test_reader_skips_blank_lines(self):
+        text = _csv(Params(10, 1.0, 1.0), make_rng(2))
+        lines = text.splitlines()
+        spaced = "\n".join([lines[0], "", *lines[1:3], "  ", *lines[3:], ""]) + "\n"
+        assert read_trajectory_csv(io.StringIO(spaced)) == read_trajectory_csv(io.StringIO(text))
+
+    def test_reader_rejects_a_row_with_the_wrong_field_count(self):
+        lines = _csv(Params(10, 1.0, 1.0), make_rng(2)).splitlines()
+        lines[2] += ",extra"
+        with pytest.raises(ParameterError, match="malformed trajectory row"):
+            read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_reader_rejects_a_header_alone(self):
+        header = ",".join(TRAJECTORY_FIELDS)
+        with pytest.raises(ParameterError, match="no data rows"):
+            read_trajectory_csv(io.StringIO(header + "\n\n"))
 
     def test_checker_rejects_tampered_rows(self):
         params = Params(10, 1.0, 1.0)

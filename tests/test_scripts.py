@@ -3,16 +3,10 @@
 No test imports them, so each runs once in a subprocess on a small input.
 """
 
-import io
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
-
-from chasescape.chain import check_trajectory, read_trajectory_csv
-from chasescape.params import Params
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,11 +20,14 @@ def run_script(*argv: str, returncode: int = 0) -> subprocess.CompletedProcess:
     return proc
 
 
-def test_trajectory_batch_runs(tmp_path):
-    dump = tmp_path / "first.csv"
-    run_script("scripts/trajectory_batch.py", "--seeds", "3", "--n", "10", "--dump-first", str(dump))
-    rows = read_trajectory_csv(io.StringIO(dump.read_text(encoding="utf-8")))
-    check_trajectory(rows, Params(10, 1.0, 4.0))
+def test_trajectory_batch_runs():
+    proc = run_script("scripts/trajectory_batch.py", "--seeds", "3", "--n", "10")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "config: n=10 lambda=1.0 alpha=4.0 seeds=3"
+    assert lines[1].startswith("W mean=") and " sd=" in lines[1]
+    assert lines[2].startswith("extinctions (W=0): ")
+    assert lines[3].startswith("smallest outcomes: W=") and len(lines) == 4
+    assert proc.stderr == ""
 
 
 def test_trajectory_batch_refuses_zero_seeds():
@@ -55,30 +52,6 @@ def test_trajectory_batch_refuses_a_negative_seed_base():
     proc = run_script("scripts/trajectory_batch.py", "--seed-base", "-1", returncode=2)
     assert "--seed-base must be a 64-bit unsigned integer" in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-def test_trajectory_batch_refuses_a_trajectory_over_the_cap(tmp_path):
-    dump = tmp_path / "first.csv"
-    proc = run_script(
-        "scripts/trajectory_batch.py", "--n", "100000000", "--seeds", "1",
-        "--dump-first", str(dump), returncode=2,
-    )
-    assert "over the cap" in proc.stderr and "Traceback" not in proc.stderr
-    assert not dump.exists()
-
-
-@pytest.mark.parametrize(
-    "where, reason", [("missing/first.csv", "No such file or directory"), (".", "Is a directory")]
-)
-def test_trajectory_batch_refuses_an_unwritable_dump_before_any_trial(tmp_path, where, reason):
-    dump = tmp_path / where
-    proc = run_script(
-        "scripts/trajectory_batch.py", "--seeds", "2", "--dump-first", str(dump), returncode=2
-    )
-    assert proc.stderr.count("error:") == 1
-    assert f"error: --dump-first {dump}: {reason}" in proc.stderr
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
-    assert [path.name for path in tmp_path.iterdir()] == []
 
 
 def test_trend_sweep_refuses_a_bad_parameter():
@@ -116,14 +89,10 @@ def test_trend_sweep_refuses_trials_over_the_cap():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
-def test_trajectory_batch_refuses_seeds_over_the_cap(tmp_path):
-    # refused before the first seed's trajectory is written
-    dump = tmp_path / "first.csv"
-    proc = run_script("scripts/trajectory_batch.py", "--seeds", "1000000000000",
-                      "--dump-first", str(dump), returncode=2)
+def test_trajectory_batch_refuses_seeds_over_the_cap():
+    proc = run_script("scripts/trajectory_batch.py", "--seeds", "1000000000000", returncode=2)
     assert "trials are over the cap" in proc.stderr and "error:" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
-    assert not dump.exists()
 
 
 def test_trend_sweep_refuses_a_graph_over_the_cap():

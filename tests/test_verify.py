@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 
+import pytest
+
 from chasescape import verify
 from chasescape.cli import main
 
@@ -27,3 +29,8 @@ def test_over_budget_criterion_fails_on_budget_not_on_law(monkeypatch, capsys):
     [entry] = report["criteria"]
     assert (entry["law_ok"], entry["within_budget"], entry["passed"]) == (True, False, False)
     assert report["passed"] is False and code == 1
+
+
+def test_unknown_level_is_refused():
+    with pytest.raises(ValueError, match="level must be 'fast' or 'full'"):
+        verify.run_verification("quick")
