@@ -22,6 +22,7 @@ from chasescape import (
     run_experiment,
 )
 from chasescape.harness import run_block
+from chasescape.params import require_seed
 
 
 def main() -> int:
@@ -37,15 +38,13 @@ def main() -> int:
     parser.add_argument("--parallelism", type=int, default=1)
     args = parser.parse_args()
 
-    # the i-th n runs on seed + i mod 2^64, so a valid seed never yields an
-    # invalid one; an invalid seed goes on unchanged, to be refused
-    valid_seed = 0 <= args.seed < 2**64
     try:
+        require_seed("--seed", args.seed)
         configs = [
             ExperimentConfig(
                 params=Params(n=n, lam=args.lam, alpha=args.alpha),
                 trials=args.trials,
-                seed=(args.seed + i) % 2**64 if valid_seed else args.seed,
+                seed=(args.seed + i) % 2**64,  # the i-th n runs on seed + i
                 estimator=Estimator(args.estimator),
                 engine=Engine(args.engine),
                 parallelism=args.parallelism,

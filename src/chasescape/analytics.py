@@ -18,7 +18,8 @@ import numpy as np
 
 from .params import InitMode, ParameterError, Params, QuadratureError, is_integer, require_positive
 
-DP_MAX_N = 5000  # the layered state space is O(n^2)
+# the DP's arrays are O(n) and its work O(n^2), so the cap bounds time
+DP_MAX_N = 5000
 
 QUADRATURE_ABS_TOL = 1e-10
 
@@ -93,8 +94,6 @@ def prob_gamma_less_exp_quadrature(alpha: float) -> float:
     lg = math.lgamma(alpha)
 
     def integrand(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
         return math.exp((alpha - 1.0) * math.log(x) - 2.0 * x - lg)
 
     return _integrate_halfline(integrand)
@@ -107,8 +106,6 @@ def expected_excess_quadrature(alpha: float) -> float:
     lg = math.lgamma(alpha)
 
     def integrand(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
         # x - 1 + e^{-x} written as x + expm1(-x) to avoid cancellation
         excess = x + math.expm1(-x)
         return excess * math.exp((alpha - 1.0) * math.log(x) - x - lg)

@@ -167,16 +167,13 @@ def sample_terminal_gamma_process(
         raise ResourceLimitError(
             f"expected population {expected_population:.3g} exceeds cap {POPULATION_CAP:.3g}"
         )
-    t = float(t_horizon)
-    n_clans = int(rng.poisson(alpha * t)) if t > 0 else 0
-    if n_clans == 0:
-        return math.exp(-t)
-    ages = t - t * rng.random(n_clans)
+    n_clans = int(rng.poisson(alpha * t_horizon))
+    ages = t_horizon - t_horizon * rng.random(n_clans)
     success = np.exp(-ages)
     # geometric on {1, 2, ...} by inverse CDF; u = 0 maps to the minimum
     u = rng.random(n_clans)
     sizes = np.floor(np.log1p(-u) / np.log1p(-success)) + 1.0
-    return math.exp(-t) * (1.0 + float(sizes.sum()))
+    return math.exp(-t_horizon) * (1.0 + float(sizes.sum()))
 
 
 def sample_limit_sum(alpha: float, truncation_T: float, rng: np.random.Generator) -> float:
@@ -188,8 +185,6 @@ def sample_limit_sum(alpha: float, truncation_T: float, rng: np.random.Generator
     require_positive("alpha", alpha)
     require_positive("truncation_T", truncation_T)
     count = int(rng.poisson(alpha * truncation_T))
-    if count == 0:
-        return 0.0
     points = truncation_T * rng.random(count)
     marks = -np.log1p(-rng.random(count))
     return float(np.exp(-points) @ marks)

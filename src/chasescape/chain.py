@@ -10,9 +10,10 @@ probabilities but not from the holding-time clock.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -301,6 +302,7 @@ def check_trajectory(
     count, and the layer r + 2b rises by one per jump.  A jump's time may
     equal the last one's only where the clock loses even the longest holding
     time the state it leaves can draw, 53 log 2 / (r * (lambda*w + b + alpha)).
+    Every time is finite, as :class:`Params` bounds every clock.
     """
     prev = initial_state(params)
     lam, a, longest = params.lam, params.conversion_rate, 53 * math.log(2)
@@ -320,6 +322,8 @@ def check_trajectory(
         # prev has red, so its total rate is positive
         if not (t > prev_time or t == prev_time == prev_time + longest / (r * (lam * w + b + a))):
             raise AssertionError(f"jump {jumps}: times are not strictly increasing")
+        if not math.isfinite(t):  # the tie rule holds at infinity
+            raise AssertionError(f"jump {jumps}: time is not finite")
         prev, prev_time = state, t
     if jumps == 0:
         raise AssertionError("trajectory has no jumps")
@@ -337,23 +341,25 @@ def trajectory_rows(records: Iterable[JumpRecord]) -> Iterator[tuple]:
         yield i, t, r, b, w, event.value
 
 
-def write_trajectory_csv(records: Iterable[JumpRecord], stream: TextIO) -> None:
+def trajectory_csv(records: Iterable[JumpRecord]) -> str:
     """One row per jump; floats in their shortest round-trip form."""
-    stream.write(",".join(TRAJECTORY_FIELDS) + "\n")
-    for row in trajectory_rows(records):
-        stream.write(",".join(map(str, row)) + "\n")
+    rows = [TRAJECTORY_FIELDS, *trajectory_rows(records)]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def read_trajectory_csv(stream: TextIO) -> list[JumpRecord]:
+def read_trajectory_csv(text: str) -> list[JumpRecord]:
     """Parse rows back into jump records, checking the jump_index column.
 
+    Each number must be the writer's own text for its value.
     :func:`check_trajectory` checks the records themselves.
     """
-    header = stream.readline().rstrip("\n")
+    # lines end at "\n" only, as the writer's do; the last match is empty
+    header, *lines = re.findall(r"[^\n]*\n?", text)
+    header = header.rstrip("\n")
     if header != ",".join(TRAJECTORY_FIELDS):
         raise ParameterError(f"unexpected trajectory header: {header!r}")
     rows = []
-    for raw in stream:
+    for raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -366,6 +372,8 @@ def read_trajectory_csv(stream: TextIO) -> list[JumpRecord]:
             record = JumpRecord(float(t), PopulationState(int(r), int(b), int(w)), EventKind(event))
         except ValueError as exc:
             raise ParameterError(f"malformed trajectory row: {raw!r} ({exc})") from None
+        if line != ",".join(map(str, (index, record.time, *record.state, event))):
+            raise ParameterError(f"malformed trajectory row: {raw!r}")
         if index != len(rows) + 1:
             raise ParameterError(f"jump_index {idx} out of order (expected {len(rows) + 1})")
         rows.append(record)

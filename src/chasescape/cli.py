@@ -9,7 +9,6 @@ flags.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -20,8 +19,8 @@ from .chain import (
     TRAJECTORY_FIELDS,
     JumpRecord,
     run_to_fixation,
+    trajectory_csv,
     trajectory_rows,
-    write_trajectory_csv,
 )
 from .graph import parse_edge_list
 from .harness import (
@@ -132,9 +131,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     records: list[JumpRecord] = []
     run_to_fixation(params, make_rng(stream_seed(args.seed, 0)), records)
     if args.format == "csv":
-        buf = io.StringIO()
-        write_trajectory_csv(records, buf)
-        text = buf.getvalue()
+        text = trajectory_csv(records)
     else:
         jumps = [dict(zip(TRAJECTORY_FIELDS, row)) for row in trajectory_rows(records)]
         text = canonical_json({"params": params_as_dict(params), "jumps": jumps})

@@ -64,6 +64,8 @@ class ExperimentConfig:
     graph: Graph | None = None  # None: the complete graph that params imply
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, Params):
+            raise ParameterError(f"params must be a Params, got a {type(self.params).__name__}")
         if not isinstance(self.engine, Engine):
             raise ParameterError(f"engine must be an Engine, got {self.engine!r}")
         if not isinstance(self.estimator, Estimator):

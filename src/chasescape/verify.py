@@ -8,7 +8,6 @@ trends, never as literal limits.
 
 from __future__ import annotations
 
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from .chain import (
     check_trajectory,
     read_trajectory_csv,
     run_to_fixation,
-    write_trajectory_csv,
+    trajectory_csv,
 )
 from .harness import Engine, Estimator, ExperimentConfig, run_block, run_experiment, run_trials
 from .params import InitMode, Params
@@ -287,10 +286,7 @@ def check_trajectory_export() -> tuple[bool, dict]:
         check_trajectory(records, params)
         paths.append(records)
     w_samples = [records[-1].state.w for records in paths]
-    buf = io.StringIO()
-    write_trajectory_csv(paths[0], buf)
-    buf.seek(0)
-    roundtrip_ok = read_trajectory_csv(buf) == paths[0]
+    roundtrip_ok = read_trajectory_csv(trajectory_csv(paths[0])) == paths[0]
     variance = float(np.var(w_samples))
     details = {
         "seeds": 100,

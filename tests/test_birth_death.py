@@ -282,6 +282,20 @@ class TestCoupling:
         assert chi.pvalue > 0.001
 
 
+def _position(rng):
+    """Where a Philox generator is: its counter, buffer and buffer position."""
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer"].tolist(), state["buffer_pos"]
+
+
+def _after_poisson(mean):
+    """make_rng(0) after one Poisson(mean) draw, all a sampler with a count of
+    zero may take."""
+    rng = make_rng(0)
+    rng.poisson(mean)
+    return rng
+
+
 class TestTerminalSamplers:
     def test_gamma_direct_mean_and_laplace(self):
         alpha = 2.5
@@ -302,7 +316,14 @@ class TestTerminalSamplers:
         assert ks_1samp(draws, lambda xs: gammainc(0.4, xs), method="asymp").statistic < 0.012
 
     def test_process_horizon_zero_is_exactly_one(self):
-        assert sample_terminal_gamma_process(3.0, 0.0, make_rng(0)) == 1.0
+        rng = make_rng(0)
+        assert sample_terminal_gamma_process(3.0, 0.0, rng) == 1.0
+        assert _position(rng) == _position(_after_poisson(0.0))
+
+    def test_process_with_no_clans_is_exactly_e_to_the_minus_t(self):
+        rng = make_rng(0)
+        assert sample_terminal_gamma_process(1e-12, 1.0, rng) == math.exp(-1.0)
+        assert _position(rng) == _position(_after_poisson(1e-12))
 
     def test_process_mean_formula(self):
         # E[e^{-t} B_t] = alpha + (1 - alpha) e^{-t}
@@ -334,8 +355,11 @@ class TestTerminalSamplers:
             sample_terminal_gamma_process(2.0, 50.0, make_rng(0))
 
     def test_limit_sum_no_points_is_zero(self):
-        # Poisson(alpha * T) with a tiny intensity: the empty-sum branch
-        assert sample_limit_sum(1e-12, 1.0, make_rng(0)) == 0.0
+        # Poisson(alpha * T) with a tiny intensity: an empty sum, and no
+        # draw after the Poisson count
+        rng = make_rng(0)
+        assert sample_limit_sum(1e-12, 1.0, rng) == 0.0
+        assert _position(rng) == _position(_after_poisson(1e-12))
 
     def test_limit_sum_laplace_transform(self):
         # E[e^{-X}] = (1 + 1)^{-alpha}

@@ -449,6 +449,13 @@ class TestCheckerRejects:
         with pytest.raises(AssertionError, match="increasing"):
             check_trajectory(_tamper(self._records(), 1, time=time), self.P)
 
+    def test_infinite_times(self):
+        # from jump 2 on every time ties at infinity, where the tie rule holds
+        records = self._records()
+        records[1:] = [rec._replace(time=math.inf) for rec in records[1:]]
+        with pytest.raises(AssertionError, match="jump 2: time is not finite"):
+            check_trajectory(records, self.P)
+
     def test_counts_not_conserved(self):
         records = self._records()
         r, b, w = records[0].state

@@ -36,7 +36,7 @@ class TestSimulate:
             "simulate", "--n", "20", "--lambda", "1", "--alpha", "2", "--seed", "5"
         )
         assert code == 0
-        rows = read_trajectory_csv(io.StringIO(out))
+        rows = read_trajectory_csv(out)
         check_trajectory(rows, Params(20, 1.0, 2.0))
 
     def test_ties_at_extreme_rates_check_clean(self):
@@ -44,7 +44,7 @@ class TestSimulate:
         flags = ("--n", "50", "--lambda", "1e100", "--alpha", "1e-100", "--seed", "1")
         code, out, _ = run_cli("simulate", *flags)
         assert code == 0
-        rows = read_trajectory_csv(io.StringIO(out))
+        rows = read_trajectory_csv(out)
         assert any(a.time == b.time for a, b in zip(rows, rows[1:]))
         check_trajectory(rows, Params(50, 1e100, 1e-100))
 
@@ -56,7 +56,7 @@ class TestSimulate:
         path = tmp_path / "traj.csv"
         code, out, _ = run_cli("simulate", "--n", "5", "--seed", "1", "--output", str(path))
         assert code == 0 and out == ""
-        rows = read_trajectory_csv(io.StringIO(path.read_text()))
+        rows = read_trajectory_csv(path.read_text())
         assert rows[-1].state.r == 0
 
     def test_json_format(self):

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -31,7 +30,7 @@ from chasescape.chain import (
     check_trajectory,
     read_trajectory_csv,
     run_to_fixation,
-    write_trajectory_csv,
+    trajectory_csv,
 )
 from chasescape.graph import complete_graph, graph_block, parse_edge_list, run_graph_to_fixation
 from chasescape.harness import canonical_json, run_block, run_trials
@@ -139,6 +138,10 @@ class TestConfigValidation:
                 p, trials=10, seed=0, estimator=Estimator.EXPECTED_W,
                 engine=Engine.CHAIN, graph=parse_edge_list(["0 1"], 2),
             )
+
+    def test_params_must_be_params(self):
+        with pytest.raises(ParameterError, match="params must be a Params, got a tuple"):
+            _config(params=(10, 1.0, 1.0))
 
     def test_graph_must_be_a_graph(self):
         with pytest.raises(ParameterError, match="graph must be a Graph, got a list"):
@@ -652,9 +655,7 @@ class TestJsonContract:
 def _csv(params, rng) -> str:
     records = []
     run_to_fixation(params, rng, records)
-    buf = io.StringIO()
-    write_trajectory_csv(records, buf)
-    return buf.getvalue()
+    return trajectory_csv(records)
 
 
 class TestTrajectoryCsv:
@@ -662,10 +663,7 @@ class TestTrajectoryCsv:
         params = Params(40, 1.0, 2.0)
         records = []
         run_to_fixation(params, make_rng(stream_seed(3, 0)), records)
-        buf = io.StringIO()
-        write_trajectory_csv(records, buf)
-        buf.seek(0)
-        rows = read_trajectory_csv(buf)
+        rows = read_trajectory_csv(trajectory_csv(records))
         check_trajectory(rows, params)
         assert rows == records
 
@@ -675,24 +673,30 @@ class TestTrajectoryCsv:
 
     def test_reader_rejects_bad_header(self):
         with pytest.raises(ParameterError):
-            read_trajectory_csv(io.StringIO("a,b,c\n1,2,3\n"))
+            read_trajectory_csv("a,b,c\n1,2,3\n")
 
     def test_reader_skips_blank_lines(self):
         text = _csv(Params(10, 1.0, 1.0), make_rng(2))
         lines = text.splitlines()
         spaced = "\n".join([lines[0], "", *lines[1:3], "  ", *lines[3:], ""]) + "\n"
-        assert read_trajectory_csv(io.StringIO(spaced)) == read_trajectory_csv(io.StringIO(text))
+        assert read_trajectory_csv(spaced) == read_trajectory_csv(text)
 
     def test_reader_rejects_a_row_with_the_wrong_field_count(self):
         lines = _csv(Params(10, 1.0, 1.0), make_rng(2)).splitlines()
         lines[2] += ",extra"
         with pytest.raises(ParameterError, match="malformed trajectory row"):
-            read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))
+            read_trajectory_csv("\n".join(lines) + "\n")
+
+    def test_reader_ends_a_line_at_a_newline_only(self):
+        # rows joined by "\r", which the writer never writes, are one malformed row
+        lines = _csv(Params(10, 1.0, 1.0), make_rng(2)).splitlines()
+        with pytest.raises(ParameterError, match="malformed trajectory row"):
+            read_trajectory_csv(lines[0] + "\n" + "\r".join(lines[1:]) + "\n")
 
     def test_reader_rejects_a_header_alone(self):
         header = ",".join(TRAJECTORY_FIELDS)
         with pytest.raises(ParameterError, match="no data rows"):
-            read_trajectory_csv(io.StringIO(header + "\n\n"))
+            read_trajectory_csv(header + "\n\n")
 
     def test_checker_rejects_tampered_rows(self):
         params = Params(10, 1.0, 1.0)
@@ -700,7 +704,7 @@ class TestTrajectoryCsv:
         fields = lines[1].split(",")
         fields[2] = str(int(fields[2]) + 1)  # corrupt the red count
         lines[1] = ",".join(fields)
-        rows = read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))
+        rows = read_trajectory_csv("\n".join(lines) + "\n")
         with pytest.raises(AssertionError):
             check_trajectory(rows, params)
 
@@ -710,7 +714,7 @@ class TestTrajectoryCsv:
         lines = _csv(params, make_rng(2)).splitlines()
         lines[2] = ",".join([index] + lines[2].split(",")[1:])
         with pytest.raises(ValueError):
-            read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))
+            read_trajectory_csv("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
         "column, value",
@@ -721,6 +725,12 @@ class TestTrajectoryCsv:
             ("b", "1.5"),
             ("w", "nan"),
             ("event", "teleport"),
+            # each parses, but the writer never writes it
+            ("jump_index", "+2"),
+            ("jump_index", "\uff12"),  # fullwidth 2
+            ("r", "1_0"),
+            ("time", "0_0.5"),
+            ("time", "1e400"),
         ],
     )
     def test_reader_rejects_unparseable_field(self, column, value):
@@ -729,5 +739,5 @@ class TestTrajectoryCsv:
         fields[TRAJECTORY_FIELDS.index(column)] = value
         lines[2] = ",".join(fields)
         with pytest.raises(ParameterError, match="malformed trajectory row") as info:
-            read_trajectory_csv(io.StringIO("\n".join(lines) + "\n"))
+            read_trajectory_csv("\n".join(lines) + "\n")
         assert repr(lines[2] + "\n") in str(info.value)
