@@ -27,13 +27,11 @@ MAX_RECORDED_JUMPS = 1 << 19
 # uniforms per window of a chain stream: the event uniforms of _WINDOW // 2
 # jumps, then those jumps' Exp(1) holding times
 _WINDOW = 256
-# jumps per lockstep block: a trial that fixates in it steps on to its end, and
-# one fold then finds each trial's fixation, conversions and clock
-_FOLD = 64
 # fewest trials a chunk runs in lockstep; a smaller chunk runs the scalar loop
-# once per trial.  At lambda = 1, alpha = 2 they break even at 24 to 32 trials
-# at n = 50, 200 and 1000, and at 32 the lockstep takes 0.83 to 0.94 of the
-# scalar time (medians of 11 interleaved pairs on 2 x86-64 CPUs)
+# once per trial.  At lambda = 1, alpha = 2 and n = 50, 200 and 1000 the
+# lockstep takes 1.15 to 1.20 of the scalar time at 16 trials, 0.83 to 0.88 at
+# 24 (up to 1.4 in single pairs) and 0.68 to 0.73 at 32, under 0.8 in every
+# pair (medians of 11 interleaved pairs on 2 x86-64 CPUs)
 _LOCKSTEP_MIN_LIVE = 32
 # trials per chunk of a block; with one window of _WINDOW draws per trial a
 # chunk holds at most 2^16 of them (512 KiB) at any n
@@ -151,16 +149,9 @@ def chain_block(
     Trial j draws from the stream keyed by ``seeds[j]`` and gives the same
     bytes as ``run_to_fixation(params, make_rng(seeds[j]))``.  A chunk of
     fewer than ``_LOCKSTEP_MIN_LIVE`` trials runs :func:`run_to_fixation` per
-    trial; any other runs in lockstep until every trial has fixated.
-    There every live trial makes its t-th jump in the same numpy step, which
-    reads its event uniform from the trial's window row and decides only
-    whether the jump grows red or blues a red, with the scalar loop's IEEE
-    expressions.  After each block of ``_FOLD`` jumps a fold finds the jump at
-    which each trial fixated and recomputes conversions and the clock up to it
-    from the stored flags, event uniforms and Exp(1) draws; a trial that
-    fixated inside a block steps on to the block's end and leaves after it.
-    A row holds one window of ``_WINDOW`` draws, so a trial holds O(_WINDOW)
-    doubles however long it runs.
+    trial; any other runs in lockstep (:func:`_lockstep`) until every trial
+    has fixated, and holds one window of ``_WINDOW`` draws per live trial
+    however long it runs.
     """
     white, conversions, times = empty_block(len(seeds))
     for lo in range(0, len(seeds), _CHUNK_TRIALS):
@@ -181,16 +172,17 @@ def _lockstep(
 ) -> None:
     """One chunk of :func:`chain_block` to its end, into its output views.
 
-    A jump runs seven ufuncs into per-chunk buffers: it stores whether the
-    red count fell, ``u >= p_grow``, in ``flags`` and adds that to b.  Each
-    trial's stream is re-keyed once per window of ``_WINDOW // 2`` jumps,
-    which fills its row: the event uniforms in the first half, the Exp(1)
-    draws in the second.  A block is k = min(_FOLD, 2 * total - layer) jumps
-    of every live trial, as none fixates above layer 2 * total, and a window
-    holds whole blocks.  :func:`_fold` then finds each trial's fixation, and
-    those that fixated, if any, leave.  Stepping on to the block's end is
-    safe: a grow lowers w by one, at w = 0 p_grow = 0 so every later jump
-    blues, and denom >= b + alpha > 0 in both starts.
+    Each pass takes every live trial through one window.  One re-key of the
+    trial's stream at the window's offset fills its row: the event uniforms
+    of the window's jumps in the first half, their Exp(1) draws in the
+    second.  Every live trial then makes k = min(_WINDOW // 2, 2 * total -
+    layer) jumps, as none fixates above layer 2 * total.  A jump runs seven
+    ufuncs into per-chunk buffers: it stores whether the red count fell,
+    ``u >= p_grow``, in ``flags`` and adds that to b.  :func:`_fold` then
+    finds each trial's fixation, and those that fixated, if any, leave; the
+    next pass refills every live row, so no row moves.  Stepping on to the
+    window's end is safe: a grow lowers w by one, at w = 0 p_grow = 0 so
+    every later jump blues, and denom >= b + alpha > 0 in both starts.
     """
     lam = params.lam
     a = params.conversion_rate
@@ -198,10 +190,10 @@ def _lockstep(
     r0, b0 = params.initial_red_blue
     count = len(seeds)
     half = _WINDOW // 2
-    # each live trial's window and the flags of its block's jumps; a finished
+    # each live trial's window and the flags of its jumps in it; a finished
     # trial leaves these views, the step arrays and the four below
     rows = np.empty((count, _WINDOW))
-    flags = np.empty((count, _FOLD), dtype=bool)
+    flags = np.empty((count, half), dtype=bool)
     lw, denom = np.empty(count), np.empty(count)
     # live trials: their index, blue count, conversions and clock at the last
     # fold; every jump raises the layer r + 2b by one, so r and w follow from b
@@ -211,22 +203,20 @@ def _lockstep(
     t = np.zeros(count)
     first = layer = r0 + 2 * b0
     while trial.size:
-        col = (layer - first) % half  # the block's first column in its window
-        if col == 0:
-            for row, rng in zip(rows, streams(seeds[trial], 2 * (layer - first))):
-                rng.random(out=row[:half])
-                rng.standard_exponential(out=row[half:], method="inv")
-        k = min(_FOLD, 2 * total - layer)
+        for row, rng in zip(rows, streams(seeds[trial], 2 * (layer - first))):
+            rng.random(out=row[:half])
+            rng.standard_exponential(out=row[half:], method="inv")
+        k = min(half, 2 * total - layer)
         for j in range(k):
             np.add(b, total - layer - j, out=lw)
             np.multiply(lw, lam, out=lw)
             np.add(lw, b, out=denom)
             np.add(denom, a, out=denom)
             np.divide(lw, denom, out=lw)  # p_grow
-            not_grow = np.greater_equal(rows[:, col + j], lw, out=flags[:, j])
+            not_grow = np.greater_equal(rows[:, j], lw, out=flags[:, j])
             np.add(b, not_grow, out=b)
-        jumps, c_add, t = _fold(params, rows[:, col : col + k],
-                                rows[:, half + col : half + col + k], flags[:, :k], b, layer, t)
+        jumps, c_add, t = _fold(params, rows[:, :k], rows[:, half : half + k],
+                                flags[:, :k], b, layer, t)
         c += c_add
         done = jumps <= k
         if done.any():
@@ -236,9 +226,7 @@ def _lockstep(
             conversions[out], times[out] = c[done], t[done]
             keep = ~done
             trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
-            live = trial.size
-            rows[:live, col + k :] = rows[keep, col + k :]
-            rows, flags, lw, denom = (x[:live] for x in (rows, flags, lw, denom))
+            rows, flags, lw, denom = (x[: trial.size] for x in (rows, flags, lw, denom))
         layer += k
 
 
@@ -246,7 +234,7 @@ def _fold(
     params: Params, events: np.ndarray, holds: np.ndarray, flags: np.ndarray, b: np.ndarray,
     layer: int, t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jumps to fixation, conversions and clocks of some trials over k stored jumps.
+    """Jumps to fixation, conversions and clocks of some trials over a window's k jumps.
 
     ``events`` and ``holds`` hold each trial's k event uniforms and Exp(1)
     draws, and ``flags`` whether each jump blued a red; ``b`` is the blue
@@ -275,13 +263,14 @@ def _fold(
     # r is layer - 2b, exact in doubles, in blue's buffer
     r = np.multiply(blue, -2.0, out=blue)
     r += layers
-    # each trial's last counted jump: its fixation, or past the block
+    # each trial's last counted jump: its fixation, or past the window
     ends = np.ones((len(t), k + 1), dtype=bool)
     np.logical_and(flags, r == 1, out=ends[:, :k])
     jumps = ends.argmax(axis=1) + 1
     counted = np.arange(k) < jumps[:, None]
     converted = np.count_nonzero((events >= p_grow) & counted, axis=1)
-    clock = np.zeros_like(r)
+    clock = p_grow  # the thresholds are read; an uncounted jump adds +0.0
+    clock.fill(0.0)
     np.divide(holds, np.multiply(r, denom, out=r), out=clock, where=counted)
     clock[:, 0] += t  # the sum's first step: every trial counts its first jump
     return jumps, converted, np.cumsum(clock, axis=1, out=clock)[:, -1]

@@ -405,19 +405,19 @@ class TestChainBlock:
             # the scalar loop
             pytest.param(20000, 3, 6, 1, 1.0, 2.0, id="20000-3-6-1"),
             pytest.param(20000, 3, 6, None, 1.0, 2.0, id="20000-3-6-None"),
-            # at lambda = 0.5 trials fixate at staggered times, so the
-            # lockstep compacts its window again and again down to no live trial
+            # at lambda = 0.5 trials fixate at staggered times, so trials
+            # leave the lockstep pass after pass down to no live trial
             pytest.param(300, 2, 66, None, 0.5, 2.0, id="300-2-66-None-0.5"),
             # 256 + 14 trials: the last chunk is too small for the lockstep
             # and runs the scalar loop
             pytest.param(100, 0, 270, None, 1.0, 2.0, id="100-0-270-None"),
             # at alpha = 50 most standard trials fixate at their first jump
-            # (W = n) and step on to the block's end beside the rest
+            # (W = n) and step on to the window's end beside the rest
             pytest.param(30, 0, 64, None, 1.0, 50.0, id="30-0-64-None-1-a50"),
-            # 256 trials at lambda = 0.5 fixate at every offset of a fold that
-            # a run of 2(n - W) + 1 jumps can end at (checked below)
-            pytest.param(200, 0, 256, None, 0.5, 2.0, id="200-0-256-None-0.5"),
-            # 2n + 1 = 81 jumps: the last block is cut to 17 jumps by
+            # 256 trials at lambda = 0.3 fixate at every offset of a window
+            # that a run of 2(n - W) + 1 jumps can end at (checked below)
+            pytest.param(1000, 0, 256, None, 0.3, 2.0, id="1000-0-256-None-0.3"),
+            # 2n + 1 = 81 jumps: the only window is cut to 81 jumps by
             # 2 * total - layer, and most trials fixate at its last jump, at
             # layer 2 * total with W = 0; the rest fixate earlier and step on
             pytest.param(40, 0, 40, None, 2.0, 2.0, id="40-0-40-None-2-cut"),
@@ -425,12 +425,12 @@ class TestChainBlock:
             pytest.param(100, 9, 9 + chain._LOCKSTEP_MIN_LIVE, None, 1.0, 2.0, id="100-9-min_live"),
             # lambda != 1 moves p_grow off the symmetric case in both modes
             pytest.param(200, 1, 101, None, 1.7, 2.0, id="200-1-101-None-1.7"),
-            # at n = 1 and n = 2 every trial fixates in the first block, which
+            # at n = 1 and n = 2 every trial fixates in the first window, which
             # 2 * total - layer cuts to 2n + 1 jumps, with most of its window unread
             pytest.param(1, 0, 64, None, 1.0, 2.0, id="1-0-64-None"),
             pytest.param(2, 3, 43, None, 1.0, 2.0, id="2-3-43-None"),
             # the corners of the rate bounds: trials fixate at their first jump
-            # and step on to their block's end, or make all 2n + 1 jumps, or
+            # and step on to their window's end, or make all 2n + 1 jumps, or
             # (lambda = alpha = 1e-100, standard start) both; a numpy warning
             # there fails the test (filterwarnings = error)
             *(
@@ -455,16 +455,35 @@ class TestChainBlock:
 
     @pytest.mark.parametrize("mode", list(InitMode))
     def test_fixations_end_at_every_offset_of_a_fold(self, mode):
-        # the trials of case 200-0-256-None-0.5: a run makes an odd number of
-        # jumps, 2(n - W) + 1, so it ends at every even offset of a block
-        params = Params(200, 0.5, 2.0, mode)
+        # the trials of case 1000-0-256-None-0.3: a run makes an odd number of
+        # jumps, 2(n - W) + 1, so it ends at every even offset of a window
+        params = Params(1000, 0.3, 2.0, mode)
         ref = [run_to_fixation(params, make_rng(stream_seed(1003, i))) for i in range(256)]
-        offsets = {(res.jump_count - 1) % chain._FOLD for res in ref}
-        assert offsets == set(range(0, chain._FOLD, 2))
+        half = chain._WINDOW // 2
+        offsets = {(res.jump_count - 1) % half for res in ref}
+        assert offsets == set(range(0, half, 2))
 
-    def test_a_window_holds_whole_fold_blocks(self):
-        # a block's columns are then one slice of its trials' rows
-        assert (chain._WINDOW // 2) % chain._FOLD == 0
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_each_window_rekeys_every_live_trial_once(self, mode, monkeypatch):
+        # window w of a trial starts at uniform _WINDOW * w of its stream, and
+        # a trial is live in it when it makes more than w windows of jumps
+        params = Params(200, 0.5, 2.0, mode)
+        seeds = stream_seeds(1003, 0, 64)
+        ref = [run_to_fixation(params, rng).jump_count for rng in streams(seeds)]
+        calls = []
+
+        def recording_streams(keys, offset=0):
+            calls.append((offset, keys.tolist()))
+            return streams(keys, offset)
+
+        monkeypatch.setattr(chain, "streams", recording_streams)
+        chain.chain_block(params, seeds)
+        half = chain._WINDOW // 2
+        expected = [
+            (chain._WINDOW * w, [s for s, jumps in zip(seeds.tolist(), ref) if jumps > half * w])
+            for w in range(-(-max(ref) // half))
+        ]
+        assert calls == expected
 
     def test_empty_block(self):
         w, c, tau = run_block(_config(params=Params(5, 1.0, 1.0), seed=0), 3, 3)

@@ -116,7 +116,7 @@ def test_every_private_module_name_in_src_is_used_in_src():
                 defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
     loaded = _loaded_names(trees)
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
-    assert {"_fold", "_FOLD", "_spacings"} <= private  # the walk sees both kinds
+    assert {"_fold", "_WINDOW", "_spacings"} <= private  # the walk sees both kinds
     assert not private - loaded, f"defined but never loaded in src: {sorted(private - loaded)}"
 
 
