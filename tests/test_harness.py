@@ -417,6 +417,9 @@ class TestChainBlock:
             # 256 trials at lambda = 0.3 fixate at every offset of a window
             # that a run of 2(n - W) + 1 jumps can end at (checked below)
             pytest.param(1000, 0, 256, None, 0.3, 2.0, id="1000-0-256-None-0.3"),
+            # 256 trials at lambda = 0.5 fixate at staggered offsets of the
+            # first few windows
+            pytest.param(200, 0, 256, None, 0.5, 2.0, id="200-0-256-None-0.5"),
             # 2n + 1 = 81 jumps: the only window is cut to 81 jumps by
             # 2 * total - layer, and most trials fixate at its last jump, at
             # layer 2 * total with W = 0; the rest fixate earlier and step on
