@@ -38,8 +38,8 @@ POPULATION_CAP = float(1 << 53)
 # allocation: at the cap a one-trial block peaks at 67.5 MiB (tracemalloc), the
 # 32 MiB row plus the 21 MiB rate vector and 11 MiB flag thresholds it holds
 MAX_COUPLING_UNIFORMS = 1 << 22
-# uniforms per chunk of a coupling block: ~100 trials at n = 50, and one
-# trial per chunk from n = 5461 up
+# uniforms per chunk of a coupling block: 107 trials at n = 50, and one
+# trial per chunk from n = 2731 up, where 3n + 2 > 2^13
 _CHUNK_UNIFORMS = 1 << 14
 
 
@@ -118,13 +118,13 @@ def _coupling_trials(
         m = np.where(before[r, first], first + 1, n + 1)
         chunk = slice(lo, lo + size)
         times[chunk] = beta[r, m - 1]
-        if size == 1:  # only the births before m count
+        white[chunk] = n + 1 - m
+        if size == 1:  # only the births before m count, read on the 1-D row
             k = int(m[0])
-            hits = flags[:, :k] < thresholds[:k]
+            conversions[lo] = np.count_nonzero(flags[0, :k] < thresholds[:k])
         else:
             hits = (flags < thresholds) & (np.arange(n + 1) < m[:, None])
-        white[chunk] = n + 1 - m
-        conversions[chunk] = np.count_nonzero(hits, axis=1)
+            conversions[chunk] = np.count_nonzero(hits, axis=1)
     return white, conversions, times
 
 

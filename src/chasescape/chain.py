@@ -29,13 +29,20 @@ MAX_RECORDED_JUMPS = 1 << 19
 _WINDOW = 256
 # fewest trials a chunk runs in lockstep; a smaller chunk runs the scalar loop
 # once per trial.  At lambda = 1, alpha = 2 and n = 50, 200 and 1000 the
-# lockstep takes 1.15 to 1.20 of the scalar time at 16 trials, 0.83 to 0.88 at
-# 24 (up to 1.4 in single pairs) and 0.68 to 0.73 at 32, under 0.8 in every
-# pair (medians of 11 interleaved pairs on 2 x86-64 CPUs)
-_LOCKSTEP_MIN_LIVE = 32
+# lockstep takes 1.20 to 1.39 of the scalar time at 8 trials, 0.93 to 1.02 at
+# 12 (slower in 10 of 11 pairs at n = 200), 0.75 to 0.87 at 16, faster in
+# every pair, and 0.50 to 0.54 at 32 (medians of 11 interleaved pairs on 2
+# x86-64 CPUs)
+_LOCKSTEP_MIN_LIVE = 16
 # trials per chunk of a block; with one window of _WINDOW draws per trial a
 # chunk holds at most 2^16 of them (512 KiB) at any n
 _CHUNK_TRIALS = 256
+# cap on the cells of a window's p_grow grid, k rows of one cell per reachable
+# b: 512 KiB, as for a chunk's rows.  A pass whose live trials spread wider in
+# b steps them in b-sorted groups that each fit (the widest spread of a chunk
+# at lambda = 1, alpha = 2 was 96 at n = 1000, 235 at n = 10^4 and 723 at
+# n = 10^5, against the 384 a 128-jump window's grid holds)
+_GRID_CELLS = 1 << 16
 
 
 class EventKind(Enum):
@@ -150,8 +157,8 @@ def chain_block(
     bytes as ``run_to_fixation(params, make_rng(seeds[j]))``.  A chunk of
     fewer than ``_LOCKSTEP_MIN_LIVE`` trials runs :func:`run_to_fixation` per
     trial; any other runs in lockstep (:func:`_lockstep`) until every trial
-    has fixated, and holds one window of ``_WINDOW`` draws per live trial
-    however long it runs.
+    has fixated, and holds one window of ``_WINDOW`` draws per live trial and
+    one p_grow grid of at most ``_GRID_CELLS`` cells however long it runs.
     """
     white, conversions, times = empty_block(len(seeds))
     for lo in range(0, len(seeds), _CHUNK_TRIALS):
@@ -176,45 +183,45 @@ def _lockstep(
     trial's stream at the window's offset fills its row: the event uniforms
     of the window's jumps in the first half, their Exp(1) draws in the
     second.  Every live trial then makes k = min(_WINDOW // 2, 2 * total -
-    layer) jumps, as none fixates above layer 2 * total.  A jump runs seven
-    ufuncs into per-chunk buffers: it stores whether the red count fell,
-    ``u >= p_grow``, in ``flags`` and adds that to b.  :func:`_fold` then
-    finds each trial's fixation, and those that fixated, if any, leave; the
-    next pass refills every live row, so no row moves.  Stepping on to the
-    window's end is safe: a grow lowers w by one, at w = 0 p_grow = 0 so
-    every later jump blues, and denom >= b + alpha > 0 in both starts.
+    layer) jumps, as none fixates above layer 2 * total: :func:`_steps`
+    decides each jump from the window's p_grow grid, which has a row per jump
+    and a cell per b the trials can reach.  When the live trials' spread of b
+    is too wide for one grid of ``_GRID_CELLS`` cells, the pass sorts them by
+    b before the refill and steps them in contiguous groups, each with its own
+    grid under the cap; one group is the usual case.  :func:`_fold` then finds
+    each trial's fixation, and those that fixated, if any, leave; the next
+    pass refills every live row, so no row moves.
     """
-    lam = params.lam
-    a = params.conversion_rate
     total = params.total_vertices
     r0, b0 = params.initial_red_blue
     count = len(seeds)
     half = _WINDOW // 2
     # each live trial's window and the flags of its jumps in it; a finished
-    # trial leaves these views, the step arrays and the four below
+    # trial leaves these views and the four arrays below
     rows = np.empty((count, _WINDOW))
     flags = np.empty((count, half), dtype=bool)
-    lw, denom = np.empty(count), np.empty(count)
     # live trials: their index, blue count, conversions and clock at the last
     # fold; every jump raises the layer r + 2b by one, so r and w follow from b
     trial = np.arange(count)
-    b = np.full(count, float(b0))
+    b = np.full(count, b0)
     c = np.zeros(count, dtype=np.int64)
     t = np.zeros(count)
     first = layer = r0 + 2 * b0
     while trial.size:
+        k = min(half, 2 * total - layer)
+        groups = [0, trial.size]
+        span = _GRID_CELLS // k - k  # the widest spread of b one grid holds
+        if np.ptp(b) > span:
+            order = np.argsort(b)
+            trial, b, c, t = trial[order], b[order], c[order], t[order]
+            groups = [0]
+            while groups[-1] < trial.size:
+                groups.append(int(np.searchsorted(b, b[groups[-1]] + span, "right")))
         for row, rng in zip(rows, streams(seeds[trial], 2 * (layer - first))):
             rng.random(out=row[:half])
             rng.standard_exponential(out=row[half:], method="inv")
-        k = min(half, 2 * total - layer)
-        for j in range(k):
-            np.add(b, total - layer - j, out=lw)
-            np.multiply(lw, lam, out=lw)
-            np.add(lw, b, out=denom)
-            np.add(denom, a, out=denom)
-            np.divide(lw, denom, out=lw)  # p_grow
-            not_grow = np.greater_equal(rows[:, j], lw, out=flags[:, j])
-            np.add(b, not_grow, out=b)
+        for lo, hi in zip(groups, groups[1:]):
+            _steps(params, rows[lo:hi, :k], flags[lo:hi, :k], b[lo:hi], layer)
         jumps, c_add, t = _fold(params, rows[:, :k], rows[:, half : half + k],
                                 flags[:, :k], b, layer, t)
         c += c_add
@@ -226,8 +233,44 @@ def _lockstep(
             conversions[out], times[out] = c[done], t[done]
             keep = ~done
             trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
-            rows, flags, lw, denom = (x[: trial.size] for x in (rows, flags, lw, denom))
+            rows, flags = rows[: trial.size], flags[: trial.size]
         layer += k
+
+
+def _steps(
+    params: Params, events: np.ndarray, flags: np.ndarray, b: np.ndarray, layer: int
+) -> None:
+    """Step some live trials through a window's k jumps, in place.
+
+    ``events`` holds each trial's k event uniforms, ``b`` its blue count at
+    the window's first jump, at layer ``layer``; ``flags`` gets whether each
+    jump blued a red, ``u >= p_grow``, and ``b`` the count after the last.
+    Within the window p_grow depends only on the jump j and b, so one grid
+    P[j, b] over every b the trials can reach, min b to max b + k - 1, holds
+    the scalar loop's IEEE expression lambda*w / (lambda*w + b + alpha) with
+    w = b + total - layer - j.  A jump is then one gather, one compare and
+    one add on each trial's offset into its grid row.  w is clamped at 0
+    where it would be negative: no live trial reaches such a cell, and at
+    w = 0 p_grow = 0, so a trial that fixated steps on to the window's end
+    blueing, and denom >= b + alpha > 0 in both starts.
+    """
+    k = flags.shape[1]
+    lo = b.min()
+    width = b.max() - lo + k
+    # lambda * max(w, 0) depends on b - j only: one vector, seen as k rows
+    # whose row j starts at b = lo, where w is w0 - j
+    w0 = lo + params.total_vertices - layer
+    lw = np.arange(w0 - k + 1, w0 + width, dtype=np.float64)
+    np.maximum(lw, 0.0, out=lw)
+    lw *= params.lam
+    lw = np.lib.stride_tricks.sliding_window_view(lw, width)[::-1]
+    grid = np.add(lw, np.arange(lo, lo + width, dtype=np.float64))
+    grid += params.conversion_rate
+    np.divide(lw, grid, out=grid)  # p_grow
+    rel = b - lo
+    for u, p_grow, flag in zip(events.T, grid, flags.T):
+        np.add(rel, np.greater_equal(u, p_grow[rel], out=flag), out=rel)
+    np.add(rel, lo, out=b)
 
 
 def _fold(
@@ -243,10 +286,12 @@ def _fold(
     expressions come back from the flags.  A trial fixates at its first jump
     that blues its last red, ``flags & (r == 1)``; it counts its jumps up to
     that one (k + 1 if none), and only those add conversions (``u >= p_grow +
-    b / denom``, which implies a blue) and holding times (``E / (r * denom)``),
-    so the jumps it stepped on with form no E / 0.  One left-to-right cumsum,
-    whose first step is t plus the first holding time, adds them to the clock
-    in jump order, and +0.0 for each uncounted jump.
+    b / denom``, which implies a blue) and holding times (``E / (r * denom)``,
+    written over the draws in ``holds``), so the jumps it stepped on with
+    form no E / 0.  One left-to-right cumsum, whose first step is t plus the
+    first holding time, adds them to the clock in jump order, and the clock
+    is read at the last counted jump.  The fold holds three float and two
+    bool arrays of the window's shape.
     """
     k = flags.shape[1]
     blue = np.cumsum(flags, axis=1, dtype=np.float64)
@@ -254,26 +299,28 @@ def _fold(
     blue -= flags
     blue += first[:, None]  # before each jump
     layers = np.arange(layer, layer + k)
-    p_grow = np.add(blue, params.total_vertices - layers)
-    p_grow *= params.lam
-    denom = p_grow + blue
+    denom = np.add(blue, params.total_vertices - layers)
+    denom *= params.lam
+    denom += blue
     denom += params.conversion_rate
-    p_grow /= denom
-    p_grow += np.divide(blue, denom)
-    # r is layer - 2b, exact in doubles, in blue's buffer
-    r = np.multiply(blue, -2.0, out=blue)
+    r = np.multiply(blue, -2.0)  # layer - 2b, exact in doubles
     r += layers
     # each trial's last counted jump: its fixation, or past the window
     ends = np.ones((len(t), k + 1), dtype=bool)
-    np.logical_and(flags, r == 1, out=ends[:, :k])
+    np.logical_and(flags, np.equal(r, 1.0, out=ends[:, :k]), out=ends[:, :k])
     jumps = ends.argmax(axis=1) + 1
     counted = np.arange(k) < jumps[:, None]
-    converted = np.count_nonzero((events >= p_grow) & counted, axis=1)
-    clock = p_grow  # the thresholds are read; an uncounted jump adds +0.0
-    clock.fill(0.0)
-    np.divide(holds, np.multiply(r, denom, out=r), out=clock, where=counted)
+    clock = np.divide(holds, np.multiply(r, denom, out=r), out=holds, where=counted)
     clock[:, 0] += t  # the sum's first step: every trial counts its first jump
-    return jumps, converted, np.cumsum(clock, axis=1, out=clock)[:, -1]
+    clock = np.cumsum(clock, axis=1, out=clock)[np.arange(len(t)), np.minimum(jumps, k) - 1]
+    # the thresholds, with lambda*w in r's buffer
+    p_grow = np.add(blue, params.total_vertices - layers, out=r)
+    p_grow *= params.lam
+    p_grow /= denom
+    p_grow += np.divide(blue, denom, out=blue)
+    converted = np.greater_equal(events, p_grow, out=ends[:, :k])
+    converted &= counted
+    return jumps, np.count_nonzero(converted, axis=1), clock
 
 
 def check_trajectory(

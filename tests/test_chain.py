@@ -21,7 +21,7 @@ from chasescape import (
     stream_seed,
 )
 from chasescape import chain
-from chasescape.analytics import prob_gamma_less_exp_closed, stats_wilson_ci
+from chasescape.analytics import chi_square_gof, prob_gamma_less_exp_closed, stats_wilson_ci
 from chasescape.birth_death import sample_limit_sum, sample_terminal_gamma_process
 from chasescape.chain import (
     EventKind,
@@ -336,6 +336,21 @@ class TestRunToFixation:
             pk = exact.probabilities[k]
             se = math.sqrt(pk * (1 - pk) / trials)
             assert abs(counts[k] / trials - pk) <= 4 * se + 1e-12, f"W={k}"
+
+    def test_against_exact_distribution_past_the_first_window(self):
+        # at n = 200 a trial makes up to 401 jumps, four 128-jump windows of
+        # the lockstep, and 99% of these trials outlive the first window; a
+        # lockstep that refills only its first window reuses its uniforms and
+        # fails the chi-square and the clock's mean here
+        n, trials = 200, 8000
+        p = Params(n, 1.0, 2.0)
+        exact = exact_distribution_W(n, 1.0, 2.0)
+        w, _, tau = chain_block(p, stream_seeds(17, 0, trials))
+        assert np.mean(2 * (n - w) + 1 > chain._WINDOW // 2) > 0.98
+        assert chi_square_gof(np.bincount(w, minlength=n + 1), exact.probabilities).pvalue >= 1e-3
+        for sample, expected in ((w, exact.expected_w), (tau, exact.expected_tau)):
+            se = float(np.std(sample, ddof=1)) / math.sqrt(trials)
+            assert abs(float(np.mean(sample)) - expected) <= 4 * se
 
     def test_embedded_chain_law_componentwise(self):
         # componentwise 3-se agreement with the exact oracle; near-empty bins

@@ -488,6 +488,39 @@ class TestChainBlock:
         ]
         assert calls == expected
 
+    def test_a_spread_over_the_grid_cap_steps_in_groups_under_it(self, monkeypatch):
+        # a grid of 128 x 160 cells holds a spread of b of 32 at k = 128; at
+        # n = 1000 64 live trials spread wider than that after a few windows,
+        # so those passes step b-sorted groups, each grid under the cap
+        params = Params(1000, 1.0, 2.0)
+        seeds = stream_seeds(1003, 0, 64)
+        cap = chain._WINDOW // 2 * 160
+        monkeypatch.setattr(chain, "_GRID_CELLS", cap)
+        steps, calls = chain._steps, []
+
+        def traced_steps(params, events, flags, b, layer):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            steps(params, events, flags, b, layer)
+            calls.append((layer, tracemalloc.get_traced_memory()[1] - start))
+
+        monkeypatch.setattr(chain, "_steps", traced_steps)
+        tracemalloc.start()
+        try:
+            w, c, tau = chain.chain_block(params, seeds)
+        finally:
+            tracemalloc.stop()
+        layers = [layer for layer, _ in calls]
+        assert len(layers) > len(set(layers))  # some pass ran in groups
+        # the grid of 8 bytes a cell, the two operand buffers of
+        # np.getbufsize() doubles that numpy's ufunc loop may take while it
+        # reads the strided view of lambda * w, and vectors of a group's length
+        assert max(peak for _, peak in calls) < 8 * (cap + 2 * np.getbufsize()) + (1 << 14)
+        ref = [run_to_fixation(params, rng) for rng in streams(seeds)]
+        assert w.tolist() == [res.white_survivors for res in ref]
+        assert c.tolist() == [res.conversions for res in ref]
+        assert tau.tobytes() == np.array([res.fixation_time for res in ref]).tobytes()
+
     def test_empty_block(self):
         w, c, tau = run_block(_config(params=Params(5, 1.0, 1.0), seed=0), 3, 3)
         assert w.size == c.size == tau.size == 0
