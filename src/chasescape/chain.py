@@ -21,7 +21,8 @@ from .params import ParameterError, Params, ResourceLimitError
 from .rng import streams
 
 # cap on the jumps a recorded run may make (2n + 1 at most), refused before
-# the first jump: at about 272 bytes per JumpRecord, 2^19 jumps is 136 MiB
+# the first jump: at about 272 bytes per JumpRecord, 2^19 jumps is 136 MiB of
+# records; `simulate` at n = 262143 peaked at 321 MiB RSS for CSV, 1002 for JSON
 MAX_RECORDED_JUMPS = 1 << 19
 
 # uniforms per window of a chain stream: the event uniforms of _WINDOW // 2
@@ -38,11 +39,11 @@ _LOCKSTEP_MIN_LIVE = 16
 # chunk holds at most 2^16 of them (512 KiB) at any n
 _CHUNK_TRIALS = 256
 # cap on the cells of a window's p_grow grid, k rows of one cell per reachable
-# b: 512 KiB, as for a chunk's rows.  A pass whose live trials spread wider in
-# b steps them in b-sorted groups that each fit (the widest spread of a chunk
-# at lambda = 1, alpha = 2 was 96 at n = 1000, 235 at n = 10^4 and 723 at
-# n = 10^5, against the 384 a 128-jump window's grid holds)
-_GRID_CELLS = 1 << 16
+# b, in the 512 KiB of a chunk's rows.  Every pass steps b-sorted groups that
+# each fit: a 128-jump window's grid holds a spread of 384, and the widest of a
+# chunk at lambda = 1, alpha = 2 was 96 at n = 1000, 235 at n = 10^4 and 723
+# at n = 10^5
+_GRID_CELLS = _CHUNK_TRIALS * _WINDOW
 
 
 class EventKind(Enum):
@@ -185,11 +186,11 @@ def _lockstep(
     second.  Every live trial then makes k = min(_WINDOW // 2, 2 * total -
     layer) jumps, as none fixates above layer 2 * total: :func:`_steps`
     decides each jump from the window's p_grow grid, which has a row per jump
-    and a cell per b the trials can reach.  When the live trials' spread of b
-    is too wide for one grid of ``_GRID_CELLS`` cells, the pass sorts them by
-    b before the refill and steps them in contiguous groups, each with its own
-    grid under the cap; one group is the usual case.  :func:`_fold` then finds
-    each trial's fixation, and those that fixated, if any, leave; the next
+    and a cell per b the trials can reach.  Each pass sorts the live trials
+    by b before the refill (stably: the first keeps seed order) and steps
+    them in contiguous groups, each with a spread of b one grid of
+    ``_GRID_CELLS`` cells holds.  :func:`_fold` then finds each trial's
+    fixation, and those that fixated, if any, leave by trial index; the next
     pass refills every live row, so no row moves.
     """
     total = params.total_vertices
@@ -209,22 +210,18 @@ def _lockstep(
     first = layer = r0 + 2 * b0
     while trial.size:
         k = min(half, 2 * total - layer)
-        groups = [0, trial.size]
         span = _GRID_CELLS // k - k  # the widest spread of b one grid holds
-        if np.ptp(b) > span:
-            order = np.argsort(b)
-            trial, b, c, t = trial[order], b[order], c[order], t[order]
-            groups = [0]
-            while groups[-1] < trial.size:
-                groups.append(int(np.searchsorted(b, b[groups[-1]] + span, "right")))
+        order = np.argsort(b, kind="stable")
+        trial, b, c, t = trial[order], b[order], c[order], t[order]
         for row, rng in zip(rows, streams(seeds[trial], 2 * (layer - first))):
             rng.random(out=row[:half])
             rng.standard_exponential(out=row[half:], method="inv")
+        groups = [0]  # found before any group steps its b in place
+        while groups[-1] < trial.size:
+            groups.append(int(np.searchsorted(b, b[groups[-1]] + span, "right")))
         for lo, hi in zip(groups, groups[1:]):
             _steps(params, rows[lo:hi, :k], flags[lo:hi, :k], b[lo:hi], layer)
-        jumps, c_add, t = _fold(params, rows[:, :k], rows[:, half : half + k],
-                                flags[:, :k], b, layer, t)
-        c += c_add
+        jumps = _fold(params, rows[:, :k], rows[:, half : half + k], flags[:, :k], b, layer, c, t)
         done = jumps <= k
         if done.any():
             out = trial[done]
@@ -275,23 +272,25 @@ def _steps(
 
 def _fold(
     params: Params, events: np.ndarray, holds: np.ndarray, flags: np.ndarray, b: np.ndarray,
-    layer: int, t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jumps to fixation, conversions and clocks of some trials over a window's k jumps.
+    layer: int, c: np.ndarray, t: np.ndarray,
+) -> np.ndarray:
+    """Each trial's jumps to fixation in a window; its conversions and clock in place.
 
     ``events`` and ``holds`` hold each trial's k event uniforms and Exp(1)
     draws, and ``flags`` whether each jump blued a red; ``b`` is the blue
     count after the last jump, ``layer`` the layer at the first and ``t`` the
-    clock before it.  Each jump's b, r = layer - 2b and the scalar loop's IEEE
-    expressions come back from the flags.  A trial fixates at its first jump
-    that blues its last red, ``flags & (r == 1)``; it counts its jumps up to
-    that one (k + 1 if none), and only those add conversions (``u >= p_grow +
-    b / denom``, which implies a blue) and holding times (``E / (r * denom)``,
-    written over the draws in ``holds``), so the jumps it stepped on with
-    form no E / 0.  One left-to-right cumsum, whose first step is t plus the
-    first holding time, adds them to the clock in jump order, and the clock
-    is read at the last counted jump.  The fold holds three float and two
-    bool arrays of the window's shape.
+    clock before it.  As :func:`_steps` does for ``b``, the fold adds each
+    trial's conversions into ``c`` and writes its clock into ``t``.  Each
+    jump's b, r = layer - 2b and the scalar loop's IEEE expressions come back
+    from the flags.  A trial fixates at its first jump that blues its last red,
+    ``flags & (r == 1)``; it counts its jumps up to that one (k + 1 if none),
+    and only those add conversions (``u >= p_grow + b / denom``, which implies
+    a blue) and holding times (``E / (r * denom)``, written over the draws in
+    ``holds``), so the jumps it stepped on with form no E / 0.  One
+    left-to-right cumsum, whose first step is t plus the first holding time,
+    adds them to the clock in jump order, and the clock is read at the last
+    counted jump.  The fold holds three float and two bool arrays of the
+    window's shape.
     """
     k = flags.shape[1]
     blue = np.cumsum(flags, axis=1, dtype=np.float64)
@@ -312,7 +311,7 @@ def _fold(
     counted = np.arange(k) < jumps[:, None]
     clock = np.divide(holds, np.multiply(r, denom, out=r), out=holds, where=counted)
     clock[:, 0] += t  # the sum's first step: every trial counts its first jump
-    clock = np.cumsum(clock, axis=1, out=clock)[np.arange(len(t)), np.minimum(jumps, k) - 1]
+    t[:] = np.cumsum(clock, axis=1, out=clock)[np.arange(len(t)), np.minimum(jumps, k) - 1]
     # the thresholds, with lambda*w in r's buffer
     p_grow = np.add(blue, params.total_vertices - layers, out=r)
     p_grow *= params.lam
@@ -320,7 +319,8 @@ def _fold(
     p_grow += np.divide(blue, denom, out=blue)
     converted = np.greater_equal(events, p_grow, out=ends[:, :k])
     converted &= counted
-    return jumps, np.count_nonzero(converted, axis=1), clock
+    c += np.count_nonzero(converted, axis=1)
+    return jumps
 
 
 def check_trajectory(

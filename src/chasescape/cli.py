@@ -151,7 +151,8 @@ def _read_input(flag: str, path, parse):
     except UnicodeDecodeError as exc:
         where = f"byte 0x{exc.object[exc.start]:02x} at position {exc.start}"
         raise ParameterError(f"{flag} {path}: not UTF-8 ({where})") from None
-    except (ParameterError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # a refusal, bad JSON, a number over Python's 4300 digits or nesting too deep
         raise ParameterError(f"{flag} {path}: {exc}") from None
     except ResourceLimitError as exc:  # a graph over the cap, before it is built
         raise ResourceLimitError(f"{flag} {path}: {exc}") from None

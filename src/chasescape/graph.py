@@ -110,9 +110,9 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int) -> Graph:
         # ASCII digits only: int() would also take "1_0", "+2" and non-ASCII digits
         if not all(f.isascii() and f.removeprefix("-").isdigit() for f in fields):
             raise ParameterError(f"line {lineno}: vertex indices must be integers")
-        u, v = int(fields[0]), int(fields[1])
-        if u < 0 or v < 0:
+        if "-" in line:  # "-0" as well as "-1"
             raise ParameterError(f"line {lineno}: vertex indices must be >= 0")
+        u, v = int(fields[0]), int(fields[1])
         if u == v:
             raise ParameterError(f"line {lineno}: self-loop at vertex {u}")
         pairs.append((lineno, u, v))

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 from scipy.special import gammainc
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from chasescape.analytics import (
     prob_gamma_less_exp_quadrature,
     stats_wilson_ci,
 )
-from chasescape.params import MAX_RATE, MIN_RATE
+from chasescape.params import MAX_RATE, MIN_RATE, QuadratureError
 
 ALPHA_GRID = (0.1, 0.3, 1.0, 2.0, 2.5, 4.0, 8.0)
 
@@ -164,6 +165,12 @@ class TestQuadratureOracles:
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_excess_matches_closed_form(self, alpha):
         assert abs(expected_excess_quadrature(alpha) - expected_excess_closed(alpha)) < 1e-8
+
+    @pytest.mark.parametrize("value, abserr", [(0.5, 1.0), (math.nan, 0.0)], ids=["error", "nan"])
+    def test_an_unconverged_quadrature_raises(self, value, abserr, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (value, abserr, {}))
+        with pytest.raises(QuadratureError, match="quadrature failed"):
+            prob_gamma_less_exp_quadrature(2.0)
 
     def test_quadrature_would_catch_a_broken_closed_form(self):
         # fault injection: a wrong constant must trip the cross-check

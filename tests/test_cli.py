@@ -23,6 +23,17 @@ _OVER_ENGINE_CAPS = [
 ]
 
 
+def _refusal(parse, text):
+    """The message of the error ``parse(text)`` raises, as this Python words it."""
+    with pytest.raises((ValueError, RecursionError)) as info:
+        parse(text)
+    return str(info.value)
+
+
+# a number of 5000 digits, past Python's 4300-digit limit on int(str)
+_LONG_NUMBER = "1" * 5000
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -169,6 +180,18 @@ class TestEstimate:
         )
 
     @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000 + "]" * 100000, f'{{"n": {_LONG_NUMBER}}}'],
+        ids=["nested-past-the-recursion-limit", "number-past-the-digit-limit"],
+    )
+    def test_config_past_pythons_limits_names_its_flag_and_file(self, tmp_path, text):
+        config = tmp_path / "exp.json"
+        config.write_text(text)
+        code, out, err = run_cli("estimate", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: --config {config}: {_refusal(json.loads, text)}\n"
+
+    @pytest.mark.parametrize(
         "n, text, message",
         [
             (1, "0 1 2\n", "line 1: expected 'u v', got '0 1 2'"),
@@ -178,14 +201,17 @@ class TestEstimate:
             (1, "0 1\n1 \uff12\n", "line 2: vertex indices must be integers"),
             (1, "0 1\n1 +2\n", "line 2: vertex indices must be integers"),
             (1, "0 -1\n", "line 1: vertex indices must be >= 0"),
+            (1, "0 1\n-0 1\n", "line 2: vertex indices must be >= 0"),
+            (1, f"0 {_LONG_NUMBER}\n", _refusal(int, _LONG_NUMBER)),
             (1, "0 1\n1 1\n", "line 2: self-loop at vertex 1"),
             (1, "0 1\n1 0\n", "line 2: duplicate edge 1 0"),
             (4, "0 1\n2 3\n2 4\n3 4\n", "graph is not connected"),
             (1, "\n\n", "edge list is empty"),
             (100, "0 1\n1 2\n2 3\n3 0\n", "graph has 4 vertices, expected 101"),
         ],
-        ids=["fields", "integers", "underscore", "fullwidth", "plus", "negative", "self-loop",
-             "duplicate", "disconnected", "empty", "vertex-count"],
+        ids=["fields", "integers", "underscore", "fullwidth", "plus", "negative", "minus-zero",
+             "past-the-digit-limit", "self-loop", "duplicate", "disconnected", "empty",
+             "vertex-count"],
     )
     def test_graph_file_errors_name_the_flag_and_file(self, tmp_path, n, text, message):
         edges = tmp_path / "edges.txt"

@@ -316,6 +316,22 @@ class TestBookkeeping:
             assert ever_blue <= now_blue
             ever_blue = now_blue
 
+    @pytest.mark.parametrize(
+        "extra_white, message",
+        [(1, "red vertex 0 has fewer white neighbours than counted"),
+         (0, "the red vertices' counts sum to less than 12")],
+        ids=["grow-scan", "walk"],
+    )
+    def test_counts_over_the_graph_trip_a_guard(self, extra_white, message):
+        # red vertex 0 has 11 white neighbours; count a twelfth red-white edge
+        # on 0's own count or on no vertex's, and the last member of a grow
+        # runs out of white neighbours in 0's row, or of red vertices
+        state = GraphState(complete_graph(12), Params(11, 1.0, 1.0))
+        state.white[0] += extra_white
+        state.rw += 1
+        with pytest.raises(AssertionError, match=message):
+            state.step(0.0, 1.0 - 2.0**-53, 0.5)
+
 
 def _path_graph(m):
     return parse_edge_list([f"{v} {v + 1}" for v in range(m - 1)], m)
