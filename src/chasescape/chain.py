@@ -22,7 +22,7 @@ from .rng import streams
 
 # cap on the jumps a recorded run may make (2n + 1 at most), refused before
 # the first jump: at about 272 bytes per JumpRecord, 2^19 jumps is 136 MiB of
-# records; `simulate` at n = 262143 peaked at 321 MiB RSS for CSV, 1002 for JSON
+# records; `simulate` at n = 262143 peaked at 320 MiB RSS for CSV, 324 for JSON
 MAX_RECORDED_JUMPS = 1 << 19
 
 # uniforms per window of a chain stream: the event uniforms of _WINDOW // 2
@@ -186,12 +186,13 @@ def _lockstep(
     second.  Every live trial then makes k = min(_WINDOW // 2, 2 * total -
     layer) jumps, as none fixates above layer 2 * total: :func:`_steps`
     decides each jump from the window's p_grow grid, which has a row per jump
-    and a cell per b the trials can reach.  Each pass sorts the live trials
-    by b before the refill (stably: the first keeps seed order) and steps
-    them in contiguous groups, each with a spread of b one grid of
-    ``_GRID_CELLS`` cells holds.  :func:`_fold` then finds each trial's
-    fixation, and those that fixated, if any, leave by trial index; the next
-    pass refills every live row, so no row moves.
+    and a cell per b the trials can reach.  The live trials are in b order,
+    so a pass steps them in contiguous groups, each with a spread of b one
+    grid of ``_GRID_CELLS`` cells holds.  :func:`_fold` then advances each
+    trial's b, conversions and clock and finds its fixation.  The pass ends
+    with one permutation: the trials that fixated leave by trial index, and
+    the rest are sorted by b (stably, so the first pass keeps seed order)
+    for the next pass, which refills every live row, so no row moves.
     """
     total = params.total_vertices
     r0, b0 = params.initial_red_blue
@@ -211,37 +212,35 @@ def _lockstep(
     while trial.size:
         k = min(half, 2 * total - layer)
         span = _GRID_CELLS // k - k  # the widest spread of b one grid holds
-        order = np.argsort(b, kind="stable")
-        trial, b, c, t = trial[order], b[order], c[order], t[order]
         for row, rng in zip(rows, streams(seeds[trial], 2 * (layer - first))):
             rng.random(out=row[:half])
             rng.standard_exponential(out=row[half:], method="inv")
-        groups = [0]  # found before any group steps its b in place
+        groups = [0]
         while groups[-1] < trial.size:
             groups.append(int(np.searchsorted(b, b[groups[-1]] + span, "right")))
         for lo, hi in zip(groups, groups[1:]):
             _steps(params, rows[lo:hi, :k], flags[lo:hi, :k], b[lo:hi], layer)
         jumps = _fold(params, rows[:, :k], rows[:, half : half + k], flags[:, :k], b, layer, c, t)
         done = jumps <= k
-        if done.any():
-            out = trial[done]
-            # at fixation r = 0, so the layer is 2b
-            white[out] = total - (layer + jumps[done]) // 2
-            conversions[out], times[out] = c[done], t[done]
-            keep = ~done
-            trial, b, c, t = trial[keep], b[keep], c[keep], t[keep]
-            rows, flags = rows[: trial.size], flags[: trial.size]
+        out = trial[done]
+        # at fixation r = 0, so the layer is 2b
+        white[out] = total - (layer + jumps[done]) // 2
+        conversions[out], times[out] = c[done], t[done]
+        live = np.flatnonzero(~done)
+        order = live[np.argsort(b[live], kind="stable")]
+        trial, b, c, t = trial[order], b[order], c[order], t[order]
+        rows, flags = rows[: trial.size], flags[: trial.size]
         layer += k
 
 
 def _steps(
     params: Params, events: np.ndarray, flags: np.ndarray, b: np.ndarray, layer: int
 ) -> None:
-    """Step some live trials through a window's k jumps, in place.
+    """Decide some live trials' k jumps in a window into ``flags``.
 
     ``events`` holds each trial's k event uniforms, ``b`` its blue count at
     the window's first jump, at layer ``layer``; ``flags`` gets whether each
-    jump blued a red, ``u >= p_grow``, and ``b`` the count after the last.
+    jump blued a red, ``u >= p_grow``, and nothing else is written.
     Within the window p_grow depends only on the jump j and b, so one grid
     P[j, b] over every b the trials can reach, min b to max b + k - 1, holds
     the scalar loop's IEEE expression lambda*w / (lambda*w + b + alpha) with
@@ -267,7 +266,6 @@ def _steps(
     rel = b - lo
     for u, p_grow, flag in zip(events.T, grid, flags.T):
         np.add(rel, np.greater_equal(u, p_grow[rel], out=flag), out=rel)
-    np.add(rel, lo, out=b)
 
 
 def _fold(
@@ -278,12 +276,13 @@ def _fold(
 
     ``events`` and ``holds`` hold each trial's k event uniforms and Exp(1)
     draws, and ``flags`` whether each jump blued a red; ``b`` is the blue
-    count after the last jump, ``layer`` the layer at the first and ``t`` the
-    clock before it.  As :func:`_steps` does for ``b``, the fold adds each
-    trial's conversions into ``c`` and writes its clock into ``t``.  Each
-    jump's b, r = layer - 2b and the scalar loop's IEEE expressions come back
-    from the flags.  A trial fixates at its first jump that blues its last red,
-    ``flags & (r == 1)``; it counts its jumps up to that one (k + 1 if none),
+    count before the first jump, ``layer`` the layer at it and ``t`` the
+    clock before it.  The fold advances ``b`` past the window's last jump,
+    adds each trial's conversions into ``c`` and writes its clock into
+    ``t``.  One cumsum of the flags gives b after each jump, and from it b
+    before, r = layer - 2b and the scalar loop's IEEE expressions.  A trial
+    fixates at its first jump after which no red is left, where 2b is that
+    jump's layer + 1; it counts its jumps up to that one (k + 1 if none),
     and only those add conversions (``u >= p_grow + b / denom``, which implies
     a blue) and holding times (``E / (r * denom)``, written over the draws in
     ``holds``), so the jumps it stepped on with form no E / 0.  One
@@ -294,20 +293,20 @@ def _fold(
     """
     k = flags.shape[1]
     blue = np.cumsum(flags, axis=1, dtype=np.float64)
-    first = b - blue[:, -1]
-    blue -= flags
-    blue += first[:, None]  # before each jump
+    blue += b[:, None]  # after each jump
+    b[:] = blue[:, -1]
     layers = np.arange(layer, layer + k)
+    # each trial's last counted jump: its fixation (2b = layer + 1 after it) or past the window
+    ends = np.ones((len(t), k + 1), dtype=bool)
+    np.equal(blue, (layers + 1) / 2, out=ends[:, :k])
+    jumps = ends.argmax(axis=1) + 1
+    blue -= flags  # before each jump
     denom = np.add(blue, params.total_vertices - layers)
     denom *= params.lam
     denom += blue
     denom += params.conversion_rate
     r = np.multiply(blue, -2.0)  # layer - 2b, exact in doubles
     r += layers
-    # each trial's last counted jump: its fixation, or past the window
-    ends = np.ones((len(t), k + 1), dtype=bool)
-    np.logical_and(flags, np.equal(r, 1.0, out=ends[:, :k]), out=ends[:, :k])
-    jumps = ends.argmax(axis=1) + 1
     counted = np.arange(k) < jumps[:, None]
     clock = np.divide(holds, np.multiply(r, denom, out=r), out=holds, where=counted)
     clock[:, 0] += t  # the sum's first step: every trial counts its first jump

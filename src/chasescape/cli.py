@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from typing import Iterable
 
 from .analytics import exact_distribution_W
 from .chain import (
@@ -27,7 +28,7 @@ from .harness import (
     Engine,
     Estimator,
     ExperimentConfig,
-    canonical_json,
+    canonical_chunks,
     params_as_dict,
     run_block,
     run_experiment,
@@ -113,12 +114,12 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(chunks: Iterable[str], path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _params_from_args(args: argparse.Namespace) -> Params:
@@ -131,11 +132,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     records: list[JumpRecord] = []
     run_to_fixation(params, make_rng(stream_seed(args.seed, 0)), records)
     if args.format == "csv":
-        text = trajectory_csv(records)
+        chunks = [trajectory_csv(records)]
     else:
         jumps = [dict(zip(TRAJECTORY_FIELDS, row)) for row in trajectory_rows(records)]
-        text = canonical_json({"params": params_as_dict(params), "jumps": jumps})
-    _write_output(text, args.output)
+        chunks = canonical_chunks({"params": params_as_dict(params), "jumps": jumps})
+    _write_output(chunks, args.output)
     return 0
 
 
@@ -152,7 +153,7 @@ def _read_input(flag: str, path, parse):
         where = f"byte 0x{exc.object[exc.start]:02x} at position {exc.start}"
         raise ParameterError(f"{flag} {path}: not UTF-8 ({where})") from None
     except (ValueError, RecursionError) as exc:
-        # a refusal, bad JSON, a number over Python's 4300 digits or nesting too deep
+        # a refusal, bad JSON or nesting too deep
         raise ParameterError(f"{flag} {path}: {exc}") from None
     except ResourceLimitError as exc:  # a graph over the cap, before it is built
         raise ResourceLimitError(f"{flag} {path}: {exc}") from None
@@ -163,7 +164,7 @@ def _read_input(flag: str, path, parse):
 def _parse_config(text: str) -> dict:
     """The overrides a ``--config`` file holds, refused unless they form a
     JSON object of known keys whose enum values are valid choices."""
-    overrides = json.loads(text)
+    overrides = json.loads(text, parse_int=_config_int)
     if not isinstance(overrides, dict):
         raise ParameterError("must hold a JSON object")
     unknown = set(overrides) - _CONFIG_KEYS
@@ -174,6 +175,15 @@ def _parse_config(text: str) -> dict:
         if choices is not None and value not in choices:
             raise ParameterError(f"{key}: invalid choice {value!r} (choose from {choices})")
     return overrides
+
+
+def _config_int(text: str) -> int:
+    """A ``--config`` integer, refused past Python's limit on digits in CLI words."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise ParameterError(f"an integer of {digits} digits is longer than any setting takes")
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -212,7 +222,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         graph = _read_input(f"{blame}graph_file" if blame else "--graph-file", args.graph_file,
                             lambda text: parse_edge_list(text.split("\n"), vertices))
         config = replace(config, graph=graph)
-    _write_output(run_experiment(config).to_json(), args.output)
+    _write_output([run_experiment(config).to_json()], args.output)
     return 0
 
 
@@ -226,7 +236,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         "expected_c": dist.expected_c,
         "extinction_probability": dist.extinction_probability,
     }
-    _write_output(canonical_json(payload), args.output)
+    _write_output(canonical_chunks(payload), args.output)
     return 0
 
 
@@ -234,7 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_verification
 
     report = run_verification(args.level)
-    _write_output(canonical_json(report), args.output)
+    _write_output(canonical_chunks(report), args.output)
     return 0 if report["passed"] else 1
 
 

@@ -10,11 +10,8 @@ each vertex's white and blue neighbour counts and the red-white and
 red-blue edge totals, so painting v costs one integer update per
 neighbour.  A jump picks its class from the totals and its member by
 walking the red list on those counts, then v's row, so it costs
-O(deg v + r) with r red vertices.  Against sets of red-white and red-blue
-edge ids, which cost O(deg v) per jump, dense graphs gain (K_51 runs at
-1.65x their speed, K_201 at 2.4x) and a hub loses, since a grow scans the
-hub's row for a white neighbour: a star of 1001 vertices started at its
-center runs at 0.21x, one of 101 at 0.73x.
+O(deg v + r) with r red vertices.  A hub is the slow case: a grow from it
+scans the hub's whole row for a white neighbour.
 """
 
 from __future__ import annotations
@@ -87,9 +84,11 @@ def complete_graph(m: int) -> Graph:
 def parse_edge_list(lines: Iterable[str], vertex_count: int) -> Graph:
     """Build a graph from "u v" pairs of 0-based vertex indices.
 
-    Each line is one undirected edge; blank lines are skipped.  Rejects
-    self-loops, repeated edges (in either orientation), disconnected graphs,
-    and, before building anything, a vertex count other than ``vertex_count``.
+    Each line is one undirected edge; blank lines are skipped.  Rejects, at
+    its line, an index with more digits than any connected graph under
+    MAX_GRAPH_ENTRIES has; self-loops, repeated edges (in either orientation),
+    disconnected graphs, and, before building anything, a vertex count other
+    than ``vertex_count``.
     Raises ResourceLimitError at the first edge past MAX_GRAPH_ENTRIES / 2,
     before any adjacency set or row is built.
     """
@@ -112,6 +111,12 @@ def parse_edge_list(lines: Iterable[str], vertex_count: int) -> Graph:
             raise ParameterError(f"line {lineno}: vertex indices must be integers")
         if "-" in line:  # "-0" as well as "-1"
             raise ParameterError(f"line {lineno}: vertex indices must be >= 0")
+        # before int(), whose refusal past 4300 digits names no line
+        if max(len(f.lstrip("0")) for f in fields) > len(str(MAX_GRAPH_ENTRIES // 2)):
+            raise ParameterError(
+                f"line {lineno}: vertex index longer than any graph under the cap has "
+                f"(at most {MAX_GRAPH_ENTRIES // 2})"
+            )
         u, v = int(fields[0]), int(fields[1])
         if u == v:
             raise ParameterError(f"line {lineno}: self-loop at vertex {u}")

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -76,6 +77,21 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["jumps"][-1]["r"] == 0
         assert {"jump_index", "time", "r", "b", "w", "event"} <= set(doc["jumps"][0])
+
+    def test_json_peaks_near_csv(self, tmp_path):
+        # the JSON text is written as it is encoded, never held whole: built
+        # whole, it peaked at 3.1x the CSV run
+        peaks = {}
+        for fmt in ("csv", "json"):
+            argv = ("simulate", "--n", "5000", "--alpha", "0.01", "--seed", "3", "--format", fmt,
+                    "--output", str(tmp_path / f"traj.{fmt}"))
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv)[0] == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["json"] <= 1.5 * peaks["csv"]
 
     def test_small_instance_row_bound(self):
         code, out, _ = run_cli("simulate", "--n", "1", "--seed", "0")
@@ -180,16 +196,20 @@ class TestEstimate:
         )
 
     @pytest.mark.parametrize(
-        "text",
-        ["[" * 100000 + "]" * 100000, f'{{"n": {_LONG_NUMBER}}}'],
+        "text, message",
+        [
+            ("[" * 100000 + "]" * 100000, None),  # Python's own words
+            (f'{{"n": {_LONG_NUMBER}}}',
+             "an integer of 5000 digits is longer than any setting takes"),
+        ],
         ids=["nested-past-the-recursion-limit", "number-past-the-digit-limit"],
     )
-    def test_config_past_pythons_limits_names_its_flag_and_file(self, tmp_path, text):
+    def test_config_past_pythons_limits_names_its_flag_and_file(self, tmp_path, text, message):
         config = tmp_path / "exp.json"
         config.write_text(text)
         code, out, err = run_cli("estimate", "--config", str(config))
         assert code == 2 and out == ""
-        assert err == f"error: --config {config}: {_refusal(json.loads, text)}\n"
+        assert err == f"error: --config {config}: {message or _refusal(json.loads, text)}\n"
 
     @pytest.mark.parametrize(
         "n, text, message",
@@ -202,7 +222,8 @@ class TestEstimate:
             (1, "0 1\n1 +2\n", "line 2: vertex indices must be integers"),
             (1, "0 -1\n", "line 1: vertex indices must be >= 0"),
             (1, "0 1\n-0 1\n", "line 2: vertex indices must be >= 0"),
-            (1, f"0 {_LONG_NUMBER}\n", _refusal(int, _LONG_NUMBER)),
+            (1, f"0 {_LONG_NUMBER}\n",
+             "line 1: vertex index longer than any graph under the cap has (at most 524800)"),
             (1, "0 1\n1 1\n", "line 2: self-loop at vertex 1"),
             (1, "0 1\n1 0\n", "line 2: duplicate edge 1 0"),
             (4, "0 1\n2 3\n2 4\n3 4\n", "graph is not connected"),
