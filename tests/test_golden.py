@@ -73,6 +73,11 @@ CLI_GOLDENS = {
     "simulate_kortchemski.json": (
         "simulate", "--n", "20", "--init", "kortchemski", "--seed", "18", "--format", "json",
     ),
+    # 201 jumps, so the trajectory crosses the scalar loop's first 128-jump window
+    "simulate_two_windows.csv": ("simulate", "--n", "100", "--alpha", "2", "--seed", "30"),
+    "simulate_two_windows.json": (
+        "simulate", "--n", "100", "--alpha", "2", "--seed", "30", "--format", "json",
+    ),
 }
 
 FIXATION_GOLDEN = "fixation_results.csv"
