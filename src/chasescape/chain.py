@@ -13,17 +13,12 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .params import ParameterError, Params, ResourceLimitError
+from .params import ParameterError, Params
 from .rng import streams
-
-# cap on the jumps a recorded run may make (2n + 1 at most), refused before
-# the first jump: at about 272 bytes per JumpRecord, 2^19 jumps is 136 MiB of
-# records; `simulate` at n = 262143 peaked at 320 MiB RSS for CSV, 324 for JSON
-MAX_RECORDED_JUMPS = 1 << 19
 
 # uniforms per window of a chain stream: the event uniforms of _WINDOW // 2
 # jumps, then those jumps' Exp(1) holding times
@@ -99,7 +94,7 @@ def initial_state(params: Params) -> PopulationState:
 
 
 def run_to_fixation(
-    params: Params, rng: np.random.Generator, records: list[JumpRecord] | None = None
+    params: Params, rng: np.random.Generator, on_jump: Callable[[JumpRecord], None] | None = None
 ) -> FixationResult:
     """Simulate until no red vertices remain.
 
@@ -108,16 +103,12 @@ def run_to_fixation(
     jumps' Exp(1) draws (``standard_exponential(method="inv")``, which is
     ``-log1p(-u)`` in libm), so the result is a pure function of the
     generator state.  The holding time is E / (r * (lambda*w + b + alpha)) of
-    the state being left.  When ``records`` is a list, every jump is appended
-    to it as a :class:`JumpRecord`: that list is the trajectory, and
-    :func:`initial_state` is where it starts.  A recorded run that could
-    make more than MAX_RECORDED_JUMPS jumps raises ResourceLimitError first.
+    the state being left.  When ``on_jump`` is given, it is called once per
+    jump, in order, with that jump's :class:`JumpRecord`: those records are
+    the trajectory, and :func:`initial_state` is where it starts.  The run
+    keeps none of them, so ``records.append`` collects the trajectory and a
+    writer can write each jump as it is made.
     """
-    if records is not None and 2 * params.n + 1 > MAX_RECORDED_JUMPS:
-        raise ResourceLimitError(
-            f"a trajectory at n = {params.n} can make {2 * params.n + 1} jumps, "
-            f"over the cap of {MAX_RECORDED_JUMPS} recorded jumps"
-        )
     lam = params.lam
     a = params.conversion_rate
     r, b, w = initial_state(params)
@@ -142,8 +133,8 @@ def run_to_fixation(
                     conversions += 1
                 r -= 1
                 b += 1
-            if records is not None:
-                records.append(JumpRecord(fixation_time, PopulationState(r, b, w), event))
+            if on_jump is not None:
+                on_jump(JumpRecord(fixation_time, PopulationState(r, b, w), event))
             if r == 0:
                 break
     return FixationResult.at_fixation(params, w, conversions, fixation_time)
@@ -328,7 +319,7 @@ def check_trajectory(
     """Raise AssertionError unless a trajectory is a path the law can take.
 
     ``rows`` are its jumps as (time, state, event) rows, such as the
-    :class:`JumpRecord` list :func:`run_to_fixation` fills or
+    :class:`JumpRecord` values :func:`run_to_fixation` passes its ``on_jump`` or
     :func:`read_trajectory_csv` returns; the path starts at the initial
     state ``params`` implies.  A jump is legal only when its event's rate in
     the state it leaves is positive, lambda*r*w for GROW, r*b for CHASE and
@@ -370,44 +361,42 @@ def check_trajectory(
 TRAJECTORY_FIELDS = ("jump_index", "time", "r", "b", "w", "event")
 
 
-def trajectory_rows(records: Iterable[JumpRecord]) -> Iterator[tuple]:
-    """Each jump's values in :data:`TRAJECTORY_FIELDS` order."""
-    for i, (t, (r, b, w), event) in enumerate(records, start=1):
-        yield i, t, r, b, w, event.value
+def trajectory_row(index: int, record: JumpRecord) -> str:
+    """The CSV line of jump ``index``, in :data:`TRAJECTORY_FIELDS` order;
+    the time in its float's shortest round-trip form."""
+    t, (r, b, w), event = record
+    return f"{index},{t!r},{r},{b},{w},{event.value}\n"
 
 
 def trajectory_csv(records: Iterable[JumpRecord]) -> str:
-    """One row per jump; floats in their shortest round-trip form."""
-    rows = [TRAJECTORY_FIELDS, *trajectory_rows(records)]
-    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    """The header line, then one :func:`trajectory_row` per jump."""
+    rows = (trajectory_row(i, record) for i, record in enumerate(records, start=1))
+    return ",".join(TRAJECTORY_FIELDS) + "\n" + "".join(rows)
 
 
 def read_trajectory_csv(text: str) -> list[JumpRecord]:
     """Parse rows back into jump records, checking the jump_index column.
 
-    Each number must be the writer's own text for its value.
+    Each line must be the :func:`trajectory_row` of the values it holds, so
+    each number is the writer's own text for its value.
     :func:`check_trajectory` checks the records themselves.
     """
     # lines end at "\n" only, as the writer's do; the last match is empty
     header, *lines = re.findall(r"[^\n]*\n?", text)
-    header = header.rstrip("\n")
-    if header != ",".join(TRAJECTORY_FIELDS):
+    if header != trajectory_csv([]):
         raise ParameterError(f"unexpected trajectory header: {header!r}")
     rows = []
     for raw in lines:
         line = raw.strip()
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) != len(TRAJECTORY_FIELDS):
-            raise ParameterError(f"malformed trajectory row: {raw!r}")
-        idx, t, r, b, w, event = fields
         try:
+            idx, t, r, b, w, event = line.split(",")
             index = int(idx)
             record = JumpRecord(float(t), PopulationState(int(r), int(b), int(w)), EventKind(event))
         except ValueError as exc:
             raise ParameterError(f"malformed trajectory row: {raw!r} ({exc})") from None
-        if line != ",".join(map(str, (index, record.time, *record.state, event))):
+        if line + "\n" != trajectory_row(index, record):
             raise ParameterError(f"malformed trajectory row: {raw!r}")
         if index != len(rows) + 1:
             raise ParameterError(f"jump_index {idx} out of order (expected {len(rows) + 1})")

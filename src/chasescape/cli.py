@@ -9,26 +9,22 @@ flags.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Iterable
+from typing import Iterator, TextIO
 
 from .analytics import exact_distribution_W
-from .chain import (
-    TRAJECTORY_FIELDS,
-    JumpRecord,
-    run_to_fixation,
-    trajectory_csv,
-    trajectory_rows,
-)
+from .chain import JumpRecord, run_to_fixation, trajectory_csv, trajectory_row
 from .graph import parse_edge_list
 from .harness import (
     Engine,
     Estimator,
     ExperimentConfig,
-    canonical_chunks,
+    canonical_json,
     params_as_dict,
     run_block,
     run_experiment,
@@ -114,12 +110,15 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
-def _write_output(chunks: Iterable[str], path: str | None) -> None:
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The stream a command writes its output into: stdout, or the file at
+    ``path``, opened once, when the command has nothing left to refuse."""
     if path is None:
-        sys.stdout.writelines(chunks)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            yield fh
 
 
 def _params_from_args(args: argparse.Namespace) -> Params:
@@ -127,17 +126,32 @@ def _params_from_args(args: argparse.Namespace) -> Params:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """Write one trajectory, each jump as it is made.  Cut short (a signal, a
+    write error), it leaves CSV that ends before fixation or JSON that does not parse."""
     params = _params_from_args(args)
     require_seed("seed", args.seed)
-    records: list[JumpRecord] = []
-    run_to_fixation(params, make_rng(stream_seed(args.seed, 0)), records)
     if args.format == "csv":
-        chunks = [trajectory_csv(records)]
-    else:
-        jumps = [dict(zip(TRAJECTORY_FIELDS, row)) for row in trajectory_rows(records)]
-        chunks = canonical_chunks({"params": params_as_dict(params), "jumps": jumps})
-    _write_output(chunks, args.output)
+        head, tail, row = trajectory_csv([]), "", trajectory_row
+    else:  # the document's own text around its one jump
+        doc = {"params": params_as_dict(params), "jumps": [None]}
+        (head, tail), row = canonical_json(doc).split("null"), _json_jump
+    index = itertools.count(1)
+    with _output(args.output) as out:
+        out.write(head)
+        run_to_fixation(params, make_rng(stream_seed(args.seed, 0)),
+                        lambda jump: out.write(row(next(index), jump)))
+        out.write(tail)
     return 0
+
+
+def _json_jump(index: int, jump: JumpRecord) -> str:
+    """Jump ``index`` in a ``jumps`` list of :func:`canonical_json`'s layout."""
+    t, (r, b, w), event = jump
+    sep = ",\n    " if index > 1 else ""
+    return (
+        f'{sep}{{\n      "jump_index": {index},\n      "time": {t!r},\n      "r": {r},\n'
+        f'      "b": {b},\n      "w": {w},\n      "event": "{event.value}"\n    }}'
+    )
 
 
 def _read_input(flag: str, path, parse):
@@ -222,7 +236,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         graph = _read_input(f"{blame}graph_file" if blame else "--graph-file", args.graph_file,
                             lambda text: parse_edge_list(text.split("\n"), vertices))
         config = replace(config, graph=graph)
-    _write_output([run_experiment(config).to_json()], args.output)
+    text = run_experiment(config).to_json()
+    with _output(args.output) as out:
+        out.write(text)
     return 0
 
 
@@ -236,7 +252,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         "expected_c": dist.expected_c,
         "extinction_probability": dist.extinction_probability,
     }
-    _write_output(canonical_chunks(payload), args.output)
+    with _output(args.output) as out:
+        out.write(canonical_json(payload))
     return 0
 
 
@@ -244,7 +261,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_verification
 
     report = run_verification(args.level)
-    _write_output(canonical_chunks(report), args.output)
+    with _output(args.output) as out:
+        out.write(canonical_json(report))
     return 0 if report["passed"] else 1
 
 

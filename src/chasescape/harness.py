@@ -15,7 +15,6 @@ import os
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
-from typing import Iterator
 
 import numpy as np
 
@@ -119,14 +118,7 @@ def canonical_json(obj) -> str:
     """Fixed-layout JSON: insertion order, 2-space indent, shortest
     round-trip float repr, trailing newline.  Parsing and re-serializing an
     emitted document reproduces it byte for byte."""
-    return "".join(canonical_chunks(obj))
-
-
-def canonical_chunks(obj) -> Iterator[str]:
-    """:func:`canonical_json` of ``obj`` in the encoder's small pieces, so a
-    writer never holds the whole text."""
-    yield from json.JSONEncoder(indent=2).iterencode(obj)
-    yield "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def params_as_dict(params: Params) -> dict:

@@ -279,14 +279,14 @@ def check_z_identity() -> tuple[bool, dict]:
 def check_trajectory_export() -> tuple[bool, dict]:
     params = Params(n=100, lam=1.0, alpha=4.0)
     seed = 1011
-    paths = []
-    for i in range(100):
+    w_samples = []
+    for i in range(100):  # one trajectory held at a time
         records: list[JumpRecord] = []
-        run_to_fixation(params, make_rng(stream_seed(seed, i)), records)
+        run_to_fixation(params, make_rng(stream_seed(seed, i)), records.append)
         check_trajectory(records, params)
-        paths.append(records)
-    w_samples = [records[-1].state.w for records in paths]
-    roundtrip_ok = read_trajectory_csv(trajectory_csv(paths[0])) == paths[0]
+        w_samples.append(records[-1].state.w)
+        if i == 0:
+            roundtrip_ok = read_trajectory_csv(trajectory_csv(records)) == records
     variance = float(np.var(w_samples))
     details = {
         "seeds": 100,

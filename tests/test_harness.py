@@ -711,7 +711,7 @@ class TestJsonContract:
 
 def _csv(params, rng) -> str:
     records = []
-    run_to_fixation(params, rng, records)
+    run_to_fixation(params, rng, records.append)
     return trajectory_csv(records)
 
 
@@ -719,7 +719,7 @@ class TestTrajectoryCsv:
     def test_write_read_check(self):
         params = Params(40, 1.0, 2.0)
         records = []
-        run_to_fixation(params, make_rng(stream_seed(3, 0)), records)
+        run_to_fixation(params, make_rng(stream_seed(3, 0)), records.append)
         rows = read_trajectory_csv(trajectory_csv(records))
         check_trajectory(rows, params)
         assert rows == records
