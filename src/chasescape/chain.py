@@ -10,10 +10,9 @@ probabilities but not from the holding-time clock.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -320,7 +319,7 @@ def check_trajectory(
 
     ``rows`` are its jumps as (time, state, event) rows, such as the
     :class:`JumpRecord` values :func:`run_to_fixation` passes its ``on_jump`` or
-    :func:`read_trajectory_csv` returns; the path starts at the initial
+    :func:`read_trajectory_csv` yields; the path starts at the initial
     state ``params`` implies.  A jump is legal only when its event's rate in
     the state it leaves is positive, lambda*r*w for GROW, r*b for CHASE and
     alpha*r for CONVERT, and it lands on that event's target.  So every state
@@ -374,33 +373,32 @@ def trajectory_csv(records: Iterable[JumpRecord]) -> str:
     return ",".join(TRAJECTORY_FIELDS) + "\n" + "".join(rows)
 
 
-def read_trajectory_csv(text: str) -> list[JumpRecord]:
-    """Parse rows back into jump records, checking the jump_index column.
+def read_trajectory_csv(lines: Iterable[str]) -> Iterator[JumpRecord]:
+    """Yield the jump records of a trajectory CSV's lines, each with its newline.
 
-    Each line must be the :func:`trajectory_row` of the values it holds, so
-    each number is the writer's own text for its value.
-    :func:`check_trajectory` checks the records themselves.
+    The header comes first, then each line must be the :func:`trajectory_row`
+    of the values it holds, so each number is the writer's own text for its
+    value and a blank, padded or unended line is malformed.  One line is held
+    at a time: pass an open file (``newline=""`` keeps its line ends) or
+    ``text.splitlines(keepends=True)``.  :func:`check_trajectory` checks the
+    records themselves.
     """
-    # lines end at "\n" only, as the writer's do; the last match is empty
-    header, *lines = re.findall(r"[^\n]*\n?", text)
+    lines = iter(lines)
+    header = next(lines, "")
     if header != trajectory_csv([]):
         raise ParameterError(f"unexpected trajectory header: {header!r}")
-    rows = []
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
+    expected = 0
+    for expected, line in enumerate(lines, start=1):
         try:
-            idx, t, r, b, w, event = line.split(",")
+            idx, t, r, b, w, event = line.removesuffix("\n").split(",")
             index = int(idx)
             record = JumpRecord(float(t), PopulationState(int(r), int(b), int(w)), EventKind(event))
         except ValueError as exc:
-            raise ParameterError(f"malformed trajectory row: {raw!r} ({exc})") from None
-        if line + "\n" != trajectory_row(index, record):
-            raise ParameterError(f"malformed trajectory row: {raw!r}")
-        if index != len(rows) + 1:
-            raise ParameterError(f"jump_index {idx} out of order (expected {len(rows) + 1})")
-        rows.append(record)
-    if not rows:
+            raise ParameterError(f"malformed trajectory row: {line!r} ({exc})") from None
+        if line != trajectory_row(index, record):
+            raise ParameterError(f"malformed trajectory row: {line!r}")
+        if index != expected:
+            raise ParameterError(f"jump_index {idx} out of order (expected {expected})")
+        yield record
+    if expected == 0:
         raise ParameterError("trajectory CSV has no data rows")
-    return rows

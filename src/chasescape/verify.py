@@ -286,7 +286,8 @@ def check_trajectory_export() -> tuple[bool, dict]:
         check_trajectory(records, params)
         w_samples.append(records[-1].state.w)
         if i == 0:
-            roundtrip_ok = read_trajectory_csv(trajectory_csv(records)) == records
+            text = trajectory_csv(records)
+            roundtrip_ok = list(read_trajectory_csv(text.splitlines(keepends=True))) == records
     variance = float(np.var(w_samples))
     details = {
         "seeds": 100,

@@ -48,7 +48,7 @@ class TestSimulate:
             "simulate", "--n", "20", "--lambda", "1", "--alpha", "2", "--seed", "5"
         )
         assert code == 0
-        rows = read_trajectory_csv(out)
+        rows = read_trajectory_csv(out.splitlines(keepends=True))
         check_trajectory(rows, Params(20, 1.0, 2.0))
 
     def test_ties_at_extreme_rates_check_clean(self):
@@ -56,7 +56,7 @@ class TestSimulate:
         flags = ("--n", "50", "--lambda", "1e100", "--alpha", "1e-100", "--seed", "1")
         code, out, _ = run_cli("simulate", *flags)
         assert code == 0
-        rows = read_trajectory_csv(out)
+        rows = list(read_trajectory_csv(out.splitlines(keepends=True)))
         assert any(a.time == b.time for a, b in zip(rows, rows[1:]))
         check_trajectory(rows, Params(50, 1e100, 1e-100))
 
@@ -68,7 +68,7 @@ class TestSimulate:
         path = tmp_path / "traj.csv"
         code, out, _ = run_cli("simulate", "--n", "5", "--seed", "1", "--output", str(path))
         assert code == 0 and out == ""
-        rows = read_trajectory_csv(path.read_text())
+        rows = list(read_trajectory_csv(path.read_text().splitlines(keepends=True)))
         assert rows[-1].state.r == 0
 
     def test_json_format(self):
@@ -95,6 +95,22 @@ class TestSimulate:
                 tracemalloc.stop()
         assert max(peaks.values()) <= 2 << 20, peaks
 
+    def test_reading_a_file_back_holds_one_line(self, tmp_path):
+        # the reader yields one record per line, so reading and checking the
+        # n = 5000 trajectory peaks near 22 KiB (about 120 KiB on a process's
+        # first read); holding every line and record, it peaked at 3.65 MiB
+        path = tmp_path / "traj.csv"
+        argv = ("simulate", "--n", "5000", "--alpha", "0.01", "--seed", "3", "--output", str(path))
+        assert run_cli(*argv)[0] == 0
+        with open(path, newline="") as fh:
+            tracemalloc.start()
+            try:
+                check_trajectory(read_trajectory_csv(fh), Params(5000, 1.0, 0.01))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 256 << 10, peak
+
     def test_small_instance_row_bound(self):
         code, out, _ = run_cli("simulate", "--n", "1", "--seed", "0")
         assert code == 0
@@ -118,7 +134,8 @@ class TestSimulate:
         # whole; at this lambda the run fixates in a few jumps
         code, out, err = run_cli("simulate", "--n", "1000000", "--lambda", "1e-7", "--seed", "0")
         assert code == 0 and err == ""
-        check_trajectory(read_trajectory_csv(out), Params(10**6, 1e-7, 1.0))
+        rows = read_trajectory_csv(out.splitlines(keepends=True))
+        check_trajectory(rows, Params(10**6, 1e-7, 1.0))
 
 
 class TestEstimate:

@@ -392,6 +392,32 @@ class TestMeanTau:
         assert abs(float(np.mean(tau)) - expected) <= 3 * se
 
 
+    @pytest.mark.parametrize("engine", ["chain-lockstep", "chain-scalar", "graph", "coupling"])
+    def test_laplace_transform_of_tau_at_n_1(self, engine):
+        # on K_2 from (r, b, w) = (1, 0, 1) the first jump converts with
+        # probability alpha / q0 and fixates, or grows to (2, 0, 0), which
+        # blues twice; the states' rates on the process clock are q0 = lambda +
+        # alpha, 2 alpha and 1 + alpha, and the coupling's clock drops the
+        # factor r, so its middle rate is alpha.  A holding time drawn as its
+        # mean keeps E[tau] and fails here
+        lam, alpha, trials = 1.0, 2.0, 20_000
+        params = Params(1, lam, alpha)
+        if engine == "chain-scalar":
+            tau = np.array([
+                run_to_fixation(params, make_rng(stream_seed(71, i))).fixation_time
+                for i in range(trials)
+            ])
+        else:
+            kind = Engine.CHAIN if engine == "chain-lockstep" else Engine(engine)
+            _, _, tau = run_trials(_config(params=params, engine=kind, trials=trials, seed=71))
+        q0 = lam + alpha
+        rates = (q0, alpha if engine == "coupling" else 2 * alpha, 1 + alpha)
+        for theta in (1.0, 3.0, 9.0):
+            exact = alpha / q0 * q0 / (q0 + theta) + lam / q0 * math.prod(q / (q + theta) for q in rates)
+            z = np.exp(-theta * tau)
+            se = float(np.std(z, ddof=1)) / math.sqrt(trials)
+            assert abs(float(np.mean(z)) - exact) <= 3 * se, (theta, float(np.mean(z)), exact)
+
 class TestChainBlock:
     @pytest.mark.parametrize("mode", list(InitMode))
     @pytest.mark.parametrize(
@@ -720,7 +746,7 @@ class TestTrajectoryCsv:
         params = Params(40, 1.0, 2.0)
         records = []
         run_to_fixation(params, make_rng(stream_seed(3, 0)), records.append)
-        rows = read_trajectory_csv(trajectory_csv(records))
+        rows = list(read_trajectory_csv(trajectory_csv(records).splitlines(keepends=True)))
         check_trajectory(rows, params)
         assert rows == records
 
@@ -729,31 +755,45 @@ class TestTrajectoryCsv:
         assert _csv(params, make_rng(11)) == _csv(params, make_rng(11))
 
     def test_reader_rejects_bad_header(self):
-        with pytest.raises(ParameterError):
-            read_trajectory_csv("a,b,c\n1,2,3\n")
+        lines = _csv(Params(10, 1.0, 1.0), make_rng(2)).splitlines(keepends=True)
+        # no line at all, and the writer's own rows under a padded header
+        padded = "".join([lines[0].replace("\n", " \n"), *lines[1:]])
+        for text in ["a,b,c\n1,2,3\n", "", padded]:
+            with pytest.raises(ParameterError, match="unexpected trajectory header"):
+                list(read_trajectory_csv(text.splitlines(keepends=True)))
 
-    def test_reader_skips_blank_lines(self):
+    def test_reader_refuses_blank_padded_and_unended_lines(self):
+        # the writer never writes a blank line, padding or a row without its
+        # newline, so each is a malformed row
         text = _csv(Params(10, 1.0, 1.0), make_rng(2))
-        lines = text.splitlines()
-        spaced = "\n".join([lines[0], "", *lines[1:3], "  ", *lines[3:], ""]) + "\n"
-        assert read_trajectory_csv(spaced) == read_trajectory_csv(text)
+        lines = text.splitlines(keepends=True)
+        header = ",".join(TRAJECTORY_FIELDS)
+        for bad in [
+            "".join([*lines[:3], "\n", *lines[3:]]),
+            "".join([*lines[:2], lines[2].replace("\n", " \n"), *lines[3:]]),
+            text.removesuffix("\n"),
+            header + "\n\n",
+        ]:
+            with pytest.raises(ParameterError, match="malformed trajectory row"):
+                list(read_trajectory_csv(bad.splitlines(keepends=True)))
 
     def test_reader_rejects_a_row_with_the_wrong_field_count(self):
         lines = _csv(Params(10, 1.0, 1.0), make_rng(2)).splitlines()
         lines[2] += ",extra"
         with pytest.raises(ParameterError, match="malformed trajectory row"):
-            read_trajectory_csv("\n".join(lines) + "\n")
+            list(read_trajectory_csv(("\n".join(lines) + "\n").splitlines(keepends=True)))
 
     def test_reader_ends_a_line_at_a_newline_only(self):
-        # rows joined by "\r", which the writer never writes, are one malformed row
+        # rows ended by "\r", which the writer never writes, are malformed rows
         lines = _csv(Params(10, 1.0, 1.0), make_rng(2)).splitlines()
+        text = lines[0] + "\n" + "\r".join(lines[1:]) + "\n"
         with pytest.raises(ParameterError, match="malformed trajectory row"):
-            read_trajectory_csv(lines[0] + "\n" + "\r".join(lines[1:]) + "\n")
+            list(read_trajectory_csv(text.splitlines(keepends=True)))
 
     def test_reader_rejects_a_header_alone(self):
         header = ",".join(TRAJECTORY_FIELDS)
         with pytest.raises(ParameterError, match="no data rows"):
-            read_trajectory_csv(header + "\n\n")
+            list(read_trajectory_csv((header + "\n").splitlines(keepends=True)))
 
     def test_checker_rejects_tampered_rows(self):
         params = Params(10, 1.0, 1.0)
@@ -761,7 +801,7 @@ class TestTrajectoryCsv:
         fields = lines[1].split(",")
         fields[2] = str(int(fields[2]) + 1)  # corrupt the red count
         lines[1] = ",".join(fields)
-        rows = read_trajectory_csv("\n".join(lines) + "\n")
+        rows = read_trajectory_csv(("\n".join(lines) + "\n").splitlines(keepends=True))
         with pytest.raises(AssertionError):
             check_trajectory(rows, params)
 
@@ -771,7 +811,7 @@ class TestTrajectoryCsv:
         lines = _csv(params, make_rng(2)).splitlines()
         lines[2] = ",".join([index] + lines[2].split(",")[1:])
         with pytest.raises(ValueError):
-            read_trajectory_csv("\n".join(lines) + "\n")
+            list(read_trajectory_csv(("\n".join(lines) + "\n").splitlines(keepends=True)))
 
     @pytest.mark.parametrize(
         "column, value",
@@ -796,5 +836,5 @@ class TestTrajectoryCsv:
         fields[TRAJECTORY_FIELDS.index(column)] = value
         lines[2] = ",".join(fields)
         with pytest.raises(ParameterError, match="malformed trajectory row") as info:
-            read_trajectory_csv("\n".join(lines) + "\n")
+            list(read_trajectory_csv(("\n".join(lines) + "\n").splitlines(keepends=True)))
         assert repr(lines[2] + "\n") in str(info.value)
