@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chain import EventKind, FixationResult, empty_block
+from .chain import FixationResult, empty_block
 from .params import NoTransitionError, ParameterError, Params, ResourceLimitError, is_integer
 from .rng import streams
 
@@ -155,7 +155,7 @@ class GraphState:
     neighbours, whatever v's own colour, so v has deg v - white[v] - blue[v]
     red ones; ``rw`` and ``rb`` count the red-white and red-blue edges.
 
-    ``step`` takes an event's class from the totals and its member from a
+    ``run`` takes each event's class from the totals and its member from a
     walk along ``red``: a grow paints the k'-th white neighbour, in row
     order, of the first red vertex whose running white count passes k =
     floor(u * rw), k' being k less the counts before that vertex; a chase
@@ -163,101 +163,105 @@ class GraphState:
     floor(u * rb); a conversion paints ``red[floor(u * len(red))]``.  So a
     jump costs O(deg v + r), v the vertex it paints and r the red count.
 
-    It keeps the ``rows`` and rates its methods read, and starts in the
-    start state of ``params`` (its red vertices, then its blue ones, then n
-    white), painted on an all-white graph: each blue vertex red and then
-    blue, then the red ones.  ParameterError unless the graph has
-    ``params.total_vertices`` vertices.
+    It keeps the ``rows`` and rates ``run`` reads, and starts in the start
+    state of ``params`` (its red vertices, then its blue ones, then n
+    white), painted onto the all-white counts.  ParameterError unless the
+    graph has ``params.total_vertices`` vertices.
     """
 
     __slots__ = ("slot", "red", "white", "blue", "rw", "rb", "rows", "lam", "conversion_rate")
 
     def __init__(self, graph: Graph, params: Params) -> None:
         require_vertex_count(graph, params)
-        self.slot, self.red = [_WHITE] * graph.vertex_count, []
+        r0, b0 = params.initial_red_blue
+        self.red = [*range(r0)]
+        self.slot = [*self.red, *[_BLUE] * b0, *[_WHITE] * (graph.vertex_count - r0 - b0)]
         self.white, self.blue = graph.degrees.copy(), [0] * graph.vertex_count
-        self.rw = self.rb = 0
         self.rows = graph.rows
         self.lam, self.conversion_rate = params.lam, params.conversion_rate
-        r0, b0 = params.initial_red_blue
+        for v in range(r0 + b0):
+            for x in self.rows[v]:
+                self.white[x] -= 1
         for v in range(r0, r0 + b0):
-            self.paint_red(v)
-            self.paint_blue(v)
-        for v in range(r0):
-            self.paint_red(v)
+            for x in self.rows[v]:
+                self.blue[x] += 1
+        self.rw = sum(self.white[v] for v in self.red)
+        self.rb = sum(self.blue[v] for v in self.red)
 
-    def paint_red(self, v: int) -> None:
-        assert self.slot[v] == _WHITE
-        self.slot[v] = len(self.red)
-        self.red.append(v)
-        row, white, blue = self.rows[v], self.white, self.blue[v]
-        # v's red-white edges come in, and its red neighbours' edges to v leave
-        self.rw += 2 * white[v] + blue - len(row)
-        self.rb += blue
-        for x in row:
-            white[x] -= 1
-
-    def paint_blue(self, v: int) -> None:
-        slot = self.slot
-        i = slot[v]
-        assert i >= 0
-        slot[v] = _BLUE
-        last = self.red.pop()
-        if last != v:
-            slot[last] = i
-            self.red[i] = last
-        row, white, blue = self.rows[v], self.white[v], self.blue
-        # v's own edges leave, and its red neighbours' edges to v turn red-blue
-        self.rw -= white
-        self.rb += len(row) - white - 2 * blue[v]
-        for x in row:
-            blue[x] += 1
-
-    def step(self, u_class: float, u_member: float, u_hold: float) -> tuple[EventKind, float]:
-        """One Gillespie event, in place, from uniforms for its class, its
-        member within the class and its holding time; returns the event and
-        the holding time."""
-        red, rw, rb = self.red, self.rw, self.rb
+    def run(self, triples: Iterable[tuple[float, float, float]]) -> tuple[int, float]:
+        """Gillespie events, in place, one per triple of uniforms for its
+        class, its member within the class and its holding time, until no
+        red vertex is left or the triples run out; returns the conversions
+        and the holding times summed in jump order."""
+        red, slot, white, blue, rows = self.red, self.slot, self.white, self.blue, self.rows
+        lam, conversion_rate, rw, rb = self.lam, self.conversion_rate, self.rw, self.rb
         if not red:
             raise NoTransitionError("process already fixated (no red vertices)")
-        rate_grow = self.lam * rw
-        rate_chase = float(rb)
-        rate_convert = self.conversion_rate * len(red)
-        total = rate_grow + rate_chase + rate_convert
-        if total <= 0.0:
-            raise NoTransitionError("total jump rate is zero in this state")
-        draw = u_class * total
-        if draw < rate_grow:
-            v, k = _walk(red, self.white, u_member, rw)
-            slot = self.slot
-            for x in self.rows[v]:
-                if slot[x] == _WHITE:
-                    if not k:
-                        break
-                    k -= 1
-            else:
-                raise AssertionError(f"red vertex {v} has fewer white neighbours than counted")
-            self.paint_red(x)
-            event = EventKind.GROW
-        elif draw < rate_grow + rate_chase:
-            self.paint_blue(_walk(red, self.blue, u_member, rb)[0])
-            event = EventKind.CHASE
-        else:
-            self.paint_blue(red[min(int(u_member * len(red)), len(red) - 1)])
-            event = EventKind.CONVERT
-        return event, -math.log1p(-u_hold) / total
-
-
-def _walk(red: list[int], counts: list[int], u: float, total: int) -> tuple[int, int]:
-    """The first red vertex v whose running sum of ``counts`` passes k =
-    floor(u * total), for a uniform u in [0, 1), and k less the sum before v."""
-    k = min(int(u * total), total - 1)
-    for v in red:
-        c = counts[v]
-        if k < c:
-            return v, k
-        k -= c
-    raise AssertionError(f"the red vertices' counts sum to less than {total}")
+        conversions, clock, log1p = 0, 0.0, math.log1p
+        try:
+            for u_class, u_member, u_hold in triples:
+                r = len(red)
+                rate_grow = lam * rw
+                total = rate_grow + rb + conversion_rate * r
+                if total <= 0.0:
+                    raise NoTransitionError("total jump rate is zero in this state")
+                draw = u_class * total
+                grow = draw < rate_grow
+                if grow or draw < rate_grow + rb:
+                    # the walk: the first red vertex v whose running count
+                    # passes k, and k less the counts before v
+                    counts, count = (white, rw) if grow else (blue, rb)
+                    k = min(int(u_member * count), count - 1)
+                    for v in red:
+                        c = counts[v]
+                        if k < c:
+                            break
+                        k -= c
+                    else:
+                        raise AssertionError(f"the red vertices' counts sum to less than {count}")
+                else:
+                    v = red[min(int(u_member * r), r - 1)]
+                    conversions += 1
+                if grow:
+                    for x in rows[v]:
+                        if slot[x] == _WHITE:
+                            if not k:
+                                break
+                            k -= 1
+                    else:
+                        raise AssertionError(
+                            f"red vertex {v} has fewer white neighbours than counted"
+                        )
+                    # paint x red: its red-white edges come in, and its red
+                    # neighbours' edges to x leave
+                    slot[x] = r
+                    red.append(x)
+                    row = rows[x]
+                    rw += 2 * white[x] + blue[x] - len(row)
+                    rb += blue[x]
+                    for y in row:
+                        white[y] -= 1
+                else:
+                    # paint v blue: its own edges leave, and its red
+                    # neighbours' edges to v turn red-blue
+                    i = slot[v]
+                    slot[v] = _BLUE
+                    last = red.pop()
+                    if last != v:
+                        slot[last] = i
+                        red[i] = last
+                    row = rows[v]
+                    c = white[v]
+                    rw -= c
+                    rb += len(row) - c - 2 * blue[v]
+                    for y in row:
+                        blue[y] += 1
+                clock += -log1p(-u_hold) / total
+                if not red:
+                    break
+        finally:
+            self.rw, self.rb = rw, rb
+        return conversions, clock
 
 
 def _triples(rng: np.random.Generator, count: int) -> Iterator[tuple[float, float, float]]:
@@ -281,16 +285,10 @@ def run_graph_to_fixation(
     """
     state = GraphState(graph, params)
     # n white and r0 red at the start, and every jump lowers 2 * white + red by one
-    triples = _triples(rng, 2 * params.n + params.initial_red_blue[0])
-    fixation_time = 0.0
-    conversions = 0
-    while state.red:
-        event, holding = state.step(*next(triples))
-        fixation_time += holding
-        if event is EventKind.CONVERT:
-            conversions += 1
+    conversions, clock = state.run(_triples(rng, 2 * params.n + params.initial_red_blue[0]))
+    assert not state.red, "the triples ran out before fixation"
     white = state.slot.count(_WHITE)
-    return FixationResult.at_fixation(params, white, conversions, fixation_time)
+    return FixationResult.at_fixation(params, white, conversions, clock)
 
 
 def graph_block(

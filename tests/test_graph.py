@@ -20,7 +20,6 @@ from chasescape import (
 )
 from chasescape.analytics import chi_square_gof
 from chasescape import graph
-from chasescape.chain import EventKind
 from chasescape.graph import _BLUE, _WHITE, Graph, GraphState, _triples, graph_block, parse_edge_list
 from chasescape.params import NoTransitionError
 from chasescape.rng import stream_seeds
@@ -219,19 +218,23 @@ class TestEdgeListFormat:
 
 
 def _colored_state(graph, red=(), blue=(), params=None):
-    """The state with ``red`` and ``blue`` vertices, painted onto the start of
-    ``params`` (by default the standard start, vertex 0 red, at lambda = alpha
-    = 1), whose red and blue vertices must be among them."""
+    """The state of ``params`` (by default the standard start, vertex 0 red,
+    at lambda = alpha = 1) recoloured with ``red``, in that order, and
+    ``blue`` vertices and the rest white, its counts recounted over the rows;
+    the start's red and blue vertices must be among them."""
     state = GraphState(graph, params or Params(graph.vertex_count - 1, 1.0, 1.0))
     assert {v for v, s in enumerate(state.slot) if s != _WHITE} <= {*red, *blue}
+    slot = state.slot
+    slot[:] = [_WHITE] * graph.vertex_count
     for v in blue:
-        if state.slot[v] == _WHITE:
-            state.paint_red(v)
-        if state.slot[v] >= 0:
-            state.paint_blue(v)
-    for v in red:
-        if state.slot[v] == _WHITE:
-            state.paint_red(v)
+        slot[v] = _BLUE
+    for i, v in enumerate(red):
+        slot[v] = i
+    state.red[:] = red
+    state.white[:] = [sum(slot[x] == _WHITE for x in row) for row in graph.rows]
+    state.blue[:] = [sum(slot[x] == _BLUE for x in row) for row in graph.rows]
+    state.rw = sum(state.white[v] for v in red)
+    state.rb = sum(state.blue[v] for v in red)
     return state
 
 
@@ -249,22 +252,22 @@ class TestRates:
         p = Params(1, 1.0, 0.0, InitMode.KORTCHEMSKI)  # conversion off
         for seed in range(10):
             state = _colored_state(g, red=(0,), blue=(1, 2), params=p)
-            event, _ = state.step(*make_rng(seed).random(3))
-            assert event is EventKind.CHASE
+            conversions, _ = state.run([make_rng(seed).random(3).tolist()])
+            assert conversions == 0 and state.slot[0] == _BLUE and not state.red
 
     def test_isolated_red_component_must_convert(self):
         g = complete_graph(2)
         p = Params(1, 1.0, 2.0)
         for seed in range(10):
             state = _colored_state(g, red=(0, 1), params=p)
-            event, _ = state.step(*make_rng(seed).random(3))
-            assert event is EventKind.CONVERT
+            conversions, _ = state.run([make_rng(seed).random(3).tolist()])
+            assert conversions == 1 and state.slot.count(_BLUE) == 1 and len(state.red) == 1
 
     def test_no_red_raises(self):
         g = complete_graph(3)
         state = _colored_state(g, blue=(0,))
-        with pytest.raises(NoTransitionError):
-            state.step(*make_rng(0).random(3))
+        with pytest.raises(NoTransitionError, match="already fixated"):
+            state.run([make_rng(0).random(3).tolist()])
 
     def test_zero_total_rate_raises(self):
         # edge 0-2 and an isolated vertex 1, which only a hand-built graph
@@ -272,8 +275,8 @@ class TestRates:
         g = Graph([[2], [], [0]])
         p = Params(1, 1.0, 0.0, InitMode.KORTCHEMSKI)
         state = _colored_state(g, red=(0, 2), blue=(1,), params=p)  # no conversion
-        with pytest.raises(NoTransitionError):
-            state.step(*make_rng(0).random(3))
+        with pytest.raises(NoTransitionError, match="rate is zero"):
+            state.run([make_rng(0).random(3).tolist()])
 
 
 def _assert_consistent(state, g):
@@ -301,7 +304,7 @@ class TestBookkeeping:
                 rng = make_rng(stream_seed(21, trial))
                 state = GraphState(g, p)
                 while len(state.red) > 0:
-                    state.step(*rng.random(3))
+                    state.run([rng.random(3).tolist()])
                     _assert_consistent(state, g)
 
     def test_blue_is_terminal(self):
@@ -311,7 +314,7 @@ class TestBookkeeping:
         state = GraphState(g, p)
         ever_blue = set()
         while len(state.red) > 0:
-            state.step(*rng.random(3))
+            state.run([rng.random(3).tolist()])
             now_blue = {v for v, s in enumerate(state.slot) if s == _BLUE}
             assert ever_blue <= now_blue
             ever_blue = now_blue
@@ -330,7 +333,7 @@ class TestBookkeeping:
         state.white[0] += extra_white
         state.rw += 1
         with pytest.raises(AssertionError, match=message):
-            state.step(0.0, 1.0 - 2.0**-53, 0.5)
+            state.run([(0.0, 1.0 - 2.0**-53, 0.5)])
 
 
 def _path_graph(m):
@@ -372,7 +375,7 @@ def test_jump_count_is_the_number_of_graph_jumps(mode):
                 rng = make_rng(stream_seed(24, seed))
                 jumps = 0
                 while len(state.red) > 0:
-                    state.step(*rng.random(3))
+                    state.run([rng.random(3).tolist()])
                     jumps += 1
                 res = run_graph_to_fixation(g, p, make_rng(stream_seed(24, seed)))
                 assert res.jump_count == jumps

@@ -136,7 +136,7 @@ def test_every_public_function_class_and_method_in_src_is_used_outside_tests():
                 )
     public = {name for name in defined if not name.startswith("_")}
     # the walk sees functions, classes, methods and properties
-    assert {"graph_block", "GraphState", "paint_red", "vertex_count"} <= public
+    assert {"graph_block", "GraphState", "run", "vertex_count"} <= public
     users = SRC + sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
     unused = public - _loaded_names(_trees(users)) - set(chasescape.__all__)
     assert not unused, f"public in src but used only by tests: {sorted(unused)}"
