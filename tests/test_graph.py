@@ -1,3 +1,4 @@
+import math
 import pickle
 import tracemalloc
 from pathlib import Path
@@ -392,16 +393,20 @@ def test_jump_count_bound_and_conservation(seed, n):
     assert res.white_survivors + res.blue_total == g.vertex_count
 
 
-def _coloring_law_of_W(g, params):
-    """P(W = w), w = 0 .. m, on a graph of m <= 11 vertices, by a forward DP
-    over vertex colorings from the start state of ``params``.
+def _coloring_law_of_W(g, params, theta=0.0):
+    """E[exp(-theta tau); W = w], w = 0 .. m, on a graph of m <= 11 vertices,
+    by a forward DP over vertex colorings from the start state of
+    ``params``, and the sum of mass / q over the colorings with red.
 
     A coloring is a pair of bitmasks (white, red); the other vertices are
     blue.  A white x turns red at rate lam times its red neighbours, and a red
     u turns blue at rate its blue neighbours plus the conversion rate.  Each
     event lowers 2 * #white + #red by one, so the colorings form layers, and
-    the DP pushes each layer's mass into the layers below; the mass that
-    reaches a coloring with no red is P(W = #white)."""
+    the DP pushes each layer's mass into the layers below.  A coloring with
+    total rate q holds for an Exp(q) time, so its mass is multiplied by
+    q / (q + theta) as it leaves; the mass that reaches a coloring with no
+    red is E[exp(-theta tau); W = #white].  At theta = 0 that factor is
+    exactly 1, the mass is P(W = #white) and the sum of mass / q is E[tau]."""
     m = g.vertex_count
     assert m <= 11, "the DP holds up to 3^m colorings"
     neighbours = [sum(1 << x for x in row) for row in g.rows]
@@ -411,6 +416,7 @@ def _coloring_law_of_W(g, params):
     layers = [{} for _ in range(2 * (m - r0 - b0) + r0 + 1)]
     layers[-1][white, red] = 1.0
     law = np.zeros(m + 1)
+    mean_tau = 0.0
     for layer in reversed(layers):
         for (white, red), mass in layer.items():
             if not red:
@@ -427,11 +433,13 @@ def _coloring_law_of_W(g, params):
                 if red >> u & 1
             ]
             total = sum(rate for rate, _ in moves)
+            mean_tau += mass / total
+            mass *= total / (total + theta)
             for rate, (w, r) in moves:
                 if rate:
                     below = layers[2 * w.bit_count() + r.bit_count()]
                     below[w, r] = below.get((w, r), 0.0) + mass * rate / total
-    return law
+    return law, mean_tau
 
 
 def _star(m, center):
@@ -458,29 +466,109 @@ _OFF_COMPLETE = {
 }
 
 
+def _reference_jump(rows, slot, red, params, u_class, u_member, u_hold):
+    """One jump by the member rule, reading no counts: it lists the class's
+    members in rule order (red-list order, then row order) and takes the
+    k-th; ``red`` changes by append and swap-remove, ``slot`` with it.
+    Returns the conversions (0 or 1) and the holding time."""
+    grows = [x for v in red for x in rows[v] if slot[x] == _WHITE]
+    chases = [v for v in red for x in rows[v] if slot[x] == _BLUE]
+    r = len(red)
+    rate_grow = params.lam * len(grows)
+    total = rate_grow + float(len(chases)) + params.conversion_rate * r
+    holding = -math.log1p(-u_hold) / total
+    draw = u_class * total
+    if draw < rate_grow:
+        x = grows[min(int(u_member * len(grows)), len(grows) - 1)]
+        slot[x] = r
+        red.append(x)
+        return 0, holding
+    if draw < rate_grow + len(chases):
+        v, converted = chases[min(int(u_member * len(chases)), len(chases) - 1)], 0
+    else:
+        v, converted = red[min(int(u_member * r), r - 1)], 1
+    i, last = slot[v], red.pop()
+    if last != v:
+        red[i], slot[last] = last, i
+    slot[v] = _BLUE
+    return converted, holding
+
+
+# graphs on which the member a jump paints moves (W, C, tau): paths, cycles,
+# the Petersen graph and stars from _OFF_COMPLETE, a 4-regular circulant and
+# K_{3,5}, whose start vertices 0 and 1 lie on the same side
+_MEMBER_RULE_GRAPHS = {
+    "path11": _OFF_COMPLETE["path11"][:2],
+    "cycle11": _OFF_COMPLETE["cycle11-standard"][:2],
+    "petersen": (_PETERSEN, 10),
+    "star9-center": (_star(9, 0), 9),
+    "star9-leaf": (_star(9, 8), 9),
+    "circulant12": ([f"{v} {(v + j) % 12}" for v in range(12) for j in (1, 2)], 12),
+    "k3,5": ([f"{u} {v}" for u in range(3) for v in range(3, 8)], 8),
+}
+
+
+@pytest.mark.parametrize("mode", list(InitMode))
+@pytest.mark.parametrize("case", list(_MEMBER_RULE_GRAPHS))
+def test_run_paints_the_member_a_count_free_reference_paints(case, mode):
+    # on K_{n+1} the member a jump paints never moves (W, C, tau), so the
+    # goldens there cannot see a slip in the walk or the row scan; here the
+    # slots, the order of red, the counts and the clock's bits are compared
+    # after every jump
+    lines, vertices = _MEMBER_RULE_GRAPHS[case]
+    g = parse_edge_list(lines, vertices)
+    start = 2 if mode is InitMode.KORTCHEMSKI else 1
+    p = Params(vertices - start, 1.3, 0.7, mode)
+    for trial in range(20):
+        rng = make_rng(stream_seed(27, trial))
+        state = GraphState(g, p)
+        slot, red = list(state.slot), list(state.red)
+        got, want = (0, 0.0), (0, 0.0)
+        while state.red:
+            triple = rng.random(3).tolist()
+            conversions, clock = state.run([triple])
+            ref_conversions, holding = _reference_jump(g.rows, slot, red, p, *triple)
+            got = (got[0] + conversions, got[1] + clock)
+            want = (want[0] + ref_conversions, want[1] + holding)
+            assert state.slot == slot and state.red == red
+            assert (got[0], got[1].hex()) == (want[0], want[1].hex())
+            _assert_consistent(state, g)
+        assert not red
+
+
 class TestLawAgreement:
     @pytest.mark.parametrize("case", list(_OFF_COMPLETE))
     def test_matches_the_coloring_dp_off_the_complete_graph(self, case):
         # the member rule matters here, unlike on K_{n+1}: a chase that paints
         # a uniform red vertex instead of a blue-weighted one fails 5 of
-        # these 9 cases
+        # these 9 cases.  The mean of exp(-theta tau) at theta E[tau] = 0.5,
+        # 1 and 3 lies within 3 SE of the DP's transform, the rule of
+        # TestMeanTau: holding times drawn as their means keep the law of W
+        # and E[tau], and fail here
         lines, vertices, mode = _OFF_COMPLETE[case]
         g = parse_edge_list(lines, vertices)
         start = 2 if mode is InitMode.KORTCHEMSKI else 1
         p = Params(g.vertex_count - start, 1.0, 2.0, mode)
-        law = _coloring_law_of_W(g, p)
+        law, mean_tau = _coloring_law_of_W(g, p)
         assert law.sum() == pytest.approx(1.0, abs=1e-12)
         seed = 26 + list(_OFF_COMPLETE).index(case)
-        white, _, _ = graph_block(g, p, stream_seeds(seed, 0, 10000))
+        white, _, tau = graph_block(g, p, stream_seeds(seed, 0, 10000))
         chi = chi_square_gof(np.bincount(white, minlength=g.vertex_count + 1), law)
         assert chi.pvalue >= 0.001
+        for scale in (0.5, 1.0, 3.0):
+            theta = scale / mean_tau
+            transform, _ = _coloring_law_of_W(g, p, theta)
+            z = np.exp(-theta * tau)
+            se = float(np.std(z, ddof=1)) / math.sqrt(tau.size)
+            assert abs(float(np.mean(z)) - transform.sum()) <= 3 * se, (scale, float(np.mean(z)))
 
     def test_coloring_dp_matches_the_chain_dp_on_complete_graphs(self):
         for p in (Params(6, 1.3, 0.7), Params(5, 0.8, 0.0, InitMode.KORTCHEMSKI)):
-            law = _coloring_law_of_W(complete_graph(p.total_vertices), p)
-            exact = exact_distribution_W(p.n, p.lam, p.alpha, p.init_mode).probabilities
-            assert law[: p.n + 1] == pytest.approx(exact, abs=1e-12)
+            law, mean_tau = _coloring_law_of_W(complete_graph(p.total_vertices), p)
+            exact = exact_distribution_W(p.n, p.lam, p.alpha, p.init_mode)
+            assert law[: p.n + 1] == pytest.approx(exact.probabilities, abs=1e-12)
             assert not law[p.n + 1 :].any()
+            assert mean_tau == pytest.approx(exact.expected_tau, rel=1e-12)
 
     def test_matches_exact_distribution_on_complete_graph(self):
         n, trials = 8, 20000

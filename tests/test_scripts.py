@@ -118,3 +118,9 @@ def test_trend_sweep_refuses_a_coupling_trial_over_the_cap():
     assert proc.stderr.count("error:") == 1
     assert "a coupling trial at n = 2000000 needs 6000002 uniforms" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_mutant_ledger_entries_apply():
+    # only the cheap check: a mutant costs a whole tier-1 run
+    proc = run_script("scripts/mutants.py", "--check")
+    assert proc.stderr == "3 ledger entries apply\n"
