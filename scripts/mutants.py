@@ -38,7 +38,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+# tier-1 less the ledger's own check, which fails in every mutated copy
+# because the edit has replaced its old text
+TIER1 = [
+    sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+    "--deselect", "tests/test_scripts.py::test_mutant_ledger_entries_apply",
+]
 
 LEDGER = [
     {
@@ -177,23 +182,17 @@ def main() -> int:
     parser.add_argument(
         "--check", action="store_true", help="only check that each old text occurs once"
     )
-    parser.add_argument("--only", nargs="+", default=None, help="names of the mutants to run")
     parser.add_argument("--output", default=None, help="report path (default: stdout)")
     args = parser.parse_args()
     problems = check_ledger()
     if problems or args.check:
         print("\n".join(problems) or f"{len(LEDGER)} ledger entries apply", file=sys.stderr)
         return 1 if problems else 0
-    names = [entry["name"] for entry in LEDGER]
-    unknown = set(args.only or ()) - set(names)
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
     results = []
     for entry in LEDGER:
-        if args.only is None or entry["name"] in args.only:
-            results.append(run_mutant(entry))
-            r = results[-1]
-            print(f"{r['name']}: {r['failed']} failed, {r['by_kind']}", file=sys.stderr)
+        results.append(run_mutant(entry))
+        r = results[-1]
+        print(f"{r['name']}: {r['failed']} failed, {r['by_kind']}", file=sys.stderr)
     report = {
         "command": " ".join(["PYTHONPATH=src", "python", *TIER1[1:]]),
         "killed_when": "a law or a parity test fails",

@@ -198,69 +198,67 @@ class GraphState:
         if not red:
             raise NoTransitionError("process already fixated (no red vertices)")
         conversions, clock, log1p = 0, 0.0, math.log1p
-        try:
-            for u_class, u_member, u_hold in triples:
-                r = len(red)
-                rate_grow = lam * rw
-                total = rate_grow + rb + conversion_rate * r
-                if total <= 0.0:
-                    raise NoTransitionError("total jump rate is zero in this state")
-                draw = u_class * total
-                grow = draw < rate_grow
-                if grow or draw < rate_grow + rb:
-                    # the walk: the first red vertex v whose running count
-                    # passes k, and k less the counts before v
-                    counts, count = (white, rw) if grow else (blue, rb)
-                    k = min(int(u_member * count), count - 1)
-                    for v in red:
-                        c = counts[v]
-                        if k < c:
+        for u_class, u_member, u_hold in triples:
+            r = len(red)
+            rate_grow = lam * rw
+            total = rate_grow + rb + conversion_rate * r
+            if total <= 0.0:
+                raise NoTransitionError("total jump rate is zero in this state")
+            draw = u_class * total
+            grow = draw < rate_grow
+            if grow or draw < rate_grow + rb:
+                # the walk: the first red vertex v whose running count
+                # passes k, and k less the counts before v
+                counts, count = (white, rw) if grow else (blue, rb)
+                k = min(int(u_member * count), count - 1)
+                for v in red:
+                    c = counts[v]
+                    if k < c:
+                        break
+                    k -= c
+                else:
+                    raise AssertionError(f"the red vertices' counts sum to less than {count}")
+            else:
+                v = red[min(int(u_member * r), r - 1)]
+                conversions += 1
+            if grow:
+                for x in rows[v]:
+                    if slot[x] == _WHITE:
+                        if not k:
                             break
-                        k -= c
-                    else:
-                        raise AssertionError(f"the red vertices' counts sum to less than {count}")
+                        k -= 1
                 else:
-                    v = red[min(int(u_member * r), r - 1)]
-                    conversions += 1
-                if grow:
-                    for x in rows[v]:
-                        if slot[x] == _WHITE:
-                            if not k:
-                                break
-                            k -= 1
-                    else:
-                        raise AssertionError(
-                            f"red vertex {v} has fewer white neighbours than counted"
-                        )
-                    # paint x red: its red-white edges come in, and its red
-                    # neighbours' edges to x leave
-                    slot[x] = r
-                    red.append(x)
-                    row = rows[x]
-                    rw += 2 * white[x] + blue[x] - len(row)
-                    rb += blue[x]
-                    for y in row:
-                        white[y] -= 1
-                else:
-                    # paint v blue: its own edges leave, and its red
-                    # neighbours' edges to v turn red-blue
-                    i = slot[v]
-                    slot[v] = _BLUE
-                    last = red.pop()
-                    if last != v:
-                        slot[last] = i
-                        red[i] = last
-                    row = rows[v]
-                    c = white[v]
-                    rw -= c
-                    rb += len(row) - c - 2 * blue[v]
-                    for y in row:
-                        blue[y] += 1
-                clock += -log1p(-u_hold) / total
-                if not red:
-                    break
-        finally:
-            self.rw, self.rb = rw, rb
+                    raise AssertionError(
+                        f"red vertex {v} has fewer white neighbours than counted"
+                    )
+                # paint x red: its red-white edges come in, and its red
+                # neighbours' edges to x leave
+                slot[x] = r
+                red.append(x)
+                row = rows[x]
+                rw += 2 * white[x] + blue[x] - len(row)
+                rb += blue[x]
+                for y in row:
+                    white[y] -= 1
+            else:
+                # paint v blue: its own edges leave, and its red
+                # neighbours' edges to v turn red-blue
+                i = slot[v]
+                slot[v] = _BLUE
+                last = red.pop()
+                if last != v:
+                    slot[last] = i
+                    red[i] = last
+                row = rows[v]
+                c = white[v]
+                rw -= c
+                rb += len(row) - c - 2 * blue[v]
+                for y in row:
+                    blue[y] += 1
+            clock += -log1p(-u_hold) / total
+            if not red:
+                break
+        self.rw, self.rb = rw, rb
         return conversions, clock
 
 
@@ -286,7 +284,8 @@ def run_graph_to_fixation(
     state = GraphState(graph, params)
     # n white and r0 red at the start, and every jump lowers 2 * white + red by one
     conversions, clock = state.run(_triples(rng, 2 * params.n + params.initial_red_blue[0]))
-    assert not state.red, "the triples ran out before fixation"
+    if state.red:
+        raise AssertionError("the triples ran out before fixation")
     white = state.slot.count(_WHITE)
     return FixationResult.at_fixation(params, white, conversions, clock)
 

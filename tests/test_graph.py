@@ -364,6 +364,14 @@ def test_a_trial_reads_no_more_triples_than_jumps_can_remain(mode):
         assert 3 * res.jump_count <= position <= limit
 
 
+def test_a_trial_whose_triples_run_out_is_refused(monkeypatch):
+    # the 2w + r cap leaves no shortfall to reach with real triples, so a
+    # reader that yields none stands in for one
+    monkeypatch.setattr(graph, "_triples", lambda rng, count: iter(()))
+    with pytest.raises(AssertionError, match="the triples ran out before fixation"):
+        run_graph_to_fixation(complete_graph(2), Params(1, 1.0, 1.0), make_rng(0))
+
+
 @pytest.mark.parametrize("mode", list(InitMode))
 def test_jump_count_is_the_number_of_graph_jumps(mode):
     # jump_count is derived from W; count the events themselves, on the
