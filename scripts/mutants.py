@@ -70,6 +70,37 @@ LEDGER = [
         "breaks": "the chase member rule: a chase paints a uniform red vertex, not "
         "one weighted by its blue neighbours; on K_{n+1} the law is the same",
     },
+    {
+        "name": "coupling-flag-probability-one-rate-high",
+        "file": "src/chasescape/birth_death.py",
+        "old": "thresholds = np.divide(-a, neg_rates[n:])",
+        "new": "thresholds = np.divide(-a, neg_rates[n:] - 1)",
+        "breaks": "the law of C: birth i converts with probability a / (i + c + 1), "
+        "not a / (i + c); W and tau keep their laws",
+    },
+    {
+        "name": "coupling-tau-at-the-birth-before",
+        "file": "src/chasescape/birth_death.py",
+        "old": "times[chunk] = beta[r, m - 1]",
+        "new": "times[chunk] = beta[r, m - 2]",
+        "breaks": "the law of tau: fixation is read at birth m - 1, not at birth m",
+    },
+    {
+        "name": "coupling-spacings-without-negate",
+        "file": "src/chasescape/birth_death.py",
+        "old": "    np.negative(u, out=u)\n",
+        "new": "",
+        "breaks": "every clock: log1p(u) in place of log1p(-u) gives spacings of the "
+        "wrong sign and law, so W, C and tau all move",
+    },
+    {
+        "name": "coupling-block-mask-counts-birth-m-plus-one",
+        "file": "src/chasescape/birth_death.py",
+        "old": "np.arange(n + 1) < m[:, None]",
+        "new": "np.arange(n + 1) <= m[:, None]",
+        "breaks": "C in multi-row chunks only: the birth after the last one counts too; "
+        "run_coupling's one-row branch keeps its bytes",
+    },
 ]
 
 # ids without their parameters, matched from the start

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .chain import FixationResult, empty_block
+from .chain import _CHUNK_DOUBLES, FixationResult, empty_block
 from .params import (
     ParameterError,
     Params,
@@ -38,9 +38,6 @@ POPULATION_CAP = float(1 << 53)
 # allocation: at the cap a one-trial block peaks at 67.5 MiB (tracemalloc), the
 # 32 MiB row plus the 21 MiB rate vector and 11 MiB flag thresholds it holds
 MAX_COUPLING_UNIFORMS = 1 << 22
-# uniforms per chunk of a coupling block: 107 trials at n = 50, and one
-# trial per chunk from n = 2731 up, where 3n + 2 > 2^13
-_CHUNK_UNIFORMS = 1 << 14
 
 
 def _spacings(u: np.ndarray, neg_rates: np.ndarray) -> np.ndarray:
@@ -65,8 +62,9 @@ def _coupling_trials(
     params: Params, rngs: Iterable[np.random.Generator], count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (W, C, tau) of the trials of the first ``count`` generators of
-    ``rngs``, in chunks of at most ``_CHUNK_UNIFORMS`` uniforms (one trial when
-    a trial needs more).  Refuses a trial over MAX_COUPLING_UNIFORMS before it
+    ``rngs``, in chunks of at most ``_CHUNK_DOUBLES`` uniforms, the chain's
+    budget (431 trials at n = 50; one trial, however many it needs, from
+    n = 10923 up).  Refuses a trial over MAX_COUPLING_UNIFORMS before it
     allocates, and an empty block stops there; else holds 2n + 1 negated
     rates, n + 1 flag thresholds and a (rows, 3n + 2) row buffer, in which
     each chunk computes both clocks in place.
@@ -91,7 +89,7 @@ def _coupling_trials(
         )
     if not count:
         return empty_block(0)
-    rows = min(count, max(1, _CHUNK_UNIFORMS // width))
+    rows = min(count, max(1, _CHUNK_DOUBLES // width))
     a = params.conversion_rate
     # before birth i there are b0 + i blue, and each red turns blue at
     # rate b0 + i + a

@@ -29,15 +29,11 @@ _WINDOW = 256
 # every pair, and 0.50 to 0.54 at 32 (medians of 11 interleaved pairs on 2
 # x86-64 CPUs)
 _LOCKSTEP_MIN_LIVE = 16
-# trials per chunk of a block; with one window of _WINDOW draws per trial a
-# chunk holds at most 2^16 of them (512 KiB) at any n
-_CHUNK_TRIALS = 256
-# cap on the cells of a window's p_grow grid, k rows of one cell per reachable
-# b, in the 512 KiB of a chunk's rows.  Every pass steps b-sorted groups that
-# each fit: a 128-jump window's grid holds a spread of 384, and the widest of a
-# chunk at lambda = 1, alpha = 2 was 96 at n = 1000, 235 at n = 10^4 and 723
-# at n = 10^5
-_GRID_CELLS = _CHUNK_TRIALS * _WINDOW
+# doubles one chunk of a vectorised block may hold (512 KiB): the chain's
+# rows, its p_grow grid, and the coupling's row buffer
+_CHUNK_DOUBLES = 1 << 16
+# trials per chunk of a block: one window of _WINDOW draws per trial
+_CHUNK_TRIALS = _CHUNK_DOUBLES // _WINDOW
 
 
 class EventKind(Enum):
@@ -149,7 +145,7 @@ def chain_block(
     fewer than ``_LOCKSTEP_MIN_LIVE`` trials runs :func:`run_to_fixation` per
     trial; any other runs in lockstep (:func:`_lockstep`) until every trial
     has fixated, and holds one window of ``_WINDOW`` draws per live trial and
-    one p_grow grid of at most ``_GRID_CELLS`` cells however long it runs.
+    one p_grow grid of at most ``_CHUNK_DOUBLES`` cells however long it runs.
     """
     white, conversions, times = empty_block(len(seeds))
     for lo in range(0, len(seeds), _CHUNK_TRIALS):
@@ -178,8 +174,10 @@ def _lockstep(
     decides each jump from the window's p_grow grid, which has a row per jump
     and a cell per b the trials can reach.  The live trials are in b order,
     so a pass steps them in contiguous groups, each with a spread of b one
-    grid of ``_GRID_CELLS`` cells holds.  :func:`_fold` then advances each
-    trial's b, conversions and clock and finds its fixation.  The pass ends
+    grid of ``_CHUNK_DOUBLES`` cells holds (384 for a 128-jump window; the
+    widest of a chunk at lambda = 1, alpha = 2 was 96 at n = 1000, 235 at
+    n = 10^4 and 723 at n = 10^5).  :func:`_fold` then advances each trial's
+    b, conversions and clock and finds its fixation.  The pass ends
     with one permutation: the trials that fixated leave by trial index, and
     the rest are sorted by b (stably, so the first pass keeps seed order)
     for the next pass, which refills every live row, so no row moves.
@@ -201,7 +199,7 @@ def _lockstep(
     first = layer = r0 + 2 * b0
     while trial.size:
         k = min(half, 2 * total - layer)
-        span = _GRID_CELLS // k - k  # the widest spread of b one grid holds
+        span = _CHUNK_DOUBLES // k - k  # the widest spread of b one grid holds
         for row, rng in zip(rows, streams(seeds[trial], 2 * (layer - first))):
             rng.random(out=row[:half])
             rng.standard_exponential(out=row[half:], method="inv")

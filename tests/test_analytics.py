@@ -21,7 +21,7 @@ from chasescape.analytics import (
     prob_gamma_less_exp_quadrature,
     stats_wilson_ci,
 )
-from chasescape.params import MAX_RATE, MIN_RATE, QuadratureError
+from chasescape.params import MAX_RATE, MIN_RATE, Params, QuadratureError
 
 ALPHA_GRID = (0.1, 0.3, 1.0, 2.0, 2.5, 4.0, 8.0)
 
@@ -246,14 +246,31 @@ class TestExactDistribution:
             float(np.arange(n + 1) @ dist.probabilities), abs=1e-12
         )
 
-    @pytest.mark.parametrize("n,alpha", [(50, 2.0), (1000, 2.0), (5000, 4.0)])
-    def test_expected_c_is_a_mixture_over_w_of_the_conversion_flags(self, n, alpha):
-        # red decrease i (i = 0, 1, ...) converts with probability
-        # alpha / (i + alpha) whatever the path, and a run that ends at W = w
-        # makes n + 1 - w decreases, so E[C | W = w] is a partial sum
-        dist = exact_distribution_W(n, 1.0, alpha)
-        given_w = np.cumsum(alpha / (np.arange(n + 1) + alpha))[::-1]
-        assert float(dist.probabilities @ given_w) == pytest.approx(dist.expected_c, rel=1e-12)
+    @pytest.mark.parametrize(
+        "n,lam,alpha,mode",
+        [
+            (1, 1.0, 2.0, InitMode.STANDARD),
+            (10, 1.0, 1.0, InitMode.STANDARD),
+            (50, 1.0, 2.0, InitMode.STANDARD),
+            (200, 0.5, 3.0, InitMode.STANDARD),
+            (400, 2.0, 0.5, InitMode.STANDARD),
+            (1000, 1.0, 2.0, InitMode.STANDARD),
+            (1000, 1.0, 4.0, InitMode.STANDARD),
+            (5000, 1.0, 4.0, InitMode.STANDARD),
+            (50, 1.0, 0.0, InitMode.KORTCHEMSKI),
+        ],
+    )
+    def test_expected_c_is_a_mixture_over_w_of_the_conversion_flags(self, n, lam, alpha, mode):
+        # a run with W = w makes m = r0 + n - w red decreases, and decrease i
+        # converts with probability a / (b0 + i + a) whatever the path, so
+        # E[C | W = w] = h(m) = sum_{i<m} a / (b0 + i + a), 0 when a = 0
+        params = Params(n, lam, alpha, mode)
+        r0, b0 = params.initial_red_blue
+        a = params.conversion_rate
+        h = np.concatenate(([0.0], np.cumsum(a / (b0 + np.arange(r0 + n) + a))))
+        dist = exact_distribution_W(n, lam, alpha, mode)
+        mixture = float(dist.probabilities @ h[r0 + n - np.arange(n + 1)])
+        assert mixture == pytest.approx(dist.expected_c, rel=1e-12)
 
     def test_kortchemski_mode_never_converts(self):
         assert exact_distribution_W(50, 1.0, 0.0, InitMode.KORTCHEMSKI).expected_c == 0.0

@@ -352,11 +352,13 @@ def _assert_cap_probe(engine, n, refusal):
 
 class TestCouplingBlock:
     @pytest.mark.parametrize("mode", list(InitMode))
-    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000, 10**4, 10923])
     def test_block_matches_per_trial_kernel(self, n, mode):
-        # a non-zero start and one trial more than a chunk holds
+        # a non-zero start and one trial more than a chunk holds: at n = 10^4
+        # a two-row buffer ends on a one-trial chunk, and n = 10923 is the
+        # first n with one trial per chunk
         params = Params(n, 1.0, 2.0, mode)
-        rows = max(1, birth_death._CHUNK_UNIFORMS // (3 * n + 2))
+        rows = max(1, chain._CHUNK_DOUBLES // (3 * n + 2))
         start, stop = 11, 11 + rows + 1
         w, c, tau = coupling_block(params, stream_seeds(2**64 - 1, start, stop))
         for k, i in enumerate(range(start, stop)):
@@ -523,7 +525,7 @@ class TestChainBlock:
         params = Params(1000, 1.0, 2.0)
         seeds = stream_seeds(1003, 0, 64)
         cap = chain._WINDOW // 2 * 160
-        monkeypatch.setattr(chain, "_GRID_CELLS", cap)
+        monkeypatch.setattr(chain, "_CHUNK_DOUBLES", cap)
         steps, calls = chain._steps, []
 
         def traced_steps(params, events, flags, b, layer):

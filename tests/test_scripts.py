@@ -123,4 +123,4 @@ def test_trend_sweep_refuses_a_coupling_trial_over_the_cap():
 def test_mutant_ledger_entries_apply():
     # only the cheap check: a mutant costs a whole tier-1 run
     proc = run_script("scripts/mutants.py", "--check")
-    assert proc.stderr == "3 ledger entries apply\n"
+    assert proc.stderr == "7 ledger entries apply\n"
