@@ -18,8 +18,9 @@ bytes, parity, law or other:
 
 A mutant is killed when a law or a parity test fails.  One that survives
 is reported, never dropped from the ledger.  Each mutant costs one tier-1
-run, so the tool is not part of tier-1; ``--check`` only checks that each
-old text occurs exactly once in its file, which tier-1 runs.  Example:
+run, so the tool is not part of tier-1; ``--check`` only checks the ledger
+(names unique, each edit a change, each old text exactly once in its file),
+which tier-1 runs.  Example:
 
     python scripts/mutants.py --output MUTANTS.json
 """
@@ -101,6 +102,55 @@ LEDGER = [
         "breaks": "C in multi-row chunks only: the birth after the last one counts too; "
         "run_coupling's one-row branch keeps its bytes",
     },
+    {
+        "name": "streams-rekey-one-counter-step-late",
+        "file": "src/chasescape/rng.py",
+        "old": "[offset // 4, 0, 0, 0]",
+        "new": "[offset // 4 + 1, 0, 0, 0]",
+        "breaks": "the stream layout: each generator streams() hands out starts four "
+        "uniforms late, so a block no longer gives make_rng's bytes; no law moves",
+    },
+    {
+        "name": "chi-square-drops-its-trailing-group",
+        "file": "src/chasescape/analytics.py",
+        "old": "    if acc_e > 0.0 and grouped_exp:\n"
+        "        grouped_obs[-1] += acc_o\n"
+        "        grouped_exp[-1] += acc_e\n",
+        "new": "",
+        "breaks": "the goodness-of-fit check: a trailing underweight group is dropped, "
+        "not folded into its predecessor, so its observations go unchecked",
+    },
+    {
+        "name": "wilson-ci-halves-the-z-squared-shrink",
+        "file": "src/chasescape/analytics.py",
+        "old": "shrink = 1.0 + z * z / trials",
+        "new": "shrink = 1.0 + z * z / (2.0 * trials)",
+        "breaks": "the Wilson interval: its centre and half-width are divided by "
+        "1 + z^2 / (2n), not 1 + z^2 / n, so it widens and its centre moves",
+    },
+    {
+        "name": "dp-reads-w-one-b-below-the-top",
+        "file": "src/chasescape/analytics.py",
+        "old": "w_dist[ws[-1]] = dec_flow[-1]",
+        "new": "w_dist[ws[-1]] = dec_flow[-2:][0]",
+        "breaks": "the DP's law of W: P(W = w) is read one b below the top of an odd "
+        "layer, from a state with three red, wherever the layer has two b",
+    },
+    {
+        "name": "coupling-tau-scaled-by-1.08",
+        "file": "src/chasescape/birth_death.py",
+        "old": "times[chunk] = beta[r, m - 1]",
+        "new": "times[chunk] = 1.08 * beta[r, m - 1]",
+        "breaks": "the law of tau by a factor of 1.08; W and C keep their laws",
+    },
+    {
+        "name": "dp-conversion-rate-one-nth-high",
+        "file": "src/chasescape/analytics.py",
+        "old": "a = params.conversion_rate",
+        "new": "a = params.conversion_rate * (1 + 1 / n)",
+        "breaks": "the DP oracle: it runs at conversion rate alpha (1 + 1/n), so every "
+        "exact law it gives moves away from the engines'",
+    },
 ]
 
 # ids without their parameters, matched from the start
@@ -143,9 +193,15 @@ def kind_of(test_id: str, message: str) -> str:
 
 
 def check_ledger() -> list[str]:
-    """A problem per entry whose old text does not occur exactly once."""
-    problems = []
+    """A problem per entry whose name repeats an earlier one's, whose new
+    text equals its old text, or whose old text does not occur exactly once."""
+    problems, names = [], set()
     for entry in LEDGER:
+        if entry["name"] in names:
+            problems.append(f"{entry['name']}: name repeats an earlier entry's")
+        names.add(entry["name"])
+        if entry["new"] == entry["old"]:
+            problems.append(f"{entry['name']}: new text equals old text")
         count = (ROOT / entry["file"]).read_text(encoding="utf-8").count(entry["old"])
         if count != 1:
             problems.append(f"{entry['name']}: old text occurs {count} times in {entry['file']}")
@@ -211,7 +267,7 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument(
-        "--check", action="store_true", help="only check that each old text occurs once"
+        "--check", action="store_true", help="only check the ledger's entries"
     )
     parser.add_argument("--output", default=None, help="report path (default: stdout)")
     args = parser.parse_args()

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,21 +44,12 @@ class Graph:
 
     rows: list[list[int]]
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.rows)
-
-    @cached_property
-    def degrees(self) -> list[int]:
-        """``degrees[u]``: the degree of u."""
-        return [len(row) for row in self.rows]
-
 
 def require_vertex_count(graph: Graph, params: Params) -> None:
     """ParameterError unless ``graph`` has ``params.total_vertices`` vertices."""
-    if graph.vertex_count != params.total_vertices:
+    if len(graph.rows) != params.total_vertices:
         raise ParameterError(
-            f"graph has {graph.vertex_count} vertices but n = {params.n} "
+            f"graph has {len(graph.rows)} vertices but n = {params.n} "
             f"({params.init_mode.value} start) needs {params.total_vertices}"
         )
 
@@ -175,15 +165,15 @@ class GraphState:
         require_vertex_count(graph, params)
         r0, b0 = params.initial_red_blue
         self.red = [*range(r0)]
-        self.slot = [*self.red, *[_BLUE] * b0, *[_WHITE] * (graph.vertex_count - r0 - b0)]
-        self.white, self.blue = graph.degrees.copy(), [0] * graph.vertex_count
-        self.rows = graph.rows
+        self.rows = rows = graph.rows
+        self.slot = [*self.red, *[_BLUE] * b0, *[_WHITE] * (len(rows) - r0 - b0)]
+        self.white, self.blue = [len(row) for row in rows], [0] * len(rows)
         self.lam, self.conversion_rate = params.lam, params.conversion_rate
         for v in range(r0 + b0):
-            for x in self.rows[v]:
+            for x in rows[v]:
                 self.white[x] -= 1
         for v in range(r0, r0 + b0):
-            for x in self.rows[v]:
+            for x in rows[v]:
                 self.blue[x] += 1
         self.rw = sum(self.white[v] for v in self.red)
         self.rb = sum(self.blue[v] for v in self.red)

@@ -28,6 +28,7 @@ from .analytics import (
 )
 from .birth_death import run_coupling, sample_limit_sum, sample_terminal_gamma_process
 from .chain import (
+    _CHUNK_DOUBLES,
     JumpRecord,
     check_trajectory,
     read_trajectory_csv,
@@ -309,8 +310,9 @@ def check_determinism() -> tuple[bool, dict]:
         engines_ok[engine.value] = all(map(np.array_equal, first, second))
 
     # the batched coupling block against one make_rng + run_coupling per
-    # trial, over more trials than one chunk holds at n = 30
-    start, stop = 7, 407
+    # trial, over two full chunks of its row buffer and a one-trial chunk
+    rows = _CHUNK_DOUBLES // (3 * params.n + 2)
+    start, stop = 7, 7 + 2 * rows + 1
     batched = run_block(ExperimentConfig(engine=Engine.COUPLING, trials=stop, **base), start, stop)
     per_trial = [run_coupling(params, make_rng(stream_seed(1012, i))) for i in range(start, stop)]
     batched_ok = all(

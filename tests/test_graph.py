@@ -30,14 +30,13 @@ SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
 
 def _assert_rows(g):
     """Each row ascends, holds Python ints and not its own vertex; v is in
-    row u exactly when u is in row v; ``degrees`` are the row lengths."""
+    row u exactly when u is in row v."""
     for u, row in enumerate(g.rows):
         assert all(type(x) is int for x in row)
         assert all(a < b for a, b in zip(row, row[1:]))
         assert u not in row
     entries = {(u, v) for u, row in enumerate(g.rows) for v in row}
     assert {(v, u) for u, v in entries} == entries
-    assert g.degrees == [len(row) for row in g.rows]
 
 
 class TestGraphConstruction:
@@ -48,12 +47,12 @@ class TestGraphConstruction:
     def test_k5_edges_and_degrees(self):
         g = complete_graph(5)
         assert g.rows == [[x for x in range(5) if x != u] for u in range(5)]
-        assert sum(g.degrees) == 2 * 10
-        assert g.degrees == [4] * 5
+        assert sum(map(len, g.rows)) == 2 * 10
+        assert [len(row) for row in g.rows] == [4] * 5
 
     def test_k101_degrees(self):
         g = complete_graph(101)
-        assert g.degrees == [100] * 101
+        assert [len(row) for row in g.rows] == [100] * 101
         _assert_rows(g)
 
     def test_too_small_rejected(self):
@@ -89,7 +88,7 @@ class TestGraphConstruction:
 
     def test_cap_counts_adjacency_entries(self, monkeypatch):
         monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 20)
-        assert complete_graph(5).vertex_count == 5  # 5 * 4 = 20 entries
+        assert len(complete_graph(5).rows) == 5  # 5 * 4 = 20 entries
         with pytest.raises(ResourceLimitError):
             complete_graph(6)
 
@@ -122,19 +121,13 @@ class TestRows:
         # a worker gets its graph by pickle
         g = complete_graph(7)
         copy = pickle.loads(pickle.dumps(g))
-        assert copy.rows == g.rows and copy.degrees == g.degrees
-
-    def test_a_trial_leaves_the_cached_degrees_alone(self):
-        g = _path_graph(6)
-        degrees = list(g.degrees)
-        run_graph_to_fixation(g, Params(5, 1.0, 1.0), make_rng(3))
-        assert g.degrees == degrees
+        assert copy.rows == g.rows
 
 
 class TestEdgeListFormat:
     def test_parse_path_graph(self):
         g = parse_edge_list(["0 1", "1 2"], 3)
-        assert g.vertex_count == 3
+        assert len(g.rows) == 3
         assert g.rows == [[1], [0, 2], [1]]
 
     def test_roundtrip(self):
@@ -144,7 +137,7 @@ class TestEdgeListFormat:
 
     def test_sparse_graph_tables(self):
         g = parse_edge_list(SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n"), 21)
-        assert g.vertex_count == 21 and sum(g.degrees) == 2 * 50
+        assert len(g.rows) == 21 and sum(map(len, g.rows)) == 2 * 50
         _assert_rows(g)
 
     def test_rejects_self_loop(self):
@@ -171,7 +164,7 @@ class TestEdgeListFormat:
             tracemalloc.stop()
         assert peak < 1 << 20
         # m edges may still reach index m
-        assert parse_edge_list(["0 2", "2 1"], 3).vertex_count == 3
+        assert len(parse_edge_list(["0 2", "2 1"], 3).rows) == 3
 
     def test_vertex_count_mismatch_refused_before_building(self):
         # the loader refuses once it knows the largest index: no adjacency
@@ -186,12 +179,12 @@ class TestEdgeListFormat:
             tracemalloc.stop()
         # the parsed pairs peak at about 3 MiB, building this graph at about 10
         assert peak < 5 << 20
-        assert parse_edge_list(["0 1", "1 2"], vertex_count=3).vertex_count == 3
+        assert len(parse_edge_list(["0 1", "1 2"], vertex_count=3).rows) == 3
 
     def test_cap_counts_both_directions_of_each_edge(self, monkeypatch):
         monkeypatch.setattr(graph, "MAX_GRAPH_ENTRIES", 20)
         path = [f"{v} {v + 1}" for v in range(11)]
-        assert parse_edge_list(path[:10], 11).vertex_count == 11  # 2 * 10 = 20 entries
+        assert len(parse_edge_list(path[:10], 11).rows) == 11  # 2 * 10 = 20 entries
         with pytest.raises(ResourceLimitError, match="line 11: more than 10 edges"):
             parse_edge_list(path, 12)
 
@@ -223,10 +216,10 @@ def _colored_state(graph, red=(), blue=(), params=None):
     at lambda = alpha = 1) recoloured with ``red``, in that order, and
     ``blue`` vertices and the rest white, its counts recounted over the rows;
     the start's red and blue vertices must be among them."""
-    state = GraphState(graph, params or Params(graph.vertex_count - 1, 1.0, 1.0))
+    state = GraphState(graph, params or Params(len(graph.rows) - 1, 1.0, 1.0))
     assert {v for v, s in enumerate(state.slot) if s != _WHITE} <= {*red, *blue}
     slot = state.slot
-    slot[:] = [_WHITE] * graph.vertex_count
+    slot[:] = [_WHITE] * len(graph.rows)
     for v in blue:
         slot[v] = _BLUE
     for i, v in enumerate(red):
@@ -289,7 +282,7 @@ def _assert_consistent(state, g):
     slot = np.array(state.slot)
     heads = slot[[v for row in g.rows for v in row]]
     for counts, color in ((state.white, _WHITE), (state.blue, _BLUE)):
-        assert counts == np.bincount(tails, heads == color, g.vertex_count).astype(int).tolist()
+        assert counts == np.bincount(tails, heads == color, len(g.rows)).astype(int).tolist()
     red_tail = slot[tails] >= 0
     assert state.rw == np.count_nonzero(red_tail & (heads == _WHITE))
     assert state.rb == np.count_nonzero(red_tail & (heads == _BLUE))
@@ -397,8 +390,8 @@ def test_jump_count_bound_and_conservation(seed, n):
     g = complete_graph(n + 1)
     p = Params(n, 1.0, 1.0)
     res = run_graph_to_fixation(g, p, make_rng(seed))
-    assert res.jump_count <= 2 * g.vertex_count
-    assert res.white_survivors + res.blue_total == g.vertex_count
+    assert res.jump_count <= 2 * len(g.rows)
+    assert res.white_survivors + res.blue_total == len(g.rows)
 
 
 def _coloring_law_of_W(g, params, theta=0.0):
@@ -415,7 +408,7 @@ def _coloring_law_of_W(g, params, theta=0.0):
     q / (q + theta) as it leaves; the mass that reaches a coloring with no
     red is E[exp(-theta tau); W = #white].  At theta = 0 that factor is
     exactly 1, the mass is P(W = #white) and the sum of mass / q is E[tau]."""
-    m = g.vertex_count
+    m = len(g.rows)
     assert m <= 11, "the DP holds up to 3^m colorings"
     neighbours = [sum(1 << x for x in row) for row in g.rows]
     everyone = (1 << m) - 1
@@ -556,12 +549,12 @@ class TestLawAgreement:
         lines, vertices, mode = _OFF_COMPLETE[case]
         g = parse_edge_list(lines, vertices)
         start = 2 if mode is InitMode.KORTCHEMSKI else 1
-        p = Params(g.vertex_count - start, 1.0, 2.0, mode)
+        p = Params(len(g.rows) - start, 1.0, 2.0, mode)
         law, mean_tau = _coloring_law_of_W(g, p)
         assert law.sum() == pytest.approx(1.0, abs=1e-12)
         seed = 26 + list(_OFF_COMPLETE).index(case)
         white, _, tau = graph_block(g, p, stream_seeds(seed, 0, 10000))
-        chi = chi_square_gof(np.bincount(white, minlength=g.vertex_count + 1), law)
+        chi = chi_square_gof(np.bincount(white, minlength=len(g.rows) + 1), law)
         assert chi.pvalue >= 0.001
         for scale in (0.5, 1.0, 3.0):
             theta = scale / mean_tau

@@ -1,12 +1,16 @@
 """The experiment scripts still run against the package API.
 
-No test imports them, so each runs once in a subprocess on a small input.
+Each runs once in a subprocess on a small input; only the mutant ledger's
+check is also called in process, on a patched ledger.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -120,7 +124,27 @@ def test_trend_sweep_refuses_a_coupling_trial_over_the_cap():
     assert "Traceback" not in proc.stderr
 
 
+# an entry whose old text occurs once in a file no mutant edits
+_ENTRY = {"name": "edit", "file": "pyproject.toml", "old": "[project]", "new": "[tool]"}
+
+
 def test_mutant_ledger_entries_apply():
     # only the cheap check: a mutant costs a whole tier-1 run
     proc = run_script("scripts/mutants.py", "--check")
-    assert proc.stderr == "7 ledger entries apply\n"
+    assert proc.stderr == "13 ledger entries apply\n"
+
+
+@pytest.mark.parametrize(
+    "ledger, problem",
+    [
+        ([_ENTRY, _ENTRY], "edit: name repeats an earlier entry's"),
+        ([{**_ENTRY, "new": _ENTRY["old"]}], "edit: new text equals old text"),
+    ],
+    ids=["repeated-name", "new-equals-old"],
+)
+def test_mutant_ledger_check_refuses_a_malformed_entry(monkeypatch, ledger, problem):
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    monkeypatch.setattr(mutants, "LEDGER", ledger)
+    assert mutants.check_ledger() == [problem]

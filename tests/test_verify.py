@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from chasescape import verify
+from chasescape import birth_death, chain, verify
 from chasescape.cli import main
 
 
@@ -34,3 +34,22 @@ def test_over_budget_criterion_fails_on_budget_not_on_law(monkeypatch, capsys):
 def test_unknown_level_is_refused():
     with pytest.raises(ValueError, match="level must be 'fast' or 'full'"):
         verify.run_verification("quick")
+
+
+def test_determinism_runs_the_coupling_block_over_two_chunks_and_a_lone_trial(monkeypatch):
+    # criterion 12 holds the batched coupling block to run_coupling per trial;
+    # with two full chunks and a one-trial chunk, both the multi-row
+    # conversion mask and the one-row branch meet run_coupling
+    chunk_rows = []
+    spacings = birth_death._spacings
+
+    def recording(u, neg_rates):
+        chunk_rows.append(u.shape[0])
+        return spacings(u, neg_rates)
+
+    monkeypatch.setattr(birth_death, "_spacings", recording)
+    passed, details = verify.check_determinism()
+    assert passed and details["coupling_block_matches_per_trial"] is True
+    rows = chain._CHUNK_DOUBLES // 92  # a row holds 3n + 2 = 92 uniforms at n = 30
+    # the two 20-trial repeat blocks, the batched block, one call per lone trial
+    assert chunk_rows == [20, 20, rows, rows, 1] + [1] * (2 * rows + 1)
