@@ -49,6 +49,12 @@ def _spacings(u: np.ndarray, neg_rates: np.ndarray) -> np.ndarray:
     return np.divide(u, neg_rates, out=u)
 
 
+def _chunk_rows(n: int) -> int:
+    """The trials one chunk of the coupling's row buffer holds at ``n``: as
+    many 3n + 2 uniform rows as ``_CHUNK_DOUBLES`` holds, and at least one."""
+    return max(1, _CHUNK_DOUBLES // (3 * n + 2))
+
+
 def coupling_block(
     params: Params, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,7 +95,7 @@ def _coupling_trials(
         )
     if not count:
         return empty_block(0)
-    rows = min(count, max(1, _CHUNK_DOUBLES // width))
+    rows = min(count, _chunk_rows(n))
     a = params.conversion_rate
     # before birth i there are b0 + i blue, and each red turns blue at
     # rate b0 + i + a

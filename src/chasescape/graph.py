@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -43,6 +44,11 @@ class Graph:
     ascending, as Python ints."""
 
     rows: list[list[int]]
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        """``degrees[u]``: the degree of u."""
+        return [len(row) for row in self.rows]
 
 
 def require_vertex_count(graph: Graph, params: Params) -> None:
@@ -165,15 +171,15 @@ class GraphState:
         require_vertex_count(graph, params)
         r0, b0 = params.initial_red_blue
         self.red = [*range(r0)]
-        self.rows = rows = graph.rows
-        self.slot = [*self.red, *[_BLUE] * b0, *[_WHITE] * (len(rows) - r0 - b0)]
-        self.white, self.blue = [len(row) for row in rows], [0] * len(rows)
+        self.slot = [*self.red, *[_BLUE] * b0, *[_WHITE] * (len(graph.rows) - r0 - b0)]
+        self.white, self.blue = graph.degrees.copy(), [0] * len(graph.rows)
+        self.rows = graph.rows
         self.lam, self.conversion_rate = params.lam, params.conversion_rate
         for v in range(r0 + b0):
-            for x in rows[v]:
+            for x in self.rows[v]:
                 self.white[x] -= 1
         for v in range(r0, r0 + b0):
-            for x in rows[v]:
+            for x in self.rows[v]:
                 self.blue[x] += 1
         self.rw = sum(self.white[v] for v in self.red)
         self.rb = sum(self.blue[v] for v in self.red)

@@ -26,9 +26,8 @@ from .analytics import (
     prob_gamma_less_exp_closed,
     prob_gamma_less_exp_quadrature,
 )
-from .birth_death import run_coupling, sample_limit_sum, sample_terminal_gamma_process
+from .birth_death import _chunk_rows, run_coupling, sample_limit_sum, sample_terminal_gamma_process
 from .chain import (
-    _CHUNK_DOUBLES,
     JumpRecord,
     check_trajectory,
     read_trajectory_csv,
@@ -311,7 +310,7 @@ def check_determinism() -> tuple[bool, dict]:
 
     # the batched coupling block against one make_rng + run_coupling per
     # trial, over two full chunks of its row buffer and a one-trial chunk
-    rows = _CHUNK_DOUBLES // (3 * params.n + 2)
+    rows = _chunk_rows(params.n)
     start, stop = 7, 7 + 2 * rows + 1
     batched = run_block(ExperimentConfig(engine=Engine.COUPLING, trials=stop, **base), start, stop)
     per_trial = [run_coupling(params, make_rng(stream_seed(1012, i))) for i in range(start, stop)]

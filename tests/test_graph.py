@@ -30,13 +30,14 @@ SPARSE_EDGE_LIST = Path(__file__).parent / "golden" / "sparse21.edges"
 
 def _assert_rows(g):
     """Each row ascends, holds Python ints and not its own vertex; v is in
-    row u exactly when u is in row v."""
+    row u exactly when u is in row v; ``degrees`` are the row lengths."""
     for u, row in enumerate(g.rows):
         assert all(type(x) is int for x in row)
         assert all(a < b for a, b in zip(row, row[1:]))
         assert u not in row
     entries = {(u, v) for u, row in enumerate(g.rows) for v in row}
     assert {(v, u) for u, v in entries} == entries
+    assert g.degrees == [len(row) for row in g.rows]
 
 
 class TestGraphConstruction:
@@ -47,12 +48,12 @@ class TestGraphConstruction:
     def test_k5_edges_and_degrees(self):
         g = complete_graph(5)
         assert g.rows == [[x for x in range(5) if x != u] for u in range(5)]
-        assert sum(map(len, g.rows)) == 2 * 10
-        assert [len(row) for row in g.rows] == [4] * 5
+        assert sum(g.degrees) == 2 * 10
+        assert g.degrees == [4] * 5
 
     def test_k101_degrees(self):
         g = complete_graph(101)
-        assert [len(row) for row in g.rows] == [100] * 101
+        assert g.degrees == [100] * 101
         _assert_rows(g)
 
     def test_too_small_rejected(self):
@@ -121,7 +122,13 @@ class TestRows:
         # a worker gets its graph by pickle
         g = complete_graph(7)
         copy = pickle.loads(pickle.dumps(g))
-        assert copy.rows == g.rows
+        assert copy.rows == g.rows and copy.degrees == g.degrees
+
+    def test_a_trial_leaves_the_cached_degrees_alone(self):
+        g = _path_graph(6)
+        degrees = list(g.degrees)
+        run_graph_to_fixation(g, Params(5, 1.0, 1.0), make_rng(3))
+        assert g.degrees == degrees
 
 
 class TestEdgeListFormat:
@@ -137,7 +144,7 @@ class TestEdgeListFormat:
 
     def test_sparse_graph_tables(self):
         g = parse_edge_list(SPARSE_EDGE_LIST.read_text(encoding="utf-8").split("\n"), 21)
-        assert len(g.rows) == 21 and sum(map(len, g.rows)) == 2 * 50
+        assert len(g.rows) == 21 and sum(g.degrees) == 2 * 50
         _assert_rows(g)
 
     def test_rejects_self_loop(self):

@@ -358,7 +358,7 @@ class TestCouplingBlock:
         # a two-row buffer ends on a one-trial chunk, and n = 10923 is the
         # first n with one trial per chunk
         params = Params(n, 1.0, 2.0, mode)
-        rows = max(1, chain._CHUNK_DOUBLES // (3 * n + 2))
+        rows = birth_death._chunk_rows(n)
         start, stop = 11, 11 + rows + 1
         w, c, tau = coupling_block(params, stream_seeds(2**64 - 1, start, stop))
         for k, i in enumerate(range(start, stop)):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from chasescape import birth_death, chain, verify
+from chasescape import birth_death, verify
 from chasescape.cli import main
 
 
@@ -50,6 +50,7 @@ def test_determinism_runs_the_coupling_block_over_two_chunks_and_a_lone_trial(mo
     monkeypatch.setattr(birth_death, "_spacings", recording)
     passed, details = verify.check_determinism()
     assert passed and details["coupling_block_matches_per_trial"] is True
-    rows = chain._CHUNK_DOUBLES // 92  # a row holds 3n + 2 = 92 uniforms at n = 30
+    rows = birth_death._chunk_rows(30)
+    assert rows > 1
     # the two 20-trial repeat blocks, the batched block, one call per lone trial
     assert chunk_rows == [20, 20, rows, rows, 1] + [1] * (2 * rows + 1)
